@@ -22,8 +22,9 @@ from .graphs import (
     DIRECTED,
     LabelledGraph,
     PathWitness,
-    _iter_terminal_paths,
     _EnumState,
+    _from_smaller_end,
+    search_paths,
     vertex_key,
     walk_weight,
 )
@@ -60,12 +61,11 @@ def _first_zero_path_disjoint_from(graph: LabelledGraph, blocked: set, limits: L
     """
     zero = graph.group.zero()
     state = _EnumState()
-    for vertices, edge_ids in _iter_terminal_paths(
-        graph, graph.terminals, limits.max_len, limits.max_paths, state
+    sources = [a for a in sorted(graph.terminals, key=vertex_key) if a not in blocked]
+    for vertices, edge_ids, w in search_paths(
+        graph, sources, graph.terminals, _from_smaller_end, state,
+        forbidden=blocked, max_len=limits.max_len, max_count=limits.max_paths,
     ):
-        if blocked.intersection(vertices):
-            continue
-        w = walk_weight(graph, vertices, edge_ids)
         if w == zero:
             return PathWitness(vertices, edge_ids, w)
     if state.truncated:
@@ -81,39 +81,16 @@ def _first_attach_path(graph: LabelledGraph, forest_vertices: set, degree: dict,
     the terminals it meets.
     """
     terminals = graph.terminals
-    truncated = False
-
-    def expand(path: list, edges: list, used: set):
-        nonlocal truncated
-        at = path[-1]
-        for e, nxt in graph.incident(at):
-            if nxt in used or nxt in terminals:
-                continue
-            if nxt in forest_vertices:
-                if degree.get(nxt) == 2:
-                    return tuple(path) + (nxt,), tuple(edges) + (e.eid,)
-                continue
-            if len(edges) + 1 >= limits.max_len:
-                truncated = True
-                continue
-            path.append(nxt)
-            edges.append(e.eid)
-            used.add(nxt)
-            found = expand(path, edges, used)
-            if found:
-                return found
-            used.discard(nxt)
-            edges.pop()
-            path.pop()
-        return None
-
-    for a in sorted(terminals, key=vertex_key):
-        if a in forest_vertices:
-            continue
-        found = expand([a], [], {a})
-        if found:
-            return found
-    if truncated:
+    targets = {v for v in forest_vertices if degree.get(v) == 2 and v not in terminals}
+    sources = [a for a in sorted(terminals, key=vertex_key) if a not in forest_vertices]
+    state = _EnumState()
+    for vertices, edge_ids, _ in search_paths(
+        graph, sources, targets, lambda *_: True, state,
+        forbidden=(terminals | forest_vertices) - targets,
+        max_len=limits.max_len, max_count=limits.max_paths,
+    ):
+        return vertices, edge_ids
+    if state.truncated:
         raise LimitExceeded("path length while searching attachments", limits.max_len)
     return None
 
@@ -215,11 +192,6 @@ def base_zero_path(graph: LabelledGraph, tree_edges: set, v) -> PathWitness:
     return witness
 
 
-def _tree_from_edges(graph: LabelledGraph, edge_ids: set) -> tuple[dict, set]:
-    adj = _tree_adjacency(graph, edge_ids)
-    return adj, set(adj)
-
-
 def _leaf_count(graph: LabelledGraph, edge_ids: set) -> int:
     adj = _tree_adjacency(graph, edge_ids)
     return sum(1 for v in adj if len(adj[v]) == 1)
@@ -274,7 +246,7 @@ def extract_zero_paths(graph: LabelledGraph, tree_edges: set, k: int) -> list[Pa
             f"tree has {leaves_now} leaves; {(2 * k - 1) * size + 1} required for {k} paths"
         )
     if k == 1:
-        adj, verts = _tree_from_edges(graph, edges)
+        adj = _tree_adjacency(graph, edges)
         if len(edges) == 1:
             # single-edge tree: only possible demand is over the trivial group
             e = graph.edge(next(iter(edges)))
@@ -284,16 +256,16 @@ def extract_zero_paths(graph: LabelledGraph, tree_edges: set, k: int) -> list[Pa
             witness = PathWitness((e.u, e.v), (e.eid,), w)
             witness.validate(graph)
             return [witness]
-        internal = sorted((v for v in verts if len(adj[v]) >= 2), key=vertex_key)
+        internal = sorted((v for v in adj if len(adj[v]) >= 2), key=vertex_key)
         return [base_zero_path(graph, edges, internal[0])]
 
-    adj, verts = _tree_from_edges(graph, edges)
-    anchor = min((v for v in verts if len(adj[v]) == 1), key=vertex_key)
+    adj = _tree_adjacency(graph, edges)
+    anchor = min((v for v in adj if len(adj[v]) == 1), key=vertex_key)
     dist = _distances_from(adj, anchor)
     total_leaves = leaves_now
 
     best = None  # (vertex, far_edges, near_edges); maximize distance, break ties downward
-    for v in verts:
+    for v in adj:
         if len(adj[v]) != 3:
             continue
         # component of tree - v containing the anchor
@@ -339,12 +311,9 @@ def extract_zero_paths(graph: LabelledGraph, tree_edges: set, k: int) -> list[Pa
 
 
 def largest_extractable(graph: LabelledGraph, leaf_count: int) -> int:
-    """Largest k with leaf_count >= (2k-1)|group|+1, by direct search."""
+    """Largest k with leaf_count >= (2k-1)|group|+1."""
     size = graph.group.order
-    k = 0
-    while leaf_count >= (2 * (k + 1) - 1) * size + 1:
-        k += 1
-    return k
+    return (leaf_count - 1 + size) // (2 * size)
 
 
 def frame_pack_or_cover(

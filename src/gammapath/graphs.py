@@ -303,6 +303,7 @@ def walk_weight(graph: LabelledGraph, vertices, edge_ids) -> GroupElem:
 class _EnumState:
     found: int = 0
     truncated: bool = False
+    counted: str = "enumerated paths"
 
 
 @dataclass(frozen=True)
@@ -317,46 +318,72 @@ class PathEnumeration:
         return len(self.paths)
 
 
-def _iter_terminal_paths(
-    graph: LabelledGraph, terminals: frozenset, max_len: int, max_count: int, state: _EnumState
-) -> Iterator[tuple[tuple, tuple]]:
-    """All paths meeting `terminals` exactly in their two endpoints.
+def search_paths(
+    graph: LabelledGraph,
+    sources,
+    stop,
+    accept: Callable[[list, list, object, object], bool],
+    state: _EnumState,
+    *,
+    forbidden=frozenset(),
+    max_len: int,
+    max_count: int,
+) -> Iterator[tuple[tuple, tuple, GroupElem]]:
+    """Simple paths from each source, in turn, that end at their first stop vertex.
 
-    Each path is produced once, traversed from its smaller endpoint; the
-    generator raises LimitExceeded past max_count and records depth pruning.
+    Depth-first in adjacency order, on an explicit stack.  A neighbour is
+    checked in this order: forbidden vertices are skipped; a stop vertex ends
+    the path, which is yielded as (vertices, edge ids, weight) when
+    accept(prefix vertices, prefix edge ids, end, last edge id) holds; any
+    other unused vertex extends it.  Paths longer than max_len edges are cut
+    and recorded in state.truncated; accepted paths beyond max_count raise
+    LimitExceeded.  The weight is summed left to right as vertices are
+    pushed, each label negated when the edge is traversed against its
+    orientation in the directed model.
     """
-    order = sorted(terminals, key=vertex_key)
-
-    def expand(path: list, edges: list, used: set) -> Iterator[tuple[tuple, tuple]]:
-        at = path[-1]
-        budget = max_len - len(edges)
-        for e, nxt in graph.incident(at):
-            if nxt in used:
-                continue
-            if nxt in terminals:
-                if budget < 1:
+    directed = graph.model == DIRECTED
+    zero = graph.group.zero()
+    for source in sources:
+        path, edges, weights, used = [source], [], [zero], {source}
+        frames = [iter(graph.incident(source))]
+        while frames:
+            budget = max_len - len(edges)
+            for e, nxt in frames[-1]:
+                if nxt in forbidden:
+                    continue
+                if nxt in stop:
+                    if budget < 1:
+                        state.truncated = True
+                    elif accept(path, edges, nxt, e.eid):
+                        state.found += 1
+                        if state.found > max_count:
+                            raise LimitExceeded(state.counted, max_count)
+                        step = -e.label if directed and e.sign_into(nxt) < 0 else e.label
+                        yield tuple(path) + (nxt,), tuple(edges) + (e.eid,), weights[-1] + step
+                    continue
+                if nxt in used:
+                    continue
+                # an interior extension needs one edge now and at least one more to finish
+                if budget < 2:
                     state.truncated = True
-                elif vertex_key(nxt) > vertex_key(path[0]):
-                    state.found += 1
-                    if state.found > max_count:
-                        raise LimitExceeded("enumerated paths", max_count)
-                    yield tuple(path) + (nxt,), tuple(edges) + (e.eid,)
-                continue
-            # an interior extension needs one edge now and at least one more to finish
-            if budget < 2:
-                state.truncated = True
-                continue
-            path.append(nxt)
-            edges.append(e.eid)
-            used.add(nxt)
-            yield from expand(path, edges, used)
-            used.discard(nxt)
-            edges.pop()
-            path.pop()
+                    continue
+                step = -e.label if directed and e.sign_into(nxt) < 0 else e.label
+                path.append(nxt)
+                edges.append(e.eid)
+                weights.append(weights[-1] + step)
+                used.add(nxt)
+                frames.append(iter(graph.incident(nxt)))
+                break
+            else:
+                frames.pop()
+                used.discard(path.pop())
+                weights.pop()
+                del edges[-1:]
 
-    for a in order:
-        if a in graph:
-            yield from expand([a], [], {a})
+
+def _from_smaller_end(path: list, edges: list, end, eid) -> bool:
+    """Accept each terminal path once, traversed from its smaller endpoint."""
+    return vertex_key(end) > vertex_key(path[0])
 
 
 def enumerate_terminal_paths(
@@ -382,8 +409,10 @@ def enumerate_terminal_paths(
         weight = graph.group.element(weight)
     state = _EnumState()
     out = []
-    for vertices, edge_ids in _iter_terminal_paths(graph, tset, limits.max_len, limits.max_paths, state):
-        w = walk_weight(graph, vertices, edge_ids)
+    sources = [a for a in sorted(tset, key=vertex_key) if a in graph]
+    for vertices, edge_ids, w in search_paths(
+        graph, sources, tset, _from_smaller_end, state, max_len=limits.max_len, max_count=limits.max_paths
+    ):
         if weight is not None:
             if w == weight:
                 out.append(PathWitness(vertices, edge_ids, w))
@@ -404,44 +433,33 @@ def enumerate_terminal_paths(
 def iter_simple_cycles(
     graph: LabelledGraph, cycle_cap: int
 ) -> Iterator[tuple[tuple, tuple, GroupElem]]:
-    """All simple cycles (vertices, edge ids, weight), each exactly once.
+    """All simple cycles (vertices, edge ids, weight), each edge set exactly once.
 
-    Cycles of length two formed by parallel edges are included; weight is the
-    plain label sum, so this is only meaningful in the orientation-free model.
+    A cycle is closed at its smallest vertex and traversed in the first
+    direction the search meets; cycles of two parallel edges are included.
+    The weight is that traversal's walk weight, so in the orientation-free
+    model it is the plain label sum.
     """
     emitted: set[frozenset] = set()
-    count = 0
+
+    def closes(path: list, edges: list, end, eid) -> bool:
+        # returning along the first edge is not a cycle; each edge set is listed once
+        if eid == edges[0]:
+            return False
+        key = frozenset(edges) | {eid}
+        if key in emitted:
+            return False
+        emitted.add(key)
+        return True
+
+    state = _EnumState(counted="enumerated simple cycles")
+    smaller: set = set()
     for start in graph.vertices:
-        sk = vertex_key(start)
-
-        def expand(path: list, edges: list, used: set) -> Iterator[tuple[tuple, tuple, GroupElem]]:
-            nonlocal count
-            at = path[-1]
-            for e, nxt in graph.incident(at):
-                if nxt == start and len(edges) >= 1 and e.eid != edges[0]:
-                    key = frozenset(edges) | {e.eid}
-                    if key not in emitted:
-                        emitted.add(key)
-                        count += 1
-                        if count > cycle_cap:
-                            raise LimitExceeded("enumerated simple cycles", cycle_cap)
-                        cyc_edges = tuple(edges) + (e.eid,)
-                        w = graph.group.zero()
-                        for eid in cyc_edges:
-                            w = w + graph.edge(eid).label
-                        yield tuple(path) + (start,), cyc_edges, w
-                    continue
-                if nxt in used or vertex_key(nxt) < sk:
-                    continue
-                path.append(nxt)
-                edges.append(e.eid)
-                used.add(nxt)
-                yield from expand(path, edges, used)
-                used.discard(nxt)
-                edges.pop()
-                path.pop()
-
-        yield from expand([start], [], {start})
+        yield from search_paths(
+            graph, (start,), {start}, closes, state,
+            forbidden=smaller, max_len=len(graph.vertices), max_count=cycle_cap,
+        )
+        smaller.add(start)
 
 
 def _potential_certificate(graph: LabelledGraph) -> dict | None:
@@ -522,10 +540,7 @@ def normalize_to_zero(
         if e.label + g[e.u] + g[e.v] != zero:
             raise NormalizationFailed(e.eid)
     shifts = [(v, g[v]) for v in graph.vertices if g[v] != zero]
-    out = graph
-    for v, val in shifts:
-        out = out.shift(v, val)
-    return shifts, out
+    return shifts, apply_shifts(graph, shifts)
 
 
 def apply_shifts(graph: LabelledGraph, shifts) -> LabelledGraph:
@@ -642,11 +657,11 @@ def _block_path_weights(graph, bset, limits) -> dict[tuple, list[GroupElem]]:
     seen: dict[tuple, set] = {}
     by_pair: dict[tuple, list[GroupElem]] = {}
     state = _EnumState()
-    for vertices, edge_ids in _iter_terminal_paths(
-        graph, frozenset(bset), limits.max_len, limits.max_paths, state
+    for vertices, _, w in search_paths(
+        graph, sorted(bset, key=vertex_key), bset, _from_smaller_end, state,
+        max_len=limits.max_len, max_count=limits.max_paths,
     ):
-        pair = tuple(sorted((vertices[0], vertices[-1]), key=vertex_key))
-        w = walk_weight(graph, vertices, edge_ids)
+        pair = (vertices[0], vertices[-1])
         if w not in seen.setdefault(pair, set()):
             seen[pair].add(w)
             by_pair.setdefault(pair, []).append(w)

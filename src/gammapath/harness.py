@@ -34,6 +34,7 @@ from .graphs import (
 from .groups import (
     CayleyGroup,
     CyclicProduct,
+    _is_prime,
     elements_of_order_at_most_2,
     find_halving,
     has_weight_ep,
@@ -115,7 +116,8 @@ def random_three_connected(rng: random.Random, group, n: int):
     return LabelledGraph.build(group, UNDIRECTED, edges, (), extra_vertices=vertices), phi
 
 
-def _naive_max_packing(members) -> int:
+def naive_max_packing(members) -> int:
+    """Largest pairwise vertex-disjoint subfamily, by full subset enumeration."""
     sets = [frozenset(m.vertices) for m in members]
     best = 0
     for r in range(len(sets), 0, -1):
@@ -135,7 +137,8 @@ def _naive_max_packing(members) -> int:
     return best
 
 
-def _naive_min_cover(members) -> int:
+def naive_min_cover(members) -> int:
+    """Smallest vertex set meeting every member, by subsets of increasing size."""
     sets = [frozenset(m.vertices) for m in members]
     if not sets:
         return 0
@@ -315,7 +318,7 @@ def check_classification(config: RunConfig) -> dict:
         quoted = (
             (factors and all(f == 2 for f in factors))
             or factors == ()
-            or (len(factors) == 1 and (factors[0] == 4 or _prime(factors[0])))
+            or (len(factors) == 1 and (factors[0] == 4 or _is_prime(factors[0])))
         )
         if bool(zero_ok) != bool(quoted):
             return _fail("classification", None, {"group": group.to_json()})
@@ -324,10 +327,6 @@ def check_classification(config: RunConfig) -> dict:
             pairs += 1
         groups += 1
     return _pass("classification", {"groups": groups, "pairs": pairs})
-
-
-def _prime(n: int) -> bool:
-    return n > 1 and all(n % d for d in range(2, n))
 
 
 def check_normalization(config: RunConfig) -> dict:
@@ -392,9 +391,9 @@ def check_oracle_soundness(config: RunConfig) -> dict:
         if not 0 < len(members) <= 12:
             continue
         corpus += 1
-        if max_packing(members, config.limits)[0] != _naive_max_packing(members):
+        if max_packing(members, config.limits)[0] != naive_max_packing(members):
             return _fail("oracle-soundness", g, {"kind": kind, "side": "packing"})
-        if min_cover(members, config.limits)[0] != _naive_min_cover(members):
+        if min_cover(members, config.limits)[0] != naive_min_cover(members):
             return _fail("oracle-soundness", g, {"kind": kind, "side": "cover"})
     return _pass("oracle-soundness", {"corpus": corpus})
 

@@ -102,6 +102,23 @@ def test_frame_packing_with_audit(tmp_path, capsys):
     assert payload["audit"][0]["move"] == "new-component"
 
 
+def test_long_path_is_bounded_by_max_len_not_recursion(tmp_path, capsys):
+    # 5,000 edges labelled 1 over Z/2: the one terminal path has weight zero
+    n = 5000
+    g = LabelledGraph.build(Z(2), DIRECTED, [(i, i + 1, 1, i) for i in range(n)], [0, n])
+    path = graph_file(tmp_path, g)
+    code, payload, _ = invoke(
+        capsys, "pack", "--graph", path, "--family", "weight:[0]", "--max-len", "6000"
+    )
+    assert code == 0
+    assert payload["nu"] == 1
+    code, payload, _ = invoke(capsys, "frame", "--graph", path, "--k", "1", "--max-len", "6000")
+    assert code == 0
+    assert payload["outcome"]["kind"] == "packing"
+    assert len(payload["outcome"]["paths"]) == 1
+    assert len(payload["outcome"]["paths"][0]["edges"]) == n
+
+
 def test_chain_found_and_none(tmp_path, capsys):
     chain = {"group": {"type": "cyclic_product", "orders": [3]}, "core_weight": [1], "deltas": [[1], [1]]}
     path = tmp_path / "chain.json"

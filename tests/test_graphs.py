@@ -18,12 +18,15 @@ from gammapath.graphs import (
     Edge,
     LabelledGraph,
     PathWitness,
+    _EnumState,
+    _from_smaller_end,
     apply_shifts,
     enumerate_terminal_paths,
     is_gamma_bipartite,
     iter_simple_cycles,
     nonzero_terminal_path_from_fans,
     normalize_to_zero,
+    search_paths,
     three_blocks,
     walk_weight,
 )
@@ -107,6 +110,7 @@ def test_enumerate_k4_all_paths():
 
 def test_enumerate_matches_networkx_on_random_simple_graphs():
     rng = random.Random(7)
+    block_rng = random.Random(8)
     z4 = Z(4)
     for _ in range(30):
         n = rng.randint(3, 8)
@@ -135,6 +139,25 @@ def test_enumerate_matches_networkx_on_random_simple_graphs():
                 if all(v not in terminals for v in p[1:-1]):
                     expected.add(tuple(p) if p[0] < p[-1] else tuple(reversed(p)))
         assert set(sequences) == expected
+        # the kernel with a blocked set yields exactly the terminal paths of G - B
+        blocked = set(block_rng.sample(vertices, block_rng.randint(0, n - 2)))
+        sources = [a for a in sorted(terminals) if a not in blocked]
+        found = []
+        for vs, es, w in search_paths(
+            g, sources, g.terminals, _from_smaller_end, _EnumState(),
+            forbidden=blocked, max_len=n, max_count=10_000,
+        ):
+            assert w == walk_weight(g, vs, es)
+            found.append(vs)
+        assert len(found) == len(set(found))
+        h.remove_nodes_from(blocked)
+        kept = [a for a in terminals if a not in blocked]
+        expected = set()
+        for a, b in itertools.combinations(sorted(kept), 2):
+            for p in nx.all_simple_paths(h, a, b):
+                if all(v not in kept for v in p[1:-1]):
+                    expected.add(tuple(p))
+        assert set(found) == expected
 
 
 def test_enumeration_limit_exceeded():

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import itertools
-
 from gammapath.groups import CayleyGroup, CyclicProduct, IntegerGroup
+from gammapath.harness import make_s3, naive_max_packing, naive_min_cover  # noqa: F401
 
 
 def Z(*orders: int) -> CyclicProduct:
@@ -12,17 +11,6 @@ def Z(*orders: int) -> CyclicProduct:
 
 
 INTS = IntegerGroup()
-
-
-def make_s3() -> CayleyGroup:
-    """Symmetric group on 3 points; composition is left-to-right."""
-    perms = sorted(itertools.permutations(range(3)))
-    idx = {p: i for i, p in enumerate(perms)}
-    table = [
-        [idx[tuple(b[a[x]] for x in range(3))] for b in perms]
-        for a in perms
-    ]
-    return CayleyGroup(table, identity=idx[(0, 1, 2)], name="S3")
 
 
 _Q8_MUL = {
@@ -55,38 +43,3 @@ def make_q8() -> CayleyGroup:
             row.append(idx[encode(sa * sb * sm, lm)])
         table.append(row)
     return CayleyGroup(table, identity=0, name="Q8")
-
-
-def naive_max_packing(members) -> int:
-    """Largest pairwise vertex-disjoint subfamily, by full subset enumeration."""
-    sets = [frozenset(m.vertices) for m in members]
-    best = 0
-    for r in range(len(sets), 0, -1):
-        if r <= best:
-            break
-        for combo in itertools.combinations(range(len(sets)), r):
-            union = set()
-            ok = True
-            for i in combo:
-                if sets[i] & union:
-                    ok = False
-                    break
-                union |= sets[i]
-            if ok:
-                best = max(best, r)
-                break
-    return best
-
-
-def naive_min_cover(members) -> int:
-    """Smallest vertex set meeting every member, by subsets of increasing size."""
-    sets = [frozenset(m.vertices) for m in members]
-    if not sets:
-        return 0
-    universe = sorted(set().union(*sets), key=repr)
-    for r in range(0, len(universe) + 1):
-        for combo in itertools.combinations(universe, r):
-            chosen = set(combo)
-            if all(chosen & s for s in sets):
-                return r
-    raise AssertionError("unreachable")
