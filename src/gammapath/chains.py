@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import InternalInvariantError, PreconditionFailed
 from .graphs import UNDIRECTED, LabelledGraph, PathWitness, walk_weight
-from .groups import CyclicProduct, GroupElem, GroupSpec, _is_prime, sumset
+from .groups import CompiledGroup, CyclicProduct, GroupElem, GroupSpec, _is_prime
 
 
 @dataclass(frozen=True)
@@ -129,15 +129,26 @@ class Reroute:
     path: PathWitness | None
 
 
+def _suffix_sums(chain: CycleChain) -> tuple[CompiledGroup, list[int]]:
+    """Subset-sum DP on the compiled group, one bound-checked sumset per detour.
+
+    suffix[i] is the bitmask of the sums d_j1 + ... + d_jk, added left to right,
+    over i <= j1 < ... < jk; the empty sum is included.
+    """
+    c = chain.group.compiled()
+    unit = 1 << c.zero
+    suffix = [unit] * (chain.length + 1)
+    for i in range(chain.length - 1, -1, -1):
+        suffix[i] = c.sumset(unit | 1 << c.index[chain.deltas[i]], suffix[i + 1])
+    return c, suffix
+
+
 def reachable_weights(chain: CycleChain) -> frozenset[GroupElem]:
     """All weights attainable by switching any subset of detours on."""
     if not chain.group.is_finite:
         raise PreconditionFailed("reachability needs a finite group")
-    zero = chain.group.zero()
-    acc = frozenset({chain.core_weight})
-    for d in chain.deltas:
-        acc = sumset(acc, frozenset({zero, d}))
-    return acc
+    c, suffix = _suffix_sums(chain)
+    return c.elems_of(c.translate(c.index[chain.core_weight], suffix[0]))
 
 
 def reroute_to_weight(chain: CycleChain, target) -> Reroute | None:
@@ -151,21 +162,18 @@ def reroute_to_weight(chain: CycleChain, target) -> Reroute | None:
     if not group.is_finite:
         raise PreconditionFailed("rerouting needs a finite group")
     target = group.element(target)
-    zero = group.zero()
-    n = chain.length
-    # suffix[i] = weights attainable from detours i..n-1
-    suffix: list[frozenset] = [frozenset({zero})] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = sumset(suffix[i + 1], frozenset({zero, chain.deltas[i]}))
-    if target - chain.core_weight not in suffix[0]:
+    c, suffix = _suffix_sums(chain)
+    add, neg, goal = c.add, c.neg, c.index[target]
+    acc = c.index[chain.core_weight]
+    # acc + rest = goal needs rest = -acc + goal among the suffix sums
+    if not suffix[0] >> add(neg(acc), goal) & 1:
         return None
     subset = []
-    acc = chain.core_weight
     start = 0
-    while acc != target:
-        for i in range(start, n):
-            step = acc + chain.deltas[i]
-            if target - step in suffix[i + 1]:
+    while acc != goal:
+        for i in range(start, chain.length):
+            step = add(acc, c.index[chain.deltas[i]])
+            if suffix[i + 1] >> add(neg(step), goal) & 1:
                 subset.append(i)
                 acc = step
                 start = i + 1
@@ -208,10 +216,9 @@ def _splice(chain: CycleChain, subset: list[int]) -> PathWitness:
 
 def zero_path_from_chain(chain: CycleChain) -> Reroute:
     """Reroute a nonzero prime-field chain of length >= p-1 to weight zero."""
-    factors = chain.group.invariant_factors() if chain.group.is_finite else None
-    if not factors or len(factors) != 1 or not _is_prime(factors[0]):
+    p = chain.group.compiled().prime if chain.group.is_finite else None
+    if p is None:
         raise PreconditionFailed("guaranteed rerouting needs a prime-order cyclic group")
-    p = factors[0]
     if not chain.is_nonzero:
         raise PreconditionFailed("chain has a zero delta")
     if chain.length < p - 1:

@@ -13,13 +13,7 @@ from dataclasses import dataclass
 
 from .errors import DEFAULT_LIMITS, Limits, PreconditionFailed
 from .graphs import DIRECTED, UNDIRECTED, Edge, LabelledGraph, vertex_key
-from .groups import (
-    GroupElem,
-    GroupSpec,
-    IntegerGroup,
-    cyclic_subgroup,
-    _coset_order,
-)
+from .groups import GroupElem, GroupSpec, IntegerGroup, subgroup_contains
 from .packing import WEIGHT, PathFamilySpec, max_packing, min_cover
 
 
@@ -142,7 +136,8 @@ def build_quotient_gadget(n: int, group: GroupSpec, g1, g2) -> GridGadget:
     zero = group.zero()
     if g1 == zero or g2 == zero:
         raise PreconditionFailed("both labels must be nonzero")
-    if _coset_order(g1, cyclic_subgroup(g2)) <= 2:
+    c = group.compiled()
+    if not c.coset_order_above_two(c.index[g1], c.cyclic(c.index[g2])):
         raise PreconditionFailed("coset order condition fails; not a counterexample pair")
 
     def label_of(kind, idx):
@@ -173,7 +168,7 @@ def build_subgroup_escape_gadget(n: int, group: GroupSpec, ell, g) -> GridGadget
     g = group.element(g)
     if g == group.zero():
         raise PreconditionFailed("the subgroup generator must be nonzero")
-    if ell in cyclic_subgroup(g):
+    if subgroup_contains(g, ell):
         raise PreconditionFailed("target lies in the subgroup; not a counterexample pair")
 
     def label_of(kind, idx):

@@ -78,25 +78,14 @@ def _partitions(n: int) -> Iterator[tuple[int, ...]]:
 
 def abelian_types(order: int) -> list[tuple[int, ...]]:
     """All abelian groups of the given order, as invariant-factor tuples."""
-    if order == 1:
-        return [()]
-    per_prime: list[list[tuple[int, ...]]] = []
-    primes = sorted(_prime_factorization(order).items())
-    for p, e in primes:
-        per_prime.append([tuple(p ** k for k in part) for part in _partitions(e)])
-    types = set()
-    for combo in itertools.product(*per_prime):
-        width = max(len(c) for c in combo)
-        factors = []
-        for i in range(width):
-            d = 1
-            for c in combo:
-                if i < len(c):
-                    d *= c[i]  # partitions are descending, so factor i is the i-th largest
-            factors.append(d)
-        factors.sort()
-        types.add(tuple(factors))
-    return sorted(types)
+    # one partition of each prime's exponent gives the prime-power cyclic factors
+    per_prime = [
+        [tuple(p ** k for k in part) for part in _partitions(e)]
+        for p, e in sorted(_prime_factorization(order).items())
+    ]
+    return sorted(
+        {_invariant_factors_from_orders(sum(combo, ())) for combo in itertools.product(*per_prime)}
+    )
 
 
 @dataclass(frozen=True)
@@ -173,6 +162,16 @@ class GroupSpec:
         """Invariant-factor decomposition; only for finite abelian groups."""
         raise NotImplementedError
 
+    def compiled(self) -> "CompiledGroup":
+        """The dense index form of this finite group, built on first use and kept."""
+        # no lock: threads that race here build equal forms, and any of them is correct
+        if "_compiled" not in self.__dict__:
+            self._compiled = self._compile()
+        return self._compiled
+
+    def _compile(self) -> "CompiledGroup":
+        raise ValueError(f"{self.name} is infinite and has no dense index form")
+
     def to_json(self) -> dict:
         raise NotImplementedError
 
@@ -244,6 +243,18 @@ class CyclicProduct(GroupSpec):
 
     def elem_to_json(self, e: GroupElem):
         return list(e.value)
+
+    def _compile(self) -> "CompiledGroup":
+        # mixed radix, last coordinate fastest as in elements(); no order^2 table
+        if len(self.orders) == 1:
+            n = self.orders[0]
+            return CompiledGroup(self, lambda i, j: (i + j) % n, lambda i: -i % n, rotates=True)
+        radix = [(n, math.prod(self.orders[k + 1 :])) for k, n in enumerate(self.orders)]
+        return CompiledGroup(
+            self,
+            lambda i, j: sum((i // s + j // s) % n * s for n, s in radix),
+            lambda i: sum(-(i // s) % n * s for n, s in radix),
+        )
 
     def invariant_factors(self) -> tuple[int, ...]:
         return self._invariants
@@ -335,6 +346,10 @@ class CayleyGroup(GroupSpec):
     def elem_to_json(self, e: GroupElem):
         return e.value
 
+    def _compile(self) -> "CompiledGroup":
+        table = self.table
+        return CompiledGroup(self, lambda i, j: table[i][j], self._inverse.__getitem__)
+
     def invariant_factors(self) -> tuple[int, ...]:
         if not self.is_abelian:
             raise ValueError("invariant factors are defined for abelian groups only")
@@ -405,6 +420,80 @@ class IntegerGroup(GroupSpec):
         return {"type": "integers"}
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class CompiledGroup:
+    """Dense index form of a finite group, for the hot loops.
+
+    Elements are numbered 0..n-1 in canonical `elem_sort_key` order; `elems`
+    and `index` convert between numbers and `GroupElem`s.  `add(i, j)` and
+    `neg(i)` act on numbers, and a set of elements is an int bitmask with bit
+    i for element i.  `prime` is p when the group is cyclic of prime order p,
+    where the Cauchy-Davenport bound applies, and None otherwise.
+    """
+
+    def __init__(self, group: GroupSpec, add, neg, rotates: bool = False):
+        self.group = group
+        self.elems = tuple(group.elements())
+        self.index = {e: i for i, e in enumerate(self.elems)}
+        self.order = len(self.elems)
+        self.zero = self.index[group.zero()]
+        self.full = (1 << self.order) - 1
+        self.add = add
+        self.neg = neg
+        # with a single cyclic factor, d + x is (d + x) mod n: a rotation of the bits
+        self._rotates = rotates
+        # a group of prime order p is cyclic, and no other group has invariant factors (p,)
+        self.prime = self.order if _is_prime(self.order) else None
+
+    def elems_of(self, mask: int) -> frozenset[GroupElem]:
+        elems = self.elems
+        return frozenset(elems[i] for i in _bits(mask))
+
+    def translate(self, d: int, mask: int) -> int:
+        """Bitmask of {d + x : x in mask}."""
+        if self._rotates:
+            return ((mask << d) | (mask >> (self.order - d))) & self.full
+        add = self.add
+        out = 0
+        for x in _bits(mask):
+            out |= 1 << add(d, x)
+        return out
+
+    def sumset(self, xs: int, ys: int) -> int:
+        """Bitmask of {x + y}; checks the prime-field lower bound when it applies."""
+        out = 0
+        for x in _bits(xs):
+            out |= self.translate(x, ys)
+        if self.prime is not None and xs and ys:
+            size = out.bit_count()
+            if size < min(xs.bit_count() + ys.bit_count() - 1, self.prime):
+                raise InternalInvariantError(
+                    f"sumset bound violated over {self.group.name}: |X+Y|={size}"
+                )
+        return out
+
+    def cyclic(self, g: int) -> int:
+        """Bitmask of the cyclic subgroup generated by element g."""
+        zero, add = self.zero, self.add
+        mask = 1 << zero
+        acc = g
+        while acc != zero:
+            mask |= 1 << acc
+            acc = add(acc, g)
+        return mask
+
+    def coset_order_above_two(self, g1: int, sub: int) -> bool:
+        """Whether g1 + H has order > 2 in the quotient by the subgroup mask H."""
+        return not (sub >> g1 & 1 or sub >> self.add(g1, g1) & 1)
+
+
 def group_from_json(data: dict) -> GroupSpec:
     kind = data.get("type")
     if kind == "cyclic_product":
@@ -419,15 +508,10 @@ def group_from_json(data: dict) -> GroupSpec:
 def element_order(e: GroupElem) -> int | float:
     """Smallest n >= 1 with n*e = 0; INFINITE for a nonzero integer."""
     group = e.group
-    zero = group.zero()
     if not group.is_finite:
-        return 1 if e == zero else INFINITE
-    acc = e
-    n = 1
-    while acc != zero:
-        acc = group.add(acc, e)
-        n += 1
-    return n
+        return 1 if e == group.zero() else INFINITE
+    c = group.compiled()
+    return c.cyclic(c.index[e]).bit_count()
 
 
 def cyclic_subgroup(e: GroupElem) -> frozenset[GroupElem]:
@@ -435,12 +519,8 @@ def cyclic_subgroup(e: GroupElem) -> frozenset[GroupElem]:
     group = e.group
     if not group.is_finite:
         raise ValueError("cyclic subgroups of the integers are infinite")
-    seen = {group.zero()}
-    acc = e
-    while acc not in seen:
-        seen.add(acc)
-        acc = group.add(acc, e)
-    return frozenset(seen)
+    c = group.compiled()
+    return c.elems_of(c.cyclic(c.index[e]))
 
 
 def subgroup_contains(generator: GroupElem, target: GroupElem) -> bool:
@@ -467,17 +547,6 @@ def find_halving(group: GroupSpec, ell: GroupElem) -> GroupElem | None:
     return None
 
 
-def _coset_order(g1: GroupElem, sub: frozenset[GroupElem]) -> int:
-    """Order of g1 + <g2> in the quotient by the subgroup sub."""
-    group = g1.group
-    acc = g1
-    n = 1
-    while acc not in sub:
-        acc = group.add(acc, g1)
-        n += 1
-    return n
-
-
 def find_bad_pair(group: GroupSpec) -> tuple[GroupElem, GroupElem] | None:
     """Nonzero (g1, g2) whose coset of g1 has order > 2 modulo <g2>, or None.
 
@@ -487,16 +556,13 @@ def find_bad_pair(group: GroupSpec) -> tuple[GroupElem, GroupElem] | None:
     """
     if not group.is_finite or not group.is_abelian:
         raise ValueError("bad-pair search requires a finite abelian group")
-    zero = group.zero()
-    elems = sorted(group.elements(), key=group.elem_sort_key)
-    for g1 in elems:
-        if g1 == zero:
-            continue
-        for g2 in elems:
-            if g2 == zero:
-                continue
-            if _coset_order(g1, cyclic_subgroup(g2)) > 2:
-                return (g1, g2)
+    c = group.compiled()
+    nonzero = [g for g in range(c.order) if g != c.zero]
+    subgroups = [c.cyclic(g) for g in range(c.order)]
+    for g1 in nonzero:
+        for g2 in nonzero:
+            if c.coset_order_above_two(g1, subgroups[g2]):
+                return (c.elems[g1], c.elems[g2])
     return None
 
 
@@ -549,8 +615,10 @@ def _ell_ep_by_replay(group: GroupSpec, ell: GroupElem) -> bool:
     if ell == zero:
         return find_bad_pair(group) is None
     # A nonzero g whose cyclic subgroup misses ell yields a grid counterexample.
-    for g in sorted(group.elements(), key=group.elem_sort_key):
-        if g != zero and ell not in cyclic_subgroup(g):
+    c = group.compiled()
+    target = c.index[ell]
+    for g in range(c.order):
+        if g != c.zero and not c.cyclic(g) >> target & 1:
             return False
     # Otherwise the order of ell must be prime, the group order a power of it,
     # and the subgroup generated by ell the unique one of that order.
@@ -594,18 +662,15 @@ def has_weight_ep(group: GroupSpec, ell: GroupElem) -> bool:
 
 def sumset(xs: set[GroupElem] | frozenset[GroupElem], ys: set[GroupElem] | frozenset[GroupElem]) -> frozenset[GroupElem]:
     """{x + y : x in X, y in Y}; checks the prime-field lower bound when it applies."""
-    out = frozenset(x + y for x in xs for y in ys)
-    if xs and ys:
-        group = next(iter(xs)).group
-        if group.is_finite and group.is_abelian:
-            factors = group.invariant_factors()
-            if len(factors) == 1 and _is_prime(factors[0]):
-                p = factors[0]
-                if len(out) < min(len(xs) + len(ys) - 1, p):
-                    raise InternalInvariantError(
-                        f"sumset bound violated over {group.name}: |X+Y|={len(out)}"
-                    )
-    return out
+    if not xs or not ys:
+        return frozenset()
+    group = next(iter(xs)).group
+    if not group.is_finite:
+        return frozenset(x + y for x in xs for y in ys)
+    group._check(*xs, *ys)
+    c = group.compiled()
+    xm, ym = (sum(1 << i for i in {c.index[e] for e in s}) for s in (xs, ys))
+    return c.elems_of(c.sumset(xm, ym))
 
 
 def iter_abelian_groups(max_order: int) -> Iterator[CyclicProduct]:

@@ -245,46 +245,41 @@ def check_chain_exhaustive(config: RunConfig) -> dict:
 
 
 def check_cauchy_davenport(config: RunConfig) -> dict:
-    z5 = CyclicProduct((5,))
-    elems5 = z5.elements()
     pairs = 0
-    subsets5 = []
-    for r in range(1, 6):
-        subsets5.extend(frozenset(c) for c in itertools.combinations(elems5, r))
-    for xs in subsets5:
-        for ys in subsets5:
-            out = sumset(xs, ys)
-            if len(out) < min(len(xs) + len(ys) - 1, 5):
-                return _fail("cauchy-davenport", None, {"p": 5})
-            pairs += 1
-    z7 = CyclicProduct((7,))
-    elems7 = z7.elements()
-    subsets7 = []
-    for r in range(1, 5):
-        subsets7.extend(frozenset(c) for c in itertools.combinations(elems7, r))
-    for xs in subsets7:
-        for ys in subsets7:
-            out = sumset(xs, ys)
-            if len(out) < min(len(xs) + len(ys) - 1, 7):
-                return _fail("cauchy-davenport", None, {"p": 7})
-            pairs += 1
+    # every nonempty subset of Z/5, and the subsets of Z/7 with at most 4 elements
+    for p, max_size in ((5, 5), (7, 4)):
+        elems = CyclicProduct((p,)).elements()
+        subsets = [
+            frozenset(c) for r in range(1, max_size + 1) for c in itertools.combinations(elems, r)
+        ]
+        for xs in subsets:
+            for ys in subsets:
+                out = sumset(xs, ys)
+                if len(out) < min(len(xs) + len(ys) - 1, p):
+                    return _fail("cauchy-davenport", None, {"p": p})
+                pairs += 1
     return _pass("cauchy-davenport", {"pairs": pairs})
+
+
+def _top_row_gadget_ok(checks: dict, n: int) -> bool:
+    """The top-row gadgets' claims, with their proven cover number tau = floor(n/2)."""
+    return checks["nu"] == 1 and checks["tau"] == n // 2 and checks["uses_top_row"] and checks["endpoints_cross"]
 
 
 def check_gadgets(config: RunConfig) -> dict:
     z4 = CyclicProduct((4,))
     z8 = CyclicProduct((8,))
     detail: dict = {}
-    for n in (2, 3):
-        checks = verify_gadget(build_subgroup_escape_gadget(n, z4, 1, 2), config.limits)
-        detail[f"subgroup_escape_n{n}"] = {"nu": checks["nu"], "tau": checks["tau"]}
-        if not (checks["nu"] == 1 and checks["uses_top_row"] and checks["endpoints_cross"]):
-            return _fail("gadgets", None, {"variant": "gamma-double-prime", "n": n, "checks": checks})
-    for n in (2, 3):
-        checks = verify_gadget(build_quotient_gadget(n, z8, 1, 4), config.limits)
-        detail[f"quotient_n{n}"] = {"nu": checks["nu"], "tau": checks["tau"]}
-        if not (checks["nu"] == 1 and checks["uses_top_row"] and checks["endpoints_cross"]):
-            return _fail("gadgets", None, {"variant": "gamma-prime", "n": n, "checks": checks})
+    top_row = (
+        ("gamma-double-prime", "subgroup_escape", lambda n: build_subgroup_escape_gadget(n, z4, 1, 2)),
+        ("gamma-prime", "quotient", lambda n: build_quotient_gadget(n, z8, 1, 4)),
+    )
+    for variant, key, build in top_row:
+        for n in (2, 3):
+            checks = verify_gadget(build(n), config.limits)
+            detail[f"{key}_n{n}"] = {"nu": checks["nu"], "tau": checks["tau"]}
+            if not _top_row_gadget_ok(checks, n):
+                return _fail("gadgets", None, {"variant": variant, "n": n, "checks": checks})
     checks = verify_gadget(build_integer_gadget(2, 0), config.limits)
     detail["integer_n2"] = {"nu": checks["nu"], "tau": checks["tau"]}
     if not (checks["nu"] == 1 and checks["antidiagonal_pairing"] and checks["tau"] == 2):
@@ -300,7 +295,7 @@ def check_gadgets(config: RunConfig) -> dict:
                 "tau": checks["tau"],
                 "elapsed_s": round(time.monotonic() - start, 2),
             }
-            if checks["nu"] != 1:
+            if not _top_row_gadget_ok(checks, 4):
                 return _fail("gadgets", None, {"variant": "gamma-double-prime", "n": 4, "checks": checks})
         except GammapathError as exc:
             detail["subgroup_escape_n4"] = f"SKIPPED ({exc})"

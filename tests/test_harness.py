@@ -68,3 +68,19 @@ def test_block_weight_enumeration_respects_limits():
     )
     with pytest.raises(LimitExceeded):
         three_blocks(g, Limits(max_paths=2))
+
+
+@pytest.mark.parametrize("variant", ["gamma-prime", "gamma-double-prime"])
+def test_gadget_check_binds_the_proven_tau(monkeypatch, variant):
+    verify = harness.verify_gadget
+
+    def wrong_tau(gadget, limits):
+        checks = verify(gadget, limits)
+        if gadget.variant == variant:
+            checks["tau"] += 1
+        return checks
+
+    monkeypatch.setattr(harness, "verify_gadget", wrong_tau)
+    report = harness.check_gadgets(RunConfig(budget_s=1.0))
+    assert report["status"] == "FAIL"
+    assert report["reproducer"]["variant"] == variant

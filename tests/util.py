@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 from gammapath.groups import CayleyGroup, CyclicProduct, IntegerGroup
 from gammapath.harness import make_s3, naive_max_packing, naive_min_cover  # noqa: F401
 
@@ -43,3 +45,56 @@ def make_q8() -> CayleyGroup:
             row.append(idx[encode(sa * sb * sm, lm)])
         table.append(row)
     return CayleyGroup(table, identity=0, name="Q8")
+
+
+# --- object-level oracles for the compiled fast paths -----------------------
+
+
+def _object_cyclic_subgroup(e) -> set:
+    seen = {e.group.zero()}
+    acc = e
+    while acc not in seen:
+        seen.add(acc)
+        acc = acc + e
+    return seen
+
+
+def oracle_find_bad_pair(group):
+    """First nonzero (g1, g2) in canonical order whose coset order modulo <g2> exceeds 2."""
+    zero = group.zero()
+    elems = sorted(group.elements(), key=group.elem_sort_key)
+    for g1 in elems:
+        if g1 == zero:
+            continue
+        for g2 in elems:
+            if g2 == zero:
+                continue
+            sub = _object_cyclic_subgroup(g2)
+            acc, coset_order = g1, 1
+            while acc not in sub:
+                acc, coset_order = acc + g1, coset_order + 1
+            if coset_order > 2:
+                return (g1, g2)
+    return None
+
+
+def oracle_reachable_weights(chain) -> frozenset:
+    """Core weight plus every subset of deltas, summed left to right on GroupElems."""
+    zero = chain.group.zero()
+    acc = {chain.core_weight}
+    for d in chain.deltas:
+        acc = {a + x for a in acc for x in (zero, d)}
+    return frozenset(acc)
+
+
+def oracle_reroute_subset(chain, target):
+    """Lexicographically smallest detour subset whose left-to-right sum is target, or None."""
+    found = []
+    for r in range(chain.length + 1):
+        for subset in itertools.combinations(range(chain.length), r):
+            total = chain.core_weight
+            for i in subset:
+                total = total + chain.deltas[i]
+            if total == target:
+                found.append(subset)
+    return min(found) if found else None
