@@ -11,7 +11,14 @@ import json
 import sys
 
 from .chains import CycleChain, reachable_weights, reroute_to_weight
-from .errors import GammapathError, Limits, LimitExceeded, PreconditionFailed
+from .errors import (
+    GammapathError,
+    Limits,
+    LimitExceeded,
+    PreconditionFailed,
+    UsageError,
+    require_keys,
+)
 from .frame import frame_pack_or_cover, validate_frame_cover
 from .gadgets import (
     build_integer_gadget,
@@ -47,11 +54,18 @@ EXIT_USAGE = 2
 EXIT_LIMIT = 3
 
 
+def _parse_json(text: str, what: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{what} is not JSON: {exc}") from None
+
+
 def _read_json(path: str):
     if path == "-":
-        return json.load(sys.stdin)
+        return _parse_json(sys.stdin.read(), "standard input")
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return _parse_json(fh.read(), path)
 
 
 def _emit(payload, out_path: str | None) -> None:
@@ -83,7 +97,7 @@ def _family_spec(graph, text: str) -> PathFamilySpec:
         tokens = [t for t in rest.split(",") if t]
         vertices = frozenset(int(t) if t.lstrip("-").isdigit() else t for t in tokens)
         return PathFamilySpec(ABA, graph, through=vertices)
-    raise ValueError(f"unknown family {text!r}")
+    raise UsageError(f"unknown family {text!r}")
 
 
 def _add_common(parser: argparse.ArgumentParser, graph: bool = True) -> None:
@@ -140,11 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g2")
     p.add_argument("--model", choices=[DIRECTED, UNDIRECTED], default=UNDIRECTED)
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--max-len", type=int, default=20)
-    p.add_argument("--max-paths", type=int, default=200_000)
-    p.add_argument("--cycle-cap", type=int, default=100_000)
-    p.add_argument("--budget", type=float, default=600.0)
-    p.add_argument("--out")
+    _add_common(p, graph=False)
 
     p = sub.add_parser("bipartite", help="is every cycle weight zero?")
     _add_common(p)
@@ -178,6 +188,10 @@ def run(argv: list[str] | None = None) -> int:
         _emit({"error": "limit-exceeded", "detail": str(exc)}, getattr(args, "out", None))
         print(f"limit exceeded: {exc}", file=sys.stderr)
         return EXIT_LIMIT
+    except UsageError as exc:
+        _emit({"error": "usage", "detail": str(exc)}, getattr(args, "out", None))
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (PreconditionFailed, ValueError) as exc:
         _emit({"error": "rejected", "detail": str(exc)}, getattr(args, "out", None))
         print(f"error: {exc}", file=sys.stderr)
@@ -190,7 +204,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "classify":
-        group = group_from_json(json.loads(args.group))
+        group = group_from_json(_parse_json(args.group, "--group"))
         if args.ell is None:
             verdict = has_zero_path_ep(group)
             payload = {"group": group.to_json(), "ell": None, "ep": verdict}
@@ -257,12 +271,14 @@ def _dispatch(args) -> int:
 
     if args.command == "chain":
         data = _read_json(args.chain)
-        if "graph" in data:
+        if isinstance(data, dict) and "graph" in data:
+            require_keys(data, ("core", "detours"), "chain")
             graph = graph_from_json(data["graph"])
             core = witness_from_json(graph, data["core"])
             detours = [witness_from_json(graph, d) for d in data["detours"]]
             chain = CycleChain.embedded(graph, core, detours)
         else:
+            require_keys(data, ("group", "core_weight", "deltas"), "chain")
             group = group_from_json(data["group"])
             chain = CycleChain.abstract(group, data["core_weight"], data["deltas"])
         target = parse_element(chain.group, args.target)
@@ -290,7 +306,7 @@ def _dispatch(args) -> int:
         else:
             if not args.group:
                 raise ValueError("this variant needs --group")
-            group = group_from_json(json.loads(args.group))
+            group = group_from_json(_parse_json(args.group, "--group"))
             if args.variant == "gamma-prime":
                 if args.g1 is None or args.g2 is None:
                     raise ValueError("gamma-prime needs --g1 and --g2")

@@ -22,6 +22,17 @@ class PreconditionFailed(GammapathError, ValueError):
     """A verified precondition of an operation does not hold for the input."""
 
 
+class UsageError(GammapathError, ValueError):
+    """Malformed input: text that is not JSON, a missing key or an unknown name."""
+
+
+def require_keys(data, keys, what: str) -> None:
+    """Raise a usage error naming the first of keys that the JSON object lacks."""
+    for key in keys:
+        if not isinstance(data, dict) or key not in data:
+            raise UsageError(f"{what} JSON needs the key {key!r}")
+
+
 class GroupMismatchError(GammapathError, ValueError):
     """Operands belong to different groups."""
 
@@ -31,11 +42,7 @@ class InternalInvariantError(GammapathError):
 
 
 class NormalizationFailed(InternalInvariantError):
-    """Shift propagation failed verification on an input that passed its preconditions."""
-
-    def __init__(self, edge_id):
-        super().__init__(f"shift propagation left edge {edge_id!r} nonzero")
-        self.edge_id = edge_id
+    """No shift sequence was found for an input that passed its preconditions."""
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from .errors import (
     NormalizationFailed,
     PreconditionFailed,
 )
-from .groups import GroupElem, GroupSpec
+from .groups import GroupElem, GroupSpec, _bits
 
 DIRECTED = "directed"
 UNDIRECTED = "undirected"
@@ -38,9 +38,6 @@ class Edge(NamedTuple):
     v: int | str
     label: GroupElem
     tail: int | str | None = None
-
-    def other(self, x):
-        return self.v if x == self.u else self.u
 
     def sign_into(self, endpoint) -> int:
         """+1 when traversal ends at the head, -1 when it ends at the tail."""
@@ -114,16 +111,10 @@ class LabelledGraph:
     def incident(self, v):
         return self._adj[v]
 
-    def degree(self, v) -> int:
-        return len(self._adj[v])
-
     def __contains__(self, v) -> bool:
         return v in self._adj
 
     # --- derived graphs ---------------------------------------------------
-
-    def with_terminals(self, terminals) -> "LabelledGraph":
-        return LabelledGraph(self.group, self.model, self.vertices, self.edges, terminals)
 
     def without_vertices(self, removed) -> "LabelledGraph":
         removed = set(removed)
@@ -137,14 +128,7 @@ class LabelledGraph:
 
     def shift(self, v, g: GroupElem) -> "LabelledGraph":
         """Add g (an element with g + g = 0) to every edge incident with v."""
-        if self.model != UNDIRECTED:
-            raise PreconditionFailed("shifting is defined in the orientation-free model")
-        g = self.group.element(g)
-        if g + g != self.group.zero():
-            raise PreconditionFailed(f"shift value must satisfy g+g=0, got {g!r}")
-        if v not in self:
-            raise ValueError(f"unknown vertex {v!r}")
-        return self.with_labels(lambda e: e.label + g if v in (e.u, e.v) else e.label)
+        return apply_shifts(self, [(v, g)])
 
     # --- connectivity helpers --------------------------------------------
 
@@ -169,22 +153,11 @@ class LabelledGraph:
             left -= comp
         return out
 
-    def is_connected(self) -> bool:
-        return len(self.vertices) <= 1 or len(self.component_of(self.vertices[0])) == len(self.vertices)
-
     def is_three_connected(self) -> bool:
-        """Brute force: no deletion of at most 2 vertices disconnects the graph."""
+        """At least 4 vertices and every pair inseparable (Whitney)."""
         n = len(self.vertices)
-        if n < 4:
-            return False
-        import itertools
-
-        for r in (0, 1, 2):
-            for cut in itertools.combinations(self.vertices, r):
-                rest = self.without_vertices(cut)
-                if not rest.is_connected():
-                    return False
-        return True
+        masks = _inseparable_masks(self)
+        return n >= 4 and all(m | 1 << i == (1 << n) - 1 for i, m in enumerate(masks))
 
     def to_json(self) -> dict:
         out = {
@@ -512,42 +485,44 @@ def normalize_to_zero(
 ) -> tuple[list[tuple[object, GroupElem]], LabelledGraph]:
     """Shift sequence turning a 3-connected all-zero-cycle labelling into all-zero.
 
-    Verifies both preconditions, then roots a spanning tree, fixes the root
-    shift at zero, propagates g_v = label(uv) + g_u along tree edges and
-    checks every remaining edge.
+    Verifies both preconditions; the shifts are the involution potential of
+    `_potential_certificate`, whose root vertex is fixed at zero and which is
+    checked on every edge.  3-connectivity makes it exist whenever every
+    cycle is zero.
     """
     if graph.model != UNDIRECTED:
         raise PreconditionFailed("normalization applies to the orientation-free model")
     if not graph.is_three_connected():
         raise PreconditionFailed("graph is not 3-connected")
-    if not is_gamma_bipartite(graph, cycle_cap):
-        raise PreconditionFailed("labelling has a nonzero cycle")
-    group = graph.group
-    zero = group.zero()
-    root = graph.vertices[0]
-    g: dict = {root: zero}
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        for e, y in graph.incident(x):
-            if y not in g:
-                g[y] = e.label + g[x]
-                stack.append(y)
-    for v, val in g.items():
-        if val + val != zero:
-            raise NormalizationFailed(f"vertex {v!r}")
-    for e in graph.edges:
-        if e.label + g[e.u] + g[e.v] != zero:
-            raise NormalizationFailed(e.eid)
-    shifts = [(v, g[v]) for v in graph.vertices if g[v] != zero]
+    phi = _potential_certificate(graph)
+    if phi is None:
+        if not is_gamma_bipartite(graph, cycle_cap):
+            raise PreconditionFailed("labelling has a nonzero cycle")
+        raise NormalizationFailed("a 3-connected zero-cycle labelling has no involution potential")
+    zero = graph.group.zero()
+    shifts = [(v, phi[v]) for v in graph.vertices if phi[v] != zero]
     return shifts, apply_shifts(graph, shifts)
 
 
 def apply_shifts(graph: LabelledGraph, shifts) -> LabelledGraph:
-    out = graph
-    for v, val in shifts:
-        out = out.shift(v, val)
-    return out
+    """Apply a sequence of shifts (vertex, g) in one relabelling pass.
+
+    Each shift is checked as a single shift would be: the orientation-free
+    model, g + g = 0 and a known vertex.  The model's group is abelian, so
+    the shifts at a vertex can be summed first.
+    """
+    zero = graph.group.zero()
+    total: dict = {}
+    for v, g in shifts:
+        if graph.model != UNDIRECTED:
+            raise PreconditionFailed("shifting is defined in the orientation-free model")
+        g = graph.group.element(g)
+        if g + g != zero:
+            raise PreconditionFailed(f"shift value must satisfy g+g=0, got {g!r}")
+        if v not in graph:
+            raise ValueError(f"unknown vertex {v!r}")
+        total[v] = total.get(v, zero) + g
+    return graph.with_labels(lambda e: e.label + total.get(e.u, zero) + total.get(e.v, zero))
 
 
 # --- 3-blocks ---------------------------------------------------------------
@@ -583,36 +558,82 @@ class ThreeBlock:
         }
 
 
-def _pair_inseparable(graph: LabelledGraph, u, v) -> bool:
-    """No deletion of at most two other vertices separates u from v."""
-    import itertools
+def _inseparable_masks(graph: LabelledGraph) -> list[int]:
+    """Bit t of entry s is set when no deletion of at most two other vertices
+    separates graph.vertices[s] from graph.vertices[t].
 
-    others = [x for x in graph.vertices if x not in (u, v)]
-    for r in (0, 1, 2):
-        for cut in itertools.combinations(others, r):
-            rest = graph.without_vertices(cut)
-            if v not in rest.component_of(u):
+    Adjacent vertices never separate.  Two others are inseparable when three
+    internally disjoint paths join them (Menger), found as unit augmenting
+    paths in the vertex-split network (Even & Tarjan 1975), built once:
+    vertex i becomes in-node 2i and out-node 2i+1 joined by a unit arc, each
+    adjacent pair {a, b} gives unit arcs a_out -> b_in and b_out -> a_in,
+    and arc k ^ 1 is the reverse of arc k.
+    """
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    n = len(index)
+    nbrs: list[set] = [set() for _ in range(n)]
+    for e in graph.edges:
+        nbrs[index[e.u]].add(index[e.v])
+        nbrs[index[e.v]].add(index[e.u])
+    head: list[int] = []
+    cap: list[int] = []
+    arcs: list[list[int]] = [[] for _ in range(2 * n)]
+    for i in range(n):
+        for x, y in [(2 * i, 2 * i + 1)] + [(2 * i + 1, 2 * j) for j in sorted(nbrs[i])]:
+            arcs[x].append(len(head))
+            arcs[y].append(len(head) + 1)
+            head += (y, x)
+            cap += (1, 0)
+
+    def three_paths(s: int, t: int) -> bool:
+        res = cap.copy()
+        for _ in range(3):
+            via = [-1] * (2 * n)  # the arc a breadth-first search reached each node by
+            via[2 * s + 1] = -2
+            queue = [2 * s + 1]
+            for x in queue:
+                for k in arcs[x]:
+                    if res[k] and via[head[k]] == -1:
+                        via[head[k]] = k
+                        queue.append(head[k])
+                if via[2 * t] != -1:
+                    break
+            k = via[2 * t]
+            if k == -1:
                 return False
-    return True
+            while k >= 0:
+                res[k] -= 1
+                res[k ^ 1] += 1
+                k = via[head[k ^ 1]]
+        return True
+
+    masks = [0] * n
+    for s in range(n):
+        for t in range(s + 1, n):
+            if t in nbrs[s] or three_paths(s, t):
+                masks[s] |= 1 << t
+                masks[t] |= 1 << s
+    return masks
 
 
-def _maximal_cliques(vertices: list, adjacent: Callable) -> Iterator[set]:
-    """Bron-Kerbosch without pivoting; fine at desk scale."""
+def _maximal_cliques(nbrs: list[int]) -> Iterator[int]:
+    """Maximal cliques as bitmasks, nbrs[i] being the neighbour mask of i.
 
-    def bk(r: set, p: set, x: set):
+    Bron-Kerbosch with Tomita pivoting: branch only on the candidates that
+    are not neighbours of the vertex of P | X with most neighbours in P.
+    """
+
+    def bk(r: int, p: int, x: int):
         if not p and not x:
-            yield set(r)
+            yield r
             return
-        for v in sorted(p, key=vertex_key):
-            yield from bk(
-                r | {v},
-                {y for y in p if y != v and adjacent(v, y)},
-                {y for y in x if y != v and adjacent(v, y)},
-            )
-            p = p - {v}
-            x = x | {v}
+        pivot = max(_bits(p | x), key=lambda u: (p & nbrs[u]).bit_count())
+        for v in _bits(p & ~nbrs[pivot]):
+            yield from bk(r | 1 << v, p & nbrs[v], x & nbrs[v])
+            p &= ~(1 << v)
+            x |= 1 << v
 
-    yield from bk(set(), set(vertices), set())
+    yield from bk(0, (1 << len(nbrs)) - 1, 0)
 
 
 def three_blocks(graph: LabelledGraph, limits: Limits = DEFAULT_LIMITS) -> list[ThreeBlock]:
@@ -623,15 +644,10 @@ def three_blocks(graph: LabelledGraph, limits: Limits = DEFAULT_LIMITS) -> list[
     """
     if graph.model != UNDIRECTED:
         raise PreconditionFailed("block decomposition is defined in the undirected model")
-    verts = list(graph.vertices)
-    insep: dict[tuple, bool] = {}
-    for i, u in enumerate(verts):
-        for v in verts[i + 1 :]:
-            insep[(u, v)] = insep[(v, u)] = _pair_inseparable(graph, u, v)
     blocks = [
-        tuple(sorted(c, key=vertex_key))
-        for c in _maximal_cliques(verts, lambda a, b: insep[(a, b)])
-        if len(c) >= 3
+        tuple(graph.vertices[i] for i in _bits(c))
+        for c in _maximal_cliques(_inseparable_masks(graph))
+        if c.bit_count() >= 3
     ]
     blocks.sort(key=lambda b: tuple(map(vertex_key, b)))
     out = []

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import GroupMismatchError, InternalInvariantError
+from .errors import GroupMismatchError, InternalInvariantError, UsageError, require_keys
 
 INFINITE = math.inf
 
@@ -495,14 +495,17 @@ class CompiledGroup:
 
 
 def group_from_json(data: dict) -> GroupSpec:
-    kind = data.get("type")
+    require_keys(data, ("type",), "group")
+    kind = data["type"]
     if kind == "cyclic_product":
+        require_keys(data, ("orders",), "group")
         return CyclicProduct(data["orders"])
     if kind == "cayley":
+        require_keys(data, ("table",), "group")
         return CayleyGroup(data["table"], data.get("identity", 0))
     if kind == "integers":
         return IntegerGroup()
-    raise ValueError(f"unknown group type {kind!r}")
+    raise UsageError(f"unknown group type {kind!r}")
 
 
 def element_order(e: GroupElem) -> int | float:

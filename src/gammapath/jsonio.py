@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import json
 
+from .errors import require_keys
 from .graphs import DIRECTED, Edge, LabelledGraph, PathWitness
 from .groups import GroupSpec, group_from_json
 
 
 def graph_from_json(data: dict) -> LabelledGraph:
+    require_keys(data, ("group", "model", "vertices", "edges"), "graph")
     group = group_from_json(data["group"])
     model = data["model"]
     edges = []
     for entry in data["edges"]:
+        require_keys(entry, ("id", "u", "v", "label"), "edge")
         edges.append(
             Edge(
                 entry["id"],

@@ -309,3 +309,47 @@ def test_stdout_is_json_on_stdin_graph(tmp_path, capsys, monkeypatch):
     code, payload, _ = invoke(capsys, "pack", "--graph", "-", "--family", "weight:0")
     assert code == 0
     assert payload["nu"] == 1
+
+
+@pytest.mark.parametrize("missing", ["edges", "group", "model", "vertices"])
+def test_graph_json_without_a_key_is_a_usage_error(tmp_path, capsys, missing):
+    data = LabelledGraph.build(Z(2), UNDIRECTED, [("a", "b", 0)], ["a", "b"]).to_json()
+    del data[missing]
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(data))
+    code, payload, err = invoke(capsys, "blocks", "--graph", str(path))
+    assert code == 2
+    assert payload == {"error": "usage", "detail": f"graph JSON needs the key {missing!r}"}
+    assert "Traceback" not in err
+
+
+def test_malformed_edges_and_files_are_usage_errors(tmp_path, capsys):
+    data = LabelledGraph.build(Z(2), UNDIRECTED, [("a", "b", 0)], ["a", "b"]).to_json()
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(data))
+    code, payload, _ = invoke(capsys, "pack", "--graph", str(path), "--family", "bogus")
+    assert (code, payload["error"], payload["detail"]) == (2, "usage", "unknown family 'bogus'")
+    del data["edges"][0]["label"]
+    path.write_text(json.dumps(data))
+    code, payload, _ = invoke(capsys, "pack", "--graph", str(path), "--family", "weight:0")
+    assert (code, payload["error"], payload["detail"]) == (2, "usage", "edge JSON needs the key 'label'")
+    path.write_text("{not json")
+    code, payload, _ = invoke(capsys, "bipartite", "--graph", str(path))
+    assert (code, payload["error"]) == (2, "usage")
+    path.write_text(json.dumps({"group": {"type": "cyclic_product", "orders": [3]}, "deltas": [1]}))
+    code, payload, _ = invoke(capsys, "chain", "--chain", str(path), "--target", "0")
+    assert (code, payload["detail"]) == (2, "chain JSON needs the key 'core_weight'")
+
+
+@pytest.mark.parametrize(
+    "text, detail",
+    [
+        ("nope", "--group is not JSON"),
+        ('{"type": "nope"}', "unknown group type 'nope'"),
+        ('{"type": "cyclic_product"}', "group JSON needs the key 'orders'"),
+    ],
+)
+def test_classify_bad_group_is_a_usage_error(capsys, text, detail):
+    code, payload, _ = invoke(capsys, "classify", "--group", text)
+    assert code == 2
+    assert payload["error"] == "usage" and payload["detail"].startswith(detail)

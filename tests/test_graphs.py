@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -198,6 +199,37 @@ def test_shift_examples():
         g.shift("b", z4.element(1))
 
 
+def test_apply_shifts_checks_every_shift():
+    z4 = Z(4)
+    g = undirected(z4, [("a", "b", 1), ("b", "c", 3)], ["a"])
+    with pytest.raises(PreconditionFailed, match="g\\+g=0"):
+        apply_shifts(g, [("a", 2), ("b", 1)])
+    with pytest.raises(ValueError, match="unknown vertex"):
+        apply_shifts(g, [("a", 2), ("z", 2)])
+    directed = LabelledGraph.build(z4, DIRECTED, [("a", "b", 1)], ())
+    with pytest.raises(PreconditionFailed, match="orientation-free"):
+        apply_shifts(directed, [("a", 2)])
+
+
+def test_apply_shifts_adds_every_shift_at_both_ends():
+    rng = random.Random(17)
+    group = Z(2, 2)  # every element is its own inverse
+    for _ in range(20):
+        g = _random_undirected(rng, group, rng.randint(3, 8))
+        shifts = [
+            (rng.choice(g.vertices), rng.choice(group.elements()))
+            for _ in range(rng.randint(0, 6))
+        ]
+        expected = []
+        for e in g.edges:
+            label = e.label
+            for v, s in shifts:
+                if v in (e.u, e.v):
+                    label = label + s
+            expected.append(label)
+        assert [e.label for e in apply_shifts(g, shifts).edges] == expected
+
+
 def _random_undirected(rng, group, n, extra_parallel=True):
     vertices = list(range(n))
     possible = list(itertools.combinations(vertices, 2))
@@ -372,6 +404,7 @@ def _oracle_blocks(graph):
     """Independent brute-force 3-block oracle straight from the definition."""
     verts = graph.vertices
 
+    @functools.cache
     def separated(u, v):
         for r in (0, 1, 2):
             for cut in itertools.combinations([x for x in verts if x not in (u, v)], r):
@@ -551,3 +584,15 @@ def test_graph_json_round_trip():
     again = graph_from_json(g.to_json())
     assert again.to_json() == g.to_json()
     assert [e.tail for e in again.edges] == [e.tail for e in g.edges]
+
+
+def test_normalize_reports_a_missing_potential_as_an_internal_error(monkeypatch):
+    # a 3-connected zero-cycle labelling always has an involution potential;
+    # losing it must surface as NormalizationFailed, not as a wrong answer
+    import gammapath.graphs as graphs
+    from gammapath.errors import NormalizationFailed
+
+    g = _k4(Z(2), [0] * 6)
+    monkeypatch.setattr(graphs, "_potential_certificate", lambda graph: None)
+    with pytest.raises(NormalizationFailed):
+        normalize_to_zero(g)

@@ -98,3 +98,28 @@ def oracle_reroute_subset(chain, target):
             if total == target:
                 found.append(subset)
     return min(found) if found else None
+
+
+# --- brute-force oracles for the Menger connectivity tests ------------------
+
+
+def oracle_pair_inseparable(graph, u, v) -> bool:
+    """No deletion of at most two other vertices separates u from v, trying every cut."""
+    others = [x for x in graph.vertices if x not in (u, v)]
+    for r in (0, 1, 2):
+        for cut in itertools.combinations(others, r):
+            if v not in graph.component_of(u, forbidden=frozenset(cut)):
+                return False
+    return True
+
+
+def oracle_is_three_connected(graph) -> bool:
+    """At least 4 vertices and no deletion of at most 2 vertices disconnects the graph."""
+    if len(graph.vertices) < 4:
+        return False
+    for r in (0, 1, 2):
+        for cut in itertools.combinations(graph.vertices, r):
+            start = next(x for x in graph.vertices if x not in cut)
+            if len(graph.component_of(start, forbidden=frozenset(cut))) != len(graph.vertices) - r:
+                return False
+    return True
