@@ -7,6 +7,7 @@ failed check, 2 usage error, 3 exhausted search limits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -17,6 +18,7 @@ from .errors import (
     LimitExceeded,
     PreconditionFailed,
     UsageError,
+    parsing,
     require_keys,
 )
 from .frame import frame_pack_or_cover, validate_frame_cover
@@ -110,6 +112,7 @@ def _add_common(parser: argparse.ArgumentParser, graph: bool = True) -> None:
     parser.add_argument("--out", help="also write the JSON result to this file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gammapath",
@@ -169,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scale", choices=["small", "full"], default="full")
     p.add_argument("--budget", type=float, default=600.0)
-    p.add_argument("--threads", type=int)
     p.add_argument("--only", nargs="*", help="restrict to these check ids")
     p.add_argument("--out")
 
@@ -280,7 +282,8 @@ def _dispatch(args) -> int:
         else:
             require_keys(data, ("group", "core_weight", "deltas"), "chain")
             group = group_from_json(data["group"])
-            chain = CycleChain.abstract(group, data["core_weight"], data["deltas"])
+            with parsing("chain"):
+                chain = CycleChain.abstract(group, data["core_weight"], data["deltas"])
         target = parse_element(chain.group, args.target)
         out = reroute_to_weight(chain, target)
         if out is None:
@@ -350,12 +353,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "verify-suite":
-        config = RunConfig(
-            seed=args.seed,
-            scale=args.scale,
-            threads=args.threads,
-            budget_s=args.budget,
-        )
+        config = RunConfig(seed=args.seed, scale=args.scale, limits=Limits(budget_s=args.budget))
         report = run_suite(config, only=args.only)
         _emit(report, args.out)
         for check in report["checks"]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 
@@ -31,6 +32,17 @@ def require_keys(data, keys, what: str) -> None:
     for key in keys:
         if not isinstance(data, dict) or key not in data:
             raise UsageError(f"{what} JSON needs the key {key!r}")
+
+
+@contextmanager
+def parsing(what: str):
+    """Re-raise a ValueError or TypeError from building an object out of what JSON as a UsageError."""
+    try:
+        yield
+    except UsageError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise UsageError(f"bad {what} JSON: {exc}") from None
 
 
 class GroupMismatchError(GammapathError, ValueError):

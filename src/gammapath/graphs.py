@@ -54,15 +54,15 @@ class LabelledGraph:
             raise ValueError("the orientation-free model requires an abelian group")
         self.group = group
         self.model = model
-        vset = set(vertices)
-        for v in vset:
-            vertex_key(v)
-        self.vertices = tuple(sorted(vset, key=vertex_key))
+        # ids are checked by their sort keys before they are hashed
+        self.vertices = tuple(dict.fromkeys(sorted(vertices, key=vertex_key)))
+        vset = set(self.vertices)
         norm = []
         seen_ids = set()
         for e in edges:
             if not isinstance(e, Edge):
                 e = Edge(*e)
+            _eid_key(e.eid)
             if e.eid in seen_ids:
                 raise ValueError(f"duplicate edge id {e.eid!r}")
             seen_ids.add(e.eid)
@@ -176,7 +176,10 @@ class LabelledGraph:
 
 
 def _eid_key(eid):
-    return (0, eid, "") if isinstance(eid, int) else (1, 0, str(eid))
+    """Total order over mixed int/str edge ids."""
+    if isinstance(eid, bool) or not isinstance(eid, (int, str)):
+        raise ValueError(f"edge ids must be ints or strings, got {eid!r}")
+    return (0, eid, "") if isinstance(eid, int) else (1, 0, eid)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import GroupMismatchError, InternalInvariantError, UsageError, require_keys
+from .errors import GroupMismatchError, InternalInvariantError, UsageError, parsing, require_keys
 
 INFINITE = math.inf
 
@@ -497,12 +497,13 @@ class CompiledGroup:
 def group_from_json(data: dict) -> GroupSpec:
     require_keys(data, ("type",), "group")
     kind = data["type"]
-    if kind == "cyclic_product":
-        require_keys(data, ("orders",), "group")
-        return CyclicProduct(data["orders"])
-    if kind == "cayley":
-        require_keys(data, ("table",), "group")
-        return CayleyGroup(data["table"], data.get("identity", 0))
+    with parsing("group"):
+        if kind == "cyclic_product":
+            require_keys(data, ("orders",), "group")
+            return CyclicProduct(data["orders"])
+        if kind == "cayley":
+            require_keys(data, ("table",), "group")
+            return CayleyGroup(data["table"], data.get("identity", 0))
     if kind == "integers":
         return IntegerGroup()
     raise UsageError(f"unknown group type {kind!r}")

@@ -1,17 +1,15 @@
 """Batch verification harness: seeded random suites and machine-readable reports.
 
 Each check returns PASS, FAIL (with a replayable reproducer), or SKIPPED with
-a reason.  Checks are independent and may run in parallel; the merged report
-is deterministic for a fixed seed and scale.
+a reason.  Checks are independent and run one after another in id order; the
+report is deterministic for a fixed seed and scale.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .chains import CycleChain, reachable_weights, reroute_to_weight, sharpness_witness
@@ -61,20 +59,9 @@ class RunConfig:
     seed: int = 0
     limits: Limits = DEFAULT_LIMITS
     scale: str = "full"  # "small" trims the randomized suite sizes
-    threads: int | None = None
-    budget_s: float | None = None
 
     def counts(self, full: int) -> int:
         return max(10, full // 10) if self.scale == "small" else full
-
-
-def _threads(config: RunConfig) -> int:
-    if config.threads is not None:
-        return max(1, config.threads)
-    env = os.environ.get("GAMMAPATH_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
 
 
 def make_s3() -> CayleyGroup:
@@ -285,9 +272,8 @@ def check_gadgets(config: RunConfig) -> dict:
     if not (checks["nu"] == 1 and checks["antidiagonal_pairing"] and checks["tau"] == 2):
         return _fail("gadgets", None, {"variant": "gamma", "n": 2, "checks": checks})
     # best-effort larger instance within the time budget
-    budget = config.budget_s if config.budget_s is not None else config.limits.budget_s
     start = time.monotonic()
-    if budget > 60:
+    if config.limits.budget_s > 60:
         try:
             checks = verify_gadget(build_subgroup_escape_gadget(4, z4, 1, 2), config.limits)
             detail["subgroup_escape_n4"] = {
@@ -418,15 +404,15 @@ def _fail(check_id: str, graph, extra: dict) -> dict:
 
 
 def run_suite(config: RunConfig, only: list[str] | None = None) -> dict:
-    """Run the verification checks and merge a deterministic report."""
+    """Run the verification checks in id order and report them deterministically."""
     ids = sorted(ALL_CHECKS) if only is None else [i for i in sorted(ALL_CHECKS) if i in only]
-    budget = config.budget_s if config.budget_s is not None else config.limits.budget_s
+    budget = config.limits.budget_s
     started = time.monotonic()
-    results: dict[str, dict] = {}
-
-    def run_one(check_id: str) -> dict:
+    ordered = []
+    for check_id in ids:
         if time.monotonic() - started > budget:
-            return {"id": check_id, "status": "SKIPPED", "detail": {"reason": "budget exhausted"}}
+            ordered.append({"id": check_id, "status": "SKIPPED", "detail": {"reason": "budget exhausted"}})
+            continue
         t0 = time.monotonic()
         try:
             out = ALL_CHECKS[check_id](config)
@@ -435,17 +421,7 @@ def run_suite(config: RunConfig, only: list[str] | None = None) -> dict:
         out["elapsed_s"] = round(time.monotonic() - t0, 3)
         if out["status"] == "FAIL":
             out.setdefault("reproducer", {})["seed"] = config.seed
-        return out
-
-    workers = _threads(config)
-    if workers == 1:
-        for check_id in ids:
-            results[check_id] = run_one(check_id)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for check_id, out in zip(ids, pool.map(run_one, ids)):
-                results[check_id] = out
-    ordered = [results[i] for i in ids]
+        ordered.append(out)
     summary = {
         "pass": sum(1 for r in ordered if r["status"] == "PASS"),
         "fail": sum(1 for r in ordered if r["status"] == "FAIL"),
@@ -456,7 +432,6 @@ def run_suite(config: RunConfig, only: list[str] | None = None) -> dict:
             "seed": config.seed,
             "scale": config.scale,
             "budget_s": budget,
-            "threads": workers,
             "limits": {
                 "max_len": config.limits.max_len,
                 "max_paths": config.limits.max_paths,

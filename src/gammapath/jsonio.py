@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import require_keys
+from .errors import parsing, require_keys
 from .graphs import DIRECTED, Edge, LabelledGraph, PathWitness
 from .groups import GroupSpec, group_from_json
 
@@ -13,19 +13,20 @@ def graph_from_json(data: dict) -> LabelledGraph:
     require_keys(data, ("group", "model", "vertices", "edges"), "graph")
     group = group_from_json(data["group"])
     model = data["model"]
-    edges = []
-    for entry in data["edges"]:
-        require_keys(entry, ("id", "u", "v", "label"), "edge")
-        edges.append(
-            Edge(
-                entry["id"],
-                entry["u"],
-                entry["v"],
-                group.element(entry["label"]),
-                entry.get("tail") if model == DIRECTED else None,
+    with parsing("graph"):
+        edges = []
+        for entry in data["edges"]:
+            require_keys(entry, ("id", "u", "v", "label"), "edge")
+            edges.append(
+                Edge(
+                    entry["id"],
+                    entry["u"],
+                    entry["v"],
+                    group.element(entry["label"]),
+                    entry.get("tail") if model == DIRECTED else None,
+                )
             )
-        )
-    return LabelledGraph(group, model, data["vertices"], edges, data.get("A", ()))
+        return LabelledGraph(group, model, data["vertices"], edges, data.get("A", ()))
 
 
 def witness_from_json(graph: LabelledGraph, data: dict) -> PathWitness:
@@ -43,4 +44,5 @@ def parse_element(group: GroupSpec, text: str):
         value = json.loads(text)
     except json.JSONDecodeError:
         value = text
-    return group.element(value)
+    with parsing("element"):
+        return group.element(value)

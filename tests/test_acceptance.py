@@ -38,7 +38,7 @@ from gammapath.harness import (
 
 from util import Z
 
-CONFIG = RunConfig(seed=2024, scale="full", budget_s=600.0)
+CONFIG = RunConfig(seed=2024, scale="full")
 
 
 class _report:

@@ -1,8 +1,15 @@
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gammapath.cli import run
 from gammapath.graphs import UNDIRECTED, DIRECTED, LabelledGraph
@@ -268,7 +275,6 @@ def test_verify_suite_small(tmp_path, capsys):
         "--seed", "7",
         "--scale", "small",
         "--budget", "60",
-        "--threads", "2",
         "--only", "cauchy-davenport", "oracle-soundness", "gadgets",
         "--out", str(out),
     )
@@ -281,17 +287,25 @@ def test_verify_suite_small(tmp_path, capsys):
 
 def test_verify_suite_deterministic(capsys):
     code1, payload1, _ = invoke(
-        capsys, "verify-suite", "--seed", "3", "--scale", "small", "--threads", "1",
+        capsys, "verify-suite", "--seed", "3", "--scale", "small",
         "--only", "oracle-soundness",
     )
     code2, payload2, _ = invoke(
-        capsys, "verify-suite", "--seed", "3", "--scale", "small", "--threads", "1",
+        capsys, "verify-suite", "--seed", "3", "--scale", "small",
         "--only", "oracle-soundness",
     )
     assert code1 == code2 == 0
     c1 = payload1["checks"][0]
     c2 = payload2["checks"][0]
     assert c1["detail"] == c2["detail"]
+
+
+def test_verify_suite_budget_reaches_the_checks(capsys):
+    code, payload, err = invoke(capsys, "verify-suite", "--budget", "-1", "--only", "cauchy-davenport")
+    assert code == 0
+    assert payload["config"]["budget_s"] == -1
+    assert [c["status"] for c in payload["checks"]] == ["SKIPPED"]
+    assert "cauchy-davenport: SKIPPED" in err
 
 
 def test_usage_error_exit_code(capsys):
@@ -321,6 +335,41 @@ def test_graph_json_without_a_key_is_a_usage_error(tmp_path, capsys, missing):
     assert code == 2
     assert payload == {"error": "usage", "detail": f"graph JSON needs the key {missing!r}"}
     assert "Traceback" not in err
+
+
+def _set_field(data, where, value):
+    *parents, last = where
+    for key in parents:
+        data = data[key]
+    data[last] = value
+
+
+@pytest.mark.parametrize(
+    "where, value, detail",
+    [
+        (("vertices",), [[1], 2], "bad graph JSON: vertex ids must be ints or strings"),
+        (("group", "orders"), "ab", "bad group JSON: invalid literal"),
+        (("edges", 0, "label"), "zz", "bad graph JSON: invalid literal"),
+    ],
+    ids=["unhashable-vertex", "string-orders", "string-label"],
+)
+def test_graph_json_with_a_wrongly_typed_value_is_a_usage_error(tmp_path, capsys, where, value, detail):
+    data = LabelledGraph.build(Z(2), UNDIRECTED, [("a", "b", 0)], ["a", "b"]).to_json()
+    _set_field(data, where, value)
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(data))
+    code, payload, err = invoke(capsys, "blocks", "--graph", str(path))
+    assert (code, payload["error"]) == (2, "usage")
+    assert payload["detail"].startswith(detail)
+    assert "Traceback" not in err
+
+
+def test_element_token_of_the_wrong_shape_is_a_usage_error(capsys):
+    code, payload, _ = invoke(
+        capsys, "classify", "--group", '{"type":"cyclic_product","orders":[4]}', "--ell", "[[1]]"
+    )
+    assert (code, payload["error"]) == (2, "usage")
+    assert payload["detail"].startswith("bad element JSON: ")
 
 
 def test_malformed_edges_and_files_are_usage_errors(tmp_path, capsys):
@@ -353,3 +402,39 @@ def test_classify_bad_group_is_a_usage_error(capsys, text, detail):
     code, payload, _ = invoke(capsys, "classify", "--group", text)
     assert code == 2
     assert payload["error"] == "usage" and payload["detail"].startswith(detail)
+
+
+_FUZZ_BASE = LabelledGraph.build(
+    Z(4), UNDIRECTED, [("a", "b", 1), ("b", "c", 2), ("a", "c", 0), (0, "a", 3)], ["a", 0]
+).to_json()
+_FUZZ_FIELDS = [
+    *[("vertices", i) for i in range(len(_FUZZ_BASE["vertices"]))],
+    *[("edges", j, key) for j in range(len(_FUZZ_BASE["edges"])) for key in ("id", "u", "v", "label")],
+    ("model",),
+    ("group", "orders"),
+    ("A",),
+]
+# ints stay <= 8 and lists hold at most 3 items, so a mutated `orders` builds at most Z/8^3
+_SMALL_JSON = st.recursive(
+    st.one_of(st.integers(min_value=-2, max_value=8), st.text(max_size=3), st.none(), st.booleans()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(where=st.sampled_from(_FUZZ_FIELDS), value=_SMALL_JSON)
+def test_mutated_graph_json_gets_an_exit_code_not_an_exception(where, value):
+    data = copy.deepcopy(_FUZZ_BASE)
+    _set_field(data, where, value)
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "graph.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = run(["blocks", "--graph", path])
+    assert code in (0, 1, 2, 3)
+    assert isinstance(json.loads(out.getvalue()), dict)

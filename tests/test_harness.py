@@ -19,7 +19,7 @@ def test_failed_check_carries_reproducer_and_seed(monkeypatch):
         return harness._fail("oracle-soundness", g, {"kind": "weight"})
 
     monkeypatch.setitem(harness.ALL_CHECKS, "oracle-soundness", broken)
-    report = run_suite(RunConfig(seed=42, threads=1), only=["oracle-soundness"])
+    report = run_suite(RunConfig(seed=42), only=["oracle-soundness"])
     assert report["summary"]["fail"] == 1
     check = report["checks"][0]
     assert check["status"] == "FAIL"
@@ -30,16 +30,9 @@ def test_failed_check_carries_reproducer_and_seed(monkeypatch):
 
 
 def test_budget_exhaustion_skips(monkeypatch):
-    report = run_suite(RunConfig(seed=1, threads=1, budget_s=-1.0), only=["cauchy-davenport"])
+    report = run_suite(RunConfig(seed=1, limits=Limits(budget_s=-1.0)), only=["cauchy-davenport"])
     assert report["checks"][0]["status"] == "SKIPPED"
     assert report["summary"]["skipped"] == 1
-
-
-def test_thread_env_override(monkeypatch):
-    monkeypatch.setenv("GAMMAPATH_THREADS", "3")
-    assert harness._threads(RunConfig()) == 3
-    monkeypatch.delenv("GAMMAPATH_THREADS")
-    assert harness._threads(RunConfig(threads=7)) == 7
 
 
 def test_internal_error_surfaces_as_fail(monkeypatch):
@@ -47,13 +40,13 @@ def test_internal_error_surfaces_as_fail(monkeypatch):
         raise LimitExceeded("test probe", 1)
 
     monkeypatch.setitem(harness.ALL_CHECKS, "gadgets", exploding)
-    report = run_suite(RunConfig(seed=0, threads=1), only=["gadgets"])
+    report = run_suite(RunConfig(seed=0), only=["gadgets"])
     assert report["checks"][0]["status"] == "FAIL"
     assert "test probe" in report["checks"][0]["reproducer"]["error"]
 
 
 def test_report_is_json_serializable():
-    report = run_suite(RunConfig(seed=5, threads=2, scale="small"), only=["oracle-soundness", "cauchy-davenport"])
+    report = run_suite(RunConfig(seed=5, scale="small"), only=["oracle-soundness", "cauchy-davenport"])
     text = dumps(report)
     assert json.loads(text)["summary"]["fail"] == 0
 
@@ -81,6 +74,6 @@ def test_gadget_check_binds_the_proven_tau(monkeypatch, variant):
         return checks
 
     monkeypatch.setattr(harness, "verify_gadget", wrong_tau)
-    report = harness.check_gadgets(RunConfig(budget_s=1.0))
+    report = harness.check_gadgets(RunConfig(limits=Limits(budget_s=1.0)))
     assert report["status"] == "FAIL"
     assert report["reproducer"]["variant"] == variant
