@@ -79,12 +79,8 @@ def _emit(payload, out_path: str | None) -> None:
 
 
 def _limits(args) -> Limits:
-    return Limits(
-        max_len=args.max_len,
-        max_paths=args.max_paths,
-        cycle_cap=args.cycle_cap,
-        budget_s=args.budget,
-    )
+    """Limits from the limit flags the command accepts, checked positive by Limits."""
+    return Limits(**{k: v for k, v in vars(args).items() if k in ("max_len", "max_paths", "cycle_cap")})
 
 
 def _family_spec(graph, text: str) -> PathFamilySpec:
@@ -102,13 +98,15 @@ def _family_spec(graph, text: str) -> PathFamilySpec:
     raise UsageError(f"unknown family {text!r}")
 
 
-def _add_common(parser: argparse.ArgumentParser, graph: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser, paths: bool = True, graph: bool = True) -> None:
+    """--graph, --out and the limit flags the command reads: path-search limits or the cycle cap."""
     if graph:
         parser.add_argument("--graph", required=True, help="graph JSON file, or - for stdin")
-    parser.add_argument("--max-len", type=int, default=20)
-    parser.add_argument("--max-paths", type=int, default=200_000)
-    parser.add_argument("--cycle-cap", type=int, default=100_000)
-    parser.add_argument("--budget", type=float, default=600.0)
+    if paths:
+        parser.add_argument("--max-len", type=int, default=20)
+        parser.add_argument("--max-paths", type=int, default=200_000)
+    else:
+        parser.add_argument("--cycle-cap", type=int, default=100_000)
     parser.add_argument("--out", help="also write the JSON result to this file")
 
 
@@ -160,10 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, graph=False)
 
     p = sub.add_parser("bipartite", help="is every cycle weight zero?")
-    _add_common(p)
+    _add_common(p, paths=False)
 
     p = sub.add_parser("normalize", help="shift a 3-connected zero-cycle labelling to all-zero")
-    _add_common(p)
+    _add_common(p, paths=False)
 
     p = sub.add_parser("blocks", help="labelled 2-cut-free block decomposition")
     _add_common(p)
@@ -276,8 +274,9 @@ def _dispatch(args) -> int:
         if isinstance(data, dict) and "graph" in data:
             require_keys(data, ("core", "detours"), "chain")
             graph = graph_from_json(data["graph"])
-            core = witness_from_json(graph, data["core"])
-            detours = [witness_from_json(graph, d) for d in data["detours"]]
+            with parsing("chain"):
+                core = witness_from_json(graph, data["core"])
+                detours = [witness_from_json(graph, d) for d in data["detours"]]
             chain = CycleChain.embedded(graph, core, detours)
         else:
             require_keys(data, ("group", "core_weight", "deltas"), "chain")

@@ -15,14 +15,13 @@ from .errors import (
     DEFAULT_LIMITS,
     InternalInvariantError,
     Limits,
-    LimitExceeded,
     PreconditionFailed,
 )
 from .graphs import (
     DIRECTED,
     LabelledGraph,
     PathWitness,
-    _EnumState,
+    _eid_key,
     _from_smaller_end,
     search_paths,
     vertex_key,
@@ -53,23 +52,21 @@ class FrameResult:
         return {"outcome": self.outcome.to_json(), "audit": list(self.audit)}
 
 
-def _first_zero_path_disjoint_from(graph: LabelledGraph, blocked: set, limits: Limits):
+def _first_zero_path_disjoint_from(graph: LabelledGraph, blocked: set | frozenset, limits: Limits):
     """Lexicographically first zero-weight terminal path avoiding `blocked`.
 
-    Raises LimitExceeded when nothing was found but the search was truncated,
-    since "no candidate" is then uncertifiable.
+    The search raises LimitExceeded when nothing was found but a path was
+    cut at max_len, since "no candidate" is then uncertifiable.
     """
     zero = graph.group.zero()
-    state = _EnumState()
     sources = [a for a in sorted(graph.terminals, key=vertex_key) if a not in blocked]
     for vertices, edge_ids, w in search_paths(
-        graph, sources, graph.terminals, _from_smaller_end, state,
+        graph, sources, graph.terminals, _from_smaller_end,
         forbidden=blocked, max_len=limits.max_len, max_count=limits.max_paths,
+        cut="path length while certifying zero-path absence",
     ):
         if w == zero:
             return PathWitness(vertices, edge_ids, w)
-    if state.truncated:
-        raise LimitExceeded("path length while certifying zero-path absence", limits.max_len)
     return None
 
 
@@ -83,21 +80,19 @@ def _first_attach_path(graph: LabelledGraph, forest_vertices: set, degree: dict,
     terminals = graph.terminals
     targets = {v for v in forest_vertices if degree.get(v) == 2 and v not in terminals}
     sources = [a for a in sorted(terminals, key=vertex_key) if a not in forest_vertices]
-    state = _EnumState()
     for vertices, edge_ids, _ in search_paths(
-        graph, sources, targets, lambda *_: True, state,
+        graph, sources, targets, lambda *_: True,
         forbidden=(terminals | forest_vertices) - targets,
         max_len=limits.max_len, max_count=limits.max_paths,
+        cut="path length while searching attachments",
     ):
         return vertices, edge_ids
-    if state.truncated:
-        raise LimitExceeded("path length while searching attachments", limits.max_len)
     return None
 
 
 def _tree_adjacency(graph: LabelledGraph, edge_ids: set) -> dict:
     adj: dict = {}
-    for eid in sorted(edge_ids, key=lambda x: (isinstance(x, str), x)):
+    for eid in sorted(edge_ids, key=_eid_key):
         e = graph.edge(eid)
         adj.setdefault(e.u, []).append((eid, e.v))
         adj.setdefault(e.v, []).append((eid, e.u))
@@ -130,17 +125,13 @@ def _validate_tree(graph: LabelledGraph, tree: TerminalTree) -> None:
 def _leaf_paths_from(adj: dict, v) -> list[tuple[tuple, tuple]]:
     """All paths in the tree from v to each leaf, ordered by leaf id."""
     out = []
-
-    def walk(path, edges, prev):
-        at = path[-1]
-        nbrs = [x for x in adj[at] if x[1] != prev]
+    stack = [((v,), ())]
+    while stack:
+        path, edges = stack.pop()
+        nbrs = [(eid, y) for eid, y in adj[path[-1]] if len(path) < 2 or y != path[-2]]
         if not nbrs and len(path) > 1:
-            out.append((tuple(path), tuple(edges)))
-            return
-        for eid, nxt in nbrs:
-            walk(path + [nxt], edges + [eid], at)
-
-    walk([v], [], None)
+            out.append((path, edges))
+        stack.extend((path + (y,), edges + (eid,)) for eid, y in nbrs)
     out.sort(key=lambda pe: vertex_key(pe[0][-1]))
     return out
 
@@ -402,8 +393,7 @@ def frame_pack_or_cover(
     bound = 6 * (k - 1) * graph.group.order
     if cover and len(cover) >= bound:
         raise InternalInvariantError(f"cover size {len(cover)} breaks the bound {bound}")
-    remainder = graph.without_vertices(cover)
-    leftover = _first_zero_path_disjoint_from(remainder, set(), limits)
+    leftover = _first_zero_path_disjoint_from(graph, cover, limits)
     if leftover is not None:
         raise InternalInvariantError("zero path survives the cover; forest was not maximal")
     outcome = PackOrCover("cover", vertices=cover)
@@ -428,8 +418,7 @@ def _validate_packing(graph: LabelledGraph, paths: list[PathWitness], k: int) ->
 def validate_frame_cover(graph: LabelledGraph, k: int, cover: frozenset, limits: Limits = DEFAULT_LIMITS) -> dict:
     """Re-check both cover conclusions; used by tests and the CLI report."""
     bound = 6 * (k - 1) * graph.group.order
-    remainder = graph.without_vertices(cover)
-    leftover = _first_zero_path_disjoint_from(remainder, set(), limits)
+    leftover = _first_zero_path_disjoint_from(graph, cover, limits)
     return {
         "bound": bound,
         "size": len(cover),

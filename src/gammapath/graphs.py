@@ -18,6 +18,7 @@ from .errors import (
     LimitExceeded,
     NormalizationFailed,
     PreconditionFailed,
+    require_keys,
 )
 from .groups import GroupElem, GroupSpec, _bits
 
@@ -240,6 +241,7 @@ class PathWitness:
 
     @classmethod
     def from_json(cls, graph: LabelledGraph, data: dict) -> "PathWitness":
+        require_keys(data, ("vertices", "edges"), "witness")
         vertices = tuple(data["vertices"])
         edges = tuple(data["edges"])
         if data.get("trivial"):
@@ -264,6 +266,8 @@ def walk_weight(graph: LabelledGraph, vertices, edge_ids) -> GroupElem:
     if at not in graph:
         raise ValueError(f"unknown vertex {at!r}")
     for eid, nxt in zip(edge_ids, vertices[1:]):
+        if eid not in graph._by_id:
+            raise ValueError(f"unknown edge {eid!r}")
         e = graph.edge(eid)
         if {at, nxt} != {e.u, e.v}:
             raise ValueError(f"edge {eid!r} does not join {at!r} and {nxt!r}")
@@ -275,35 +279,16 @@ def walk_weight(graph: LabelledGraph, vertices, edge_ids) -> GroupElem:
     return acc
 
 
-@dataclass
-class _EnumState:
-    found: int = 0
-    truncated: bool = False
-    counted: str = "enumerated paths"
-
-
-@dataclass(frozen=True)
-class PathEnumeration:
-    paths: tuple[PathWitness, ...]
-    exhaustive: bool
-
-    def __iter__(self):
-        return iter(self.paths)
-
-    def __len__(self):
-        return len(self.paths)
-
-
 def search_paths(
     graph: LabelledGraph,
     sources,
     stop,
     accept: Callable[[list, list, object, object], bool],
-    state: _EnumState,
     *,
     forbidden=frozenset(),
     max_len: int,
     max_count: int,
+    cut: str,
 ) -> Iterator[tuple[tuple, tuple, GroupElem]]:
     """Simple paths from each source, in turn, that end at their first stop vertex.
 
@@ -311,14 +296,20 @@ def search_paths(
     checked in this order: forbidden vertices are skipped; a stop vertex ends
     the path, which is yielded as (vertices, edge ids, weight) when
     accept(prefix vertices, prefix edge ids, end, last edge id) holds; any
-    other unused vertex extends it.  Paths longer than max_len edges are cut
-    and recorded in state.truncated; accepted paths beyond max_count raise
-    LimitExceeded.  The weight is summed left to right as vertices are
-    pushed, each label negated when the edge is traversed against its
-    orientation in the directed model.
+    other unused vertex extends it.  The weight is summed left to right as
+    vertices are pushed, each label negated when the edge is traversed
+    against its orientation in the directed model.
+
+    The search owns its limits.  Accepted paths beyond max_count raise
+    LimitExceeded("enumerated paths", max_count).  Paths longer than max_len
+    edges are cut, and a search that runs to its end after cutting one
+    raises LimitExceeded(cut, max_len), since its results may be incomplete;
+    a caller that stops at its first hit never reaches that end.
     """
     directed = graph.model == DIRECTED
     zero = graph.group.zero()
+    found = 0
+    truncated = False
     for source in sources:
         path, edges, weights, used = [source], [], [zero], {source}
         frames = [iter(graph.incident(source))]
@@ -329,11 +320,11 @@ def search_paths(
                     continue
                 if nxt in stop:
                     if budget < 1:
-                        state.truncated = True
+                        truncated = True
                     elif accept(path, edges, nxt, e.eid):
-                        state.found += 1
-                        if state.found > max_count:
-                            raise LimitExceeded(state.counted, max_count)
+                        found += 1
+                        if found > max_count:
+                            raise LimitExceeded("enumerated paths", max_count)
                         step = -e.label if directed and e.sign_into(nxt) < 0 else e.label
                         yield tuple(path) + (nxt,), tuple(edges) + (e.eid,), weights[-1] + step
                     continue
@@ -341,7 +332,7 @@ def search_paths(
                     continue
                 # an interior extension needs one edge now and at least one more to finish
                 if budget < 2:
-                    state.truncated = True
+                    truncated = True
                     continue
                 step = -e.label if directed and e.sign_into(nxt) < 0 else e.label
                 path.append(nxt)
@@ -355,6 +346,8 @@ def search_paths(
                 used.discard(path.pop())
                 weights.pop()
                 del edges[-1:]
+    if truncated:
+        raise LimitExceeded(cut, max_len)
 
 
 def _from_smaller_end(path: list, edges: list, end, eid) -> bool:
@@ -369,8 +362,7 @@ def enumerate_terminal_paths(
     nonzero: bool = False,
     terminals=None,
     limits: Limits = DEFAULT_LIMITS,
-    require_exhaustive: bool = True,
-) -> PathEnumeration:
+) -> tuple[PathWitness, ...]:
     """Exhaustively enumerate terminal-linking paths, optionally filtered.
 
     weight selects paths of one weight (in the directed model a path matches
@@ -383,11 +375,11 @@ def enumerate_terminal_paths(
     zero = graph.group.zero()
     if weight is not None:
         weight = graph.group.element(weight)
-    state = _EnumState()
     out = []
     sources = [a for a in sorted(tset, key=vertex_key) if a in graph]
     for vertices, edge_ids, w in search_paths(
-        graph, sources, tset, _from_smaller_end, state, max_len=limits.max_len, max_count=limits.max_paths
+        graph, sources, tset, _from_smaller_end, max_len=limits.max_len, max_count=limits.max_paths,
+        cut="path length during exhaustive enumeration",
     ):
         if weight is not None:
             if w == weight:
@@ -400,10 +392,8 @@ def enumerate_terminal_paths(
         if nonzero and w == zero:
             continue
         out.append(PathWitness(vertices, edge_ids, w))
-    if state.truncated and require_exhaustive:
-        raise LimitExceeded("path length during exhaustive enumeration", limits.max_len)
     out.sort(key=PathWitness.sort_key)
-    return PathEnumeration(tuple(out), not state.truncated)
+    return tuple(out)
 
 
 def iter_simple_cycles(
@@ -426,14 +416,17 @@ def iter_simple_cycles(
         if key in emitted:
             return False
         emitted.add(key)
+        # the cap counts cycles over all starts, not per search
+        if len(emitted) > cycle_cap:
+            raise LimitExceeded("enumerated simple cycles", cycle_cap)
         return True
 
-    state = _EnumState(counted="enumerated simple cycles")
     smaller: set = set()
     for start in graph.vertices:
+        # a simple cycle has at most n edges, so max_len cuts none
         yield from search_paths(
-            graph, (start,), {start}, closes, state,
-            forbidden=smaller, max_len=len(graph.vertices), max_count=cycle_cap,
+            graph, (start,), {start}, closes,
+            forbidden=smaller, max_len=len(graph.vertices), max_count=cycle_cap, cut="cycle length",
         )
         smaller.add(start)
 
@@ -675,17 +668,15 @@ def _block_path_weights(graph, bset, limits) -> dict[tuple, list[GroupElem]]:
     """Distinct weights realized by block-internal-free paths, per vertex pair."""
     seen: dict[tuple, set] = {}
     by_pair: dict[tuple, list[GroupElem]] = {}
-    state = _EnumState()
     for vertices, _, w in search_paths(
-        graph, sorted(bset, key=vertex_key), bset, _from_smaller_end, state,
+        graph, sorted(bset, key=vertex_key), bset, _from_smaller_end,
         max_len=limits.max_len, max_count=limits.max_paths,
+        cut="path length during block-weight enumeration",
     ):
         pair = (vertices[0], vertices[-1])
         if w not in seen.setdefault(pair, set()):
             seen[pair].add(w)
             by_pair.setdefault(pair, []).append(w)
-    if state.truncated:
-        raise LimitExceeded("path length during block-weight enumeration", limits.max_len)
     for weights in by_pair.values():
         weights.sort(key=graph.group.elem_sort_key)
     return by_pair

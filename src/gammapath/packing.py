@@ -1,9 +1,9 @@
 """Exact desk-scale oracles: maximum disjoint packings and minimum hitting sets.
 
 Families of terminal-linking paths are selected by weight, by nonzero weight,
-by odd length (via the all-ones mod-2 relabelling), or by passing through a
-second vertex set.  Both solvers are exact branch-and-bound searches with
-deterministic tie-breaking, so certificates are reproducible.
+by odd length, or by passing through a second vertex set.  Both solvers are
+exact branch-and-bound searches with deterministic tie-breaking, so
+certificates are reproducible.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from .graphs import (
     PathWitness,
     enumerate_terminal_paths,
     vertex_key,
-    walk_weight,
 )
-from .groups import CyclicProduct, GroupElem
+from .groups import GroupElem
 
 
 WEIGHT = "weight"
@@ -64,24 +63,7 @@ class PathFamilySpec:
         if self.kind == NONZERO:
             return list(enumerate_terminal_paths(g, nonzero=True, limits=limits))
         if self.kind == ODD:
-            # relabel every edge with 1 over Z/2: odd paths are the nonzero ones
-            z2 = CyclicProduct((2,))
-            one = z2.element(1)
-            relabelled = LabelledGraph(
-                z2,
-                UNDIRECTED,
-                g.vertices,
-                [(e.eid, e.u, e.v, one, None) for e in g.edges],
-                g.terminals,
-            )
-            out = []
-            for p in enumerate_terminal_paths(relabelled, nonzero=True, limits=limits):
-                if len(p.edge_ids) % 2 != 1:
-                    raise InternalInvariantError("mod-2 relabelling produced an even path")
-                out.append(
-                    PathWitness(p.vertices, p.edge_ids, walk_weight(g, p.vertices, p.edge_ids))
-                )
-            return out
+            return [p for p in enumerate_terminal_paths(g, limits=limits) if len(p.edge_ids) % 2]
         members = []
         for a in sorted(g.terminals & self.through, key=vertex_key):
             members.append(PathWitness((a,), (), g.group.zero(), trivial=True))

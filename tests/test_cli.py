@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammapath.cli import run
+from gammapath.cli import build_parser, run
+from gammapath.errors import Limits
+from gammapath.frame import frame_pack_or_cover
 from gammapath.graphs import UNDIRECTED, DIRECTED, LabelledGraph
 
 from util import Z
@@ -126,6 +128,25 @@ def test_long_path_is_bounded_by_max_len_not_recursion(tmp_path, capsys):
     assert len(payload["outcome"]["paths"][0]["edges"]) == n
 
 
+def test_frame_tree_walk_is_bounded_by_max_len_not_recursion(tmp_path, capsys):
+    # a 1,200-edge zero spine from a to b, six pendant terminals near b:
+    # extracting two paths walks the whole spine inside one tree
+    n = 1200
+    spine = ["a", *range(1, n), "b"]
+    edges = [(u, v, 0, u) for u, v in zip(spine, spine[1:])]
+    edges += [(n - 1 - j, f"t{j}", 1, n - 1 - j) for j in range(6)]
+    g = LabelledGraph.build(Z(2), DIRECTED, edges, ["a", "b", *(f"t{j}" for j in range(6))])
+    paths = frame_pack_or_cover(g, 2, Limits(max_len=2000)).outcome.paths
+    code, payload, err = invoke(capsys, "frame", "--graph", graph_file(tmp_path, g), "--k", "2", "--max-len", "2000")
+    assert (code, payload["outcome"]["kind"]) == (0, "packing"), err
+    assert [p.to_json() for p in paths] == payload["outcome"]["paths"]
+    assert len(paths) == 2
+    assert not set(paths[0].vertices) & set(paths[1].vertices)
+    for p in paths:
+        p.validate(g)
+        assert p.weight == Z(2).zero()
+
+
 def test_chain_found_and_none(tmp_path, capsys):
     chain = {"group": {"type": "cyclic_product", "orders": [3]}, "core_weight": [1], "deltas": [[1], [1]]}
     path = tmp_path / "chain.json"
@@ -167,6 +188,23 @@ def test_chain_embedded_splices_a_path(tmp_path, capsys):
     assert out["subset"] == [0]
     assert out["path"]["vertices"] == ["a", "m", "d", "n", "b"]
     assert out["path"]["weight"] == [0]
+
+
+@pytest.mark.parametrize(
+    "core, detail",
+    [
+        ({"edges": [0]}, "witness JSON needs the key 'vertices'"),
+        ({"vertices": ["a", "m"], "edges": [9]}, "bad chain JSON: unknown edge 9"),
+    ],
+    ids=["core-without-vertices", "unknown-edge-id"],
+)
+def test_embedded_chain_json_errors_are_usage_errors(tmp_path, capsys, core, detail):
+    g = LabelledGraph.build(Z(5), UNDIRECTED, [("a", "m", 1), ("m", "b", 0)], ["a", "b"])
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"graph": g.to_json(), "core": core, "detours": []}))
+    code, payload, err = invoke(capsys, "chain", "--chain", str(path), "--target", "[0]")
+    assert (code, payload) == (2, {"error": "usage", "detail": detail})
+    assert "Traceback" not in err
 
 
 def test_limit_exceeded_exit_code_and_json(tmp_path, capsys):
@@ -438,3 +476,40 @@ def test_mutated_graph_json_gets_an_exit_code_not_an_exception(where, value):
             code = run(["blocks", "--graph", path])
     assert code in (0, 1, 2, 3)
     assert isinstance(json.loads(out.getvalue()), dict)
+
+
+# every subcommand's options: only flags that the command reads
+_PATH_LIMITS = {"--max-len", "--max-paths"}
+OPTIONS = {
+    "classify": {"--group", "--ell", "--out"},
+    "pack": {"--graph", "--family", "--out", *_PATH_LIMITS},
+    "cover": {"--graph", "--family", "--out", *_PATH_LIMITS},
+    "duality": {"--graph", "--family", "--out", *_PATH_LIMITS},
+    "frame": {"--graph", "--k", "--debug", "--out", *_PATH_LIMITS},
+    "chain": {"--chain", "--target", "--out"},
+    "gadget": {
+        "--variant", "--n", "--group", "--ell", "--g", "--g1", "--g2", "--model", "--verify", "--out",
+        *_PATH_LIMITS,
+    },
+    "bipartite": {"--graph", "--cycle-cap", "--out"},
+    "normalize": {"--graph", "--cycle-cap", "--out"},
+    "blocks": {"--graph", "--out", *_PATH_LIMITS},
+    "verify-suite": {"--seed", "--scale", "--budget", "--only", "--out"},
+}
+
+
+def test_each_subcommand_has_exactly_its_options():
+    (subparsers,) = [a for a in build_parser()._actions if a.choices and a.dest == "command"]
+    got = {
+        name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, p in subparsers.choices.items()
+    }
+    assert got == OPTIONS
+
+
+@pytest.mark.parametrize("argv", [["pack", "--family", "odd", "--budget", "5"], ["bipartite", "--max-len", "3"]])
+def test_a_removed_option_is_a_usage_error(tmp_path, capsys, argv):
+    graph = graph_file(tmp_path, LabelledGraph.build(Z(2), UNDIRECTED, [("a", "b", 0)], ["a", "b"]))
+    code, payload, err = invoke(capsys, *argv, "--graph", graph)
+    assert (code, payload) == (2, None)
+    assert "unrecognized arguments" in err

@@ -5,8 +5,10 @@ import random
 
 import pytest
 
-from gammapath.errors import InternalInvariantError, PreconditionFailed
+from gammapath.errors import InternalInvariantError, LimitExceeded, Limits, PreconditionFailed
 from gammapath.frame import (
+    _first_attach_path,
+    _first_zero_path_disjoint_from,
     base_zero_path,
     extract_zero_paths,
     frame_pack_or_cover,
@@ -244,6 +246,42 @@ def test_frame_against_exact_oracle():
                 assert result.outcome.kind == "cover"
     # the greedy trap is rare but real; make sure this test keeps witnessing it
     assert 0 < cover_despite_nu < total // 10
+
+
+def test_first_zero_path_search_contract():
+    z2 = Z(2)
+    limits = Limits(max_len=2)
+    # the one zero path has three edges: cut, so absence cannot be certified
+    line = directed(z2, [("a", "x", 0, "a"), ("x", "y", 0, "x"), ("y", "b", 0, "y")], ["a", "b"])
+    with pytest.raises(LimitExceeded) as info:
+        _first_zero_path_disjoint_from(line, set(), limits)
+    assert str(info.value) == "path length while certifying zero-path absence exceeds limit 2"
+    # the branch through x1 is cut before the search meets a-y-b, which is returned
+    g = directed(
+        z2,
+        [("a", "x1", 0, "a"), ("x1", "x2", 0, "x1"), ("x2", "x3", 0, "x2"),
+         ("a", "y", 1, "a"), ("y", "b", 1, "y")],
+        ["a", "b"],
+    )
+    hit = _first_zero_path_disjoint_from(g, set(), limits)
+    assert (hit.vertices, hit.weight) == (("a", "y", "b"), z2.zero())
+
+
+def test_attachment_search_contract():
+    z2 = Z(2)
+    limits = Limits(max_len=2)
+    forest = {"a", "m", "b"}
+    degree = {"a": 1, "m": 2, "b": 1}
+    spine = [("a", "m", 0, "a"), ("m", "b", 0, "m")]
+    long_way = [("c", "d1", 0, "c"), ("d1", "d2", 0, "d1"), ("d2", "m", 0, "d2")]
+    # c reaches the forest only through three edges: cut, so no answer
+    far = directed(z2, spine + long_way, ["a", "b", "c"])
+    with pytest.raises(LimitExceeded) as info:
+        _first_attach_path(far, forest, degree, limits)
+    assert str(info.value) == "path length while searching attachments exceeds limit 2"
+    # the branch through d1 is cut before the search meets c-e1-m, which is returned
+    near = directed(z2, spine + long_way + [("c", "e1", 0, "c"), ("e1", "m", 0, "e1")], ["a", "b", "c"])
+    assert _first_attach_path(near, forest, degree, limits) == (("c", "e1", "m"), (5, 6))
 
 
 def test_frame_rejects_wrong_model_and_infinite_groups():

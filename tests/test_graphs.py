@@ -19,7 +19,6 @@ from gammapath.graphs import (
     Edge,
     LabelledGraph,
     PathWitness,
-    _EnumState,
     _from_smaller_end,
     apply_shifts,
     enumerate_terminal_paths,
@@ -93,9 +92,8 @@ def test_enumerate_simple_example():
     g = undirected(z2, [("a", "x", 1), ("x", "b", 1)], ["a", "b"])
     zero_paths = enumerate_terminal_paths(g, weight=z2.zero())
     assert len(zero_paths) == 1
-    assert zero_paths.paths[0].vertices == ("a", "x", "b")
-    assert not enumerate_terminal_paths(g, nonzero=True).paths
-    assert zero_paths.exhaustive
+    assert zero_paths[0].vertices == ("a", "x", "b")
+    assert not enumerate_terminal_paths(g, nonzero=True)
 
 
 def test_enumerate_k4_all_paths():
@@ -145,8 +143,8 @@ def test_enumerate_matches_networkx_on_random_simple_graphs():
         sources = [a for a in sorted(terminals) if a not in blocked]
         found = []
         for vs, es, w in search_paths(
-            g, sources, g.terminals, _from_smaller_end, _EnumState(),
-            forbidden=blocked, max_len=n, max_count=10_000,
+            g, sources, g.terminals, _from_smaller_end,
+            forbidden=blocked, max_len=n, max_count=10_000, cut="path length",
         ):
             assert w == walk_weight(g, vs, es)
             found.append(vs)
@@ -165,13 +163,15 @@ def test_enumeration_limit_exceeded():
     z2 = Z(2)
     edges = [(u, v, 0) for u, v in itertools.combinations(range(7), 2)]
     g = undirected(z2, edges, [0, 1])
-    with pytest.raises(LimitExceeded):
+    # paths of one and two edges were found, longer ones were cut: still no answer
+    with pytest.raises(LimitExceeded) as info:
         enumerate_terminal_paths(g, limits=Limits(max_len=2, max_paths=100))
-    partial = enumerate_terminal_paths(
-        g, limits=Limits(max_len=2, max_paths=100), require_exhaustive=False
-    )
-    assert not partial.exhaustive
-    assert {len(p.edge_ids) for p in partial} <= {1, 2}
+    assert str(info.value) == "path length during exhaustive enumeration exceeds limit 2"
+    # the only terminal path has three edges, so nothing is found before the cut
+    line = undirected(z2, [("a", "x", 0), ("x", "y", 0), ("y", "b", 0)], ["a", "b"])
+    with pytest.raises(LimitExceeded) as info:
+        enumerate_terminal_paths(line, limits=Limits(max_len=2))
+    assert str(info.value) == "path length during exhaustive enumeration exceeds limit 2"
 
 
 def test_directed_weight_filter_matches_either_traversal():
@@ -180,8 +180,8 @@ def test_directed_weight_filter_matches_either_traversal():
     # forward a->b weight: 2 + (-0) = 2; backward weight 3
     hits = enumerate_terminal_paths(g, weight=z5.element(3))
     assert len(hits) == 1
-    assert hits.paths[0].vertices == ("b", "x", "a")
-    assert walk_weight(g, *[hits.paths[0].vertices, hits.paths[0].edge_ids]) == z5.element(3)
+    assert hits[0].vertices == ("b", "x", "a")
+    assert walk_weight(g, *[hits[0].vertices, hits[0].edge_ids]) == z5.element(3)
 
 
 def test_shift_examples():
@@ -307,7 +307,8 @@ def test_cycle_cap():
         edges += [("c", f"x{i}", 1), (f"x{i}", f"y{i}", 1), (f"y{i}", "c", 2)]
     g = undirected(z4, edges, [])
     assert is_gamma_bipartite(g, cycle_cap=6)
-    with pytest.raises(LimitExceeded):
+    # the cap counts cycles over all start vertices together
+    with pytest.raises(LimitExceeded, match="^enumerated simple cycles exceeds limit 5$"):
         is_gamma_bipartite(g, cycle_cap=5)
 
 
@@ -474,6 +475,16 @@ def test_three_blocks_subdivided_k5():
     assert all(len(b.attachments) == 2 for b in branch_blocks[0].bridges)
 
 
+def test_block_weights_raise_when_a_path_is_cut():
+    # K4 with every edge subdivided: block vertices meet only through two-edge paths
+    edges = [(u, f"m{u}{v}", 1) for u, v in itertools.combinations(range(4), 2)]
+    edges += [(f"m{u}{v}", v, 0) for u, v in itertools.combinations(range(4), 2)]
+    g = undirected(Z(2), edges, [])
+    with pytest.raises(LimitExceeded) as info:
+        three_blocks(g, Limits(max_len=1))
+    assert str(info.value) == "path length during block-weight enumeration exceeds limit 1"
+
+
 def test_three_blocks_match_oracle_random():
     rng = random.Random(5)
     z2 = Z(2)
@@ -542,7 +553,7 @@ def test_fan_extraction_rejects_zero_cycle():
 def test_witness_validation_catches_corruption():
     z2 = Z(2)
     g = undirected(z2, [("a", "x", 1), ("x", "b", 1)], ["a", "b"])
-    good = enumerate_terminal_paths(g).paths[0]
+    good = enumerate_terminal_paths(g)[0]
     good.validate(g)
     bad = PathWitness(good.vertices, good.edge_ids, z2.element(1))
     with pytest.raises(InternalInvariantError):
