@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import InternalInvariantError, PreconditionFailed
 from .graphs import UNDIRECTED, LabelledGraph, PathWitness, walk_weight
-from .groups import CompiledGroup, CyclicProduct, GroupElem, GroupSpec, _is_prime
+from .groups import CyclicProduct, GroupElem, GroupSpec, _is_prime
 
 
 @dataclass(frozen=True)
@@ -129,26 +129,26 @@ class Reroute:
     path: PathWitness | None
 
 
-def _suffix_sums(chain: CycleChain) -> tuple[CompiledGroup, list[int]]:
-    """Subset-sum DP on the compiled group, one bound-checked sumset per detour.
+def _suffix_sums(chain: CycleChain) -> list[int]:
+    """Subset-sum DP on element masks, one bound-checked sumset per detour.
 
     suffix[i] is the bitmask of the sums d_j1 + ... + d_jk, added left to right,
     over i <= j1 < ... < jk; the empty sum is included.
     """
-    c = chain.group.compiled()
-    unit = 1 << c.zero
+    group = chain.group
+    unit = 1 << group.zero().value
     suffix = [unit] * (chain.length + 1)
     for i in range(chain.length - 1, -1, -1):
-        suffix[i] = c.sumset(unit | 1 << c.index[chain.deltas[i]], suffix[i + 1])
-    return c, suffix
+        suffix[i] = group.sumset(unit | 1 << chain.deltas[i].value, suffix[i + 1])
+    return suffix
 
 
 def reachable_weights(chain: CycleChain) -> frozenset[GroupElem]:
     """All weights attainable by switching any subset of detours on."""
-    if not chain.group.is_finite:
+    group = chain.group
+    if not group.is_finite:
         raise PreconditionFailed("reachability needs a finite group")
-    c, suffix = _suffix_sums(chain)
-    return c.elems_of(c.translate(c.index[chain.core_weight], suffix[0]))
+    return group.from_mask(group.translate(chain.core_weight.value, _suffix_sums(chain)[0]))
 
 
 def reroute_to_weight(chain: CycleChain, target) -> Reroute | None:
@@ -162,9 +162,9 @@ def reroute_to_weight(chain: CycleChain, target) -> Reroute | None:
     if not group.is_finite:
         raise PreconditionFailed("rerouting needs a finite group")
     target = group.element(target)
-    c, suffix = _suffix_sums(chain)
-    add, neg, goal = c.add, c.neg, c.index[target]
-    acc = c.index[chain.core_weight]
+    suffix = _suffix_sums(chain)
+    add, neg, goal = group._add, group._neg, target.value
+    acc = chain.core_weight.value
     # acc + rest = goal needs rest = -acc + goal among the suffix sums
     if not suffix[0] >> add(neg(acc), goal) & 1:
         return None
@@ -172,7 +172,7 @@ def reroute_to_weight(chain: CycleChain, target) -> Reroute | None:
     start = 0
     while acc != goal:
         for i in range(start, chain.length):
-            step = add(acc, c.index[chain.deltas[i]])
+            step = add(acc, chain.deltas[i].value)
             if suffix[i + 1] >> add(neg(step), goal) & 1:
                 subset.append(i)
                 acc = step
@@ -216,7 +216,7 @@ def _splice(chain: CycleChain, subset: list[int]) -> PathWitness:
 
 def zero_path_from_chain(chain: CycleChain) -> Reroute:
     """Reroute a nonzero prime-field chain of length >= p-1 to weight zero."""
-    p = chain.group.compiled().prime if chain.group.is_finite else None
+    p = chain.group.prime if chain.group.is_finite else None
     if p is None:
         raise PreconditionFailed("guaranteed rerouting needs a prime-order cyclic group")
     if not chain.is_nonzero:

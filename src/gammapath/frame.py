@@ -9,7 +9,7 @@ Works for any finite group, nonabelian included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     DEFAULT_LIMITS,
@@ -37,10 +37,10 @@ class TerminalTree:
     vertices: set
     edge_ids: set
     witness: PathWitness
-    degree: dict = field(default_factory=dict)
 
-    def leaves(self) -> list:
-        return sorted((v for v, d in self.degree.items() if d == 1), key=vertex_key)
+    def leaves(self, degree: dict) -> list:
+        """The tree's degree-1 vertices, read from the forest's degree map."""
+        return sorted((v for v in self.vertices if degree[v] == 1), key=vertex_key)
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ def _tree_adjacency(graph: LabelledGraph, edge_ids: set) -> dict:
     return adj
 
 
-def _validate_tree(graph: LabelledGraph, tree: TerminalTree) -> None:
+def _validate_tree(graph: LabelledGraph, tree: TerminalTree, degree: dict) -> None:
     adj = _tree_adjacency(graph, tree.edge_ids)
     if set(adj) != tree.vertices:
         raise InternalInvariantError("component vertex set out of sync")
@@ -110,7 +110,7 @@ def _validate_tree(graph: LabelledGraph, tree: TerminalTree) -> None:
     for v, nbrs in adj.items():
         if len(nbrs) > 3:
             raise InternalInvariantError("component is not subcubic")
-        if tree.degree.get(v) != len(nbrs):
+        if degree.get(v) != len(nbrs):
             raise InternalInvariantError("cached degree out of sync")
     leaves = {v for v, nbrs in adj.items() if len(nbrs) == 1}
     if tree.vertices & graph.terminals != leaves:
@@ -329,15 +329,12 @@ def frame_pack_or_cover(
     audit: list[dict] = []
 
     def add_component(witness: PathWitness):
-        deg = {}
         for v in witness.vertices:
-            deg[v] = 2
-        deg[witness.vertices[0]] = 1
-        deg[witness.vertices[-1]] = 1
-        tree = TerminalTree(set(witness.vertices), set(witness.edge_ids), witness, deg)
-        trees.append(tree)
+            degree[v] = 2
+        degree[witness.vertices[0]] = 1
+        degree[witness.vertices[-1]] = 1
+        trees.append(TerminalTree(set(witness.vertices), set(witness.edge_ids), witness))
         forest_vertices.update(witness.vertices)
-        degree.update(deg)
         audit.append({"move": "new-component", "path": list(witness.vertices)})
 
     def attach(vertices: tuple, edge_ids: tuple):
@@ -349,7 +346,6 @@ def frame_pack_or_cover(
         degree[vertices[0]] = 1
         for v in vertices[1:-1]:
             degree[v] = 2
-        target.degree = {v: degree[v] for v in target.vertices}
         forest_vertices.update(vertices)
         audit.append({"move": "attach", "path": list(vertices)})
 
@@ -359,14 +355,14 @@ def frame_pack_or_cover(
             add_component(candidate)
             if debug:
                 for t in trees:
-                    _validate_tree(graph, t)
+                    _validate_tree(graph, t, degree)
             continue
         attach_found = _first_attach_path(graph, forest_vertices, degree, limits)
         if attach_found is not None:
             attach(*attach_found)
             if debug:
                 for t in trees:
-                    _validate_tree(graph, t)
+                    _validate_tree(graph, t, degree)
             continue
         break
 
@@ -376,7 +372,7 @@ def frame_pack_or_cover(
         _validate_packing(graph, chosen, k)
         return FrameResult(outcome, tuple(audit))
 
-    per_tree = [largest_extractable(graph, len(t.leaves())) for t in trees]
+    per_tree = [largest_extractable(graph, len(t.leaves(degree))) for t in trees]
     if sum(per_tree) >= k:
         paths: list[PathWitness] = []
         for t, cap in zip(trees, per_tree):

@@ -136,8 +136,9 @@ def build_quotient_gadget(n: int, group: GroupSpec, g1, g2) -> GridGadget:
     zero = group.zero()
     if g1 == zero or g2 == zero:
         raise PreconditionFailed("both labels must be nonzero")
-    c = group.compiled()
-    if not c.coset_order_above_two(c.index[g1], c.cyclic(c.index[g2])):
+    if not group.is_finite:
+        raise ValueError(f"{group.name} is infinite and has no dense index form")
+    if not group.coset_order_above_two(g1.value, group.cyclic(g2.value)):
         raise PreconditionFailed("coset order condition fails; not a counterexample pair")
 
     def label_of(kind, idx):

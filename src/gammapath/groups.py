@@ -1,9 +1,11 @@
 """Group arithmetic and the classification predicates for path-weight families.
 
 Three kinds of groups are supported: products of cyclic groups (written
-additively, elements are coordinate tuples), arbitrary finite groups given by
-a Cayley table (elements are indices), and the integers.  All values are
-immutable; every operation is a pure function.
+additively), arbitrary finite groups given by a Cayley table, and the
+integers.  Every element value is an int: a finite group numbers its elements
+0..n-1 in canonical order, and coordinates appear only where elements are
+read or written.  All values are immutable; every operation is a pure
+function.
 """
 
 from __future__ import annotations
@@ -90,10 +92,14 @@ def abelian_types(order: int) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class GroupElem:
-    """An element of a specific group; value is a tuple, an index, or an int."""
+    """An element of a specific group; value is an int.
+
+    For a finite group the int is the element's index in canonical order,
+    for the integers it is the integer itself.
+    """
 
     group: "GroupSpec"
-    value: tuple | int
+    value: int
 
     def __add__(self, other: "GroupElem") -> "GroupElem":
         return self.group.add(self, other)
@@ -114,7 +120,7 @@ class GroupElem:
         return self.group.elem_to_json(self)
 
     def __repr__(self):
-        return f"<{self.value!r} in {self.group.name}>"
+        return f"<{self.group.decode(self.value)!r} in {self.group.name}>"
 
 
 class GroupSpec:
@@ -145,6 +151,10 @@ class GroupSpec:
     def elements(self) -> list[GroupElem]:
         raise NotImplementedError
 
+    def decode(self, value: int):
+        """The element value as written outside the program (repr, JSON)."""
+        return value
+
     @property
     def order(self) -> int | float:
         raise NotImplementedError
@@ -162,36 +172,101 @@ class GroupSpec:
         """Invariant-factor decomposition; only for finite abelian groups."""
         raise NotImplementedError
 
-    def compiled(self) -> "CompiledGroup":
-        """The dense index form of this finite group, built on first use and kept."""
-        # no lock: threads that race here build equal forms, and any of them is correct
-        if "_compiled" not in self.__dict__:
-            self._compiled = self._compile()
-        return self._compiled
-
-    def _compile(self) -> "CompiledGroup":
-        raise ValueError(f"{self.name} is infinite and has no dense index form")
-
     def to_json(self) -> dict:
         raise NotImplementedError
 
-    def scale(self, n: int, e: GroupElem) -> GroupElem:
-        """n-fold sum of e (n may be negative)."""
-        self._check(e)
-        if n < 0:
-            return self.scale(-n, self.neg(e))
-        acc = self.zero()
-        for _ in range(n):
-            acc = self.add(acc, e)
-        return acc
+
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-class CyclicProduct(GroupSpec):
-    """Direct product of cyclic groups Z/n1 x ... x Z/nk, written additively."""
+class FiniteGroup(GroupSpec):
+    """A finite group whose element values are 0..n-1 in canonical order.
+
+    `_add(i, j)` and `_neg(i)` act on values, and a set of elements is an int
+    bitmask with bit i for value i.  `prime` is p when the group is cyclic of
+    prime order p, where the Cauchy-Davenport bound applies, and None
+    otherwise.
+    """
+
+    is_finite = True
+
+    def __init__(self, order: int, zero: int, add, neg, rotates: bool = False):
+        self._order = order
+        self._zero = zero
+        self._full = (1 << order) - 1
+        self._add = add
+        self._neg = neg
+        # with a single cyclic factor, d + x is (d + x) mod n: a rotation of the bits
+        self._rotates = rotates
+        # a group of prime order p is cyclic, and no other group has invariant factors (p,)
+        self.prime = order if _is_prime(order) else None
+
+    @property
+    def order(self) -> int:
+        return self._order
+
+    def zero(self) -> GroupElem:
+        return GroupElem(self, self._zero)
+
+    def elem_sort_key(self, e: GroupElem):
+        return e.value
+
+    def from_mask(self, mask: int) -> frozenset[GroupElem]:
+        """The elements whose values are the set bits of mask."""
+        return frozenset(GroupElem(self, i) for i in _bits(mask))
+
+    def translate(self, d: int, mask: int) -> int:
+        """Bitmask of {d + x : x in mask}."""
+        if self._rotates:
+            return ((mask << d) | (mask >> (self._order - d))) & self._full
+        add = self._add
+        out = 0
+        for x in _bits(mask):
+            out |= 1 << add(d, x)
+        return out
+
+    def sumset(self, xs: int, ys: int) -> int:
+        """Bitmask of {x + y}; checks the prime-field lower bound when it applies."""
+        out = 0
+        for x in _bits(xs):
+            out |= self.translate(x, ys)
+        if self.prime is not None and xs and ys:
+            size = out.bit_count()
+            if size < min(xs.bit_count() + ys.bit_count() - 1, self.prime):
+                raise InternalInvariantError(
+                    f"sumset bound violated over {self.name}: |X+Y|={size}"
+                )
+        return out
+
+    def cyclic(self, g: int) -> int:
+        """Bitmask of the cyclic subgroup generated by the element with value g."""
+        zero, add = self._zero, self._add
+        mask = 1 << zero
+        acc = g
+        while acc != zero:
+            mask |= 1 << acc
+            acc = add(acc, g)
+        return mask
+
+    def coset_order_above_two(self, g1: int, sub: int) -> bool:
+        """Whether g1 + H has order > 2 in the quotient by the subgroup mask H."""
+        return not (sub >> g1 & 1 or sub >> self._add(g1, g1) & 1)
+
+
+class CyclicProduct(FiniteGroup):
+    """Direct product of cyclic groups Z/n1 x ... x Z/nk, written additively.
+
+    An element's value is its coordinate tuple read in mixed radix, the last
+    coordinate fastest, so value order is coordinate-tuple order.
+    """
 
     kind = "cyclic_product"
     is_abelian = True
-    is_finite = True
 
     def __init__(self, orders: list[int] | tuple[int, ...]):
         orders = tuple(int(n) for n in orders)
@@ -199,22 +274,26 @@ class CyclicProduct(GroupSpec):
             raise ValueError("cyclic factor orders must all be >= 2")
         self.orders = orders
         self._invariants = _invariant_factors_from_orders(orders)
-        self._order = math.prod(orders) if orders else 1
         self.name = "x".join(f"Z/{n}" for n in orders) if orders else "trivial"
         self._hash = hash(("cyclic_product", orders))
+        # (order, place value) of each coordinate; no order^2 table
+        self._radix = radix = tuple((n, math.prod(orders[k + 1 :])) for k, n in enumerate(orders))
+        if len(orders) == 1:
+            n = orders[0]
+            super().__init__(n, 0, lambda i, j: (i + j) % n, lambda i: -i % n, rotates=True)
+            return
+        super().__init__(
+            math.prod(orders),
+            0,
+            lambda i, j: sum((i // s + j // s) % n * s for n, s in radix),
+            lambda i: sum(-(i // s) % n * s for n, s in radix),
+        )
 
     def __eq__(self, other):
         return isinstance(other, CyclicProduct) and other.orders == self.orders
 
     def __hash__(self):
         return self._hash
-
-    @property
-    def order(self) -> int:
-        return self._order
-
-    def zero(self) -> GroupElem:
-        return GroupElem(self, (0,) * len(self.orders))
 
     def element(self, value) -> GroupElem:
         if isinstance(value, GroupElem):
@@ -223,38 +302,26 @@ class CyclicProduct(GroupSpec):
         if isinstance(value, int):
             if len(self.orders) != 1:
                 raise ValueError(f"{self.name} needs {len(self.orders)} coordinates")
-            value = (value,)
+            return GroupElem(self, value % self._order)
         coords = tuple(int(c) % n for c, n in zip(value, self.orders, strict=True))
-        return GroupElem(self, coords)
+        return GroupElem(self, sum(c * s for c, (_, s) in zip(coords, self._radix)))
 
     def add(self, a: GroupElem, b: GroupElem) -> GroupElem:
         self._check(a, b)
-        return GroupElem(self, tuple((x + y) % n for x, y, n in zip(a.value, b.value, self.orders)))
+        return GroupElem(self, self._add(a.value, b.value))
 
     def neg(self, a: GroupElem) -> GroupElem:
         self._check(a)
-        return GroupElem(self, tuple((-x) % n for x, n in zip(a.value, self.orders)))
+        return GroupElem(self, self._neg(a.value))
 
     def elements(self) -> list[GroupElem]:
-        return [GroupElem(self, c) for c in itertools.product(*(range(n) for n in self.orders))]
+        return [GroupElem(self, i) for i in range(self._order)]
 
-    def elem_sort_key(self, e: GroupElem):
-        return e.value
+    def decode(self, value: int) -> tuple[int, ...]:
+        return tuple(value // s % n for n, s in self._radix)
 
     def elem_to_json(self, e: GroupElem):
-        return list(e.value)
-
-    def _compile(self) -> "CompiledGroup":
-        # mixed radix, last coordinate fastest as in elements(); no order^2 table
-        if len(self.orders) == 1:
-            n = self.orders[0]
-            return CompiledGroup(self, lambda i, j: (i + j) % n, lambda i: -i % n, rotates=True)
-        radix = [(n, math.prod(self.orders[k + 1 :])) for k, n in enumerate(self.orders)]
-        return CompiledGroup(
-            self,
-            lambda i, j: sum((i // s + j // s) % n * s for n, s in radix),
-            lambda i: sum(-(i // s) % n * s for n, s in radix),
-        )
+        return list(self.decode(e.value))
 
     def invariant_factors(self) -> tuple[int, ...]:
         return self._invariants
@@ -263,7 +330,7 @@ class CyclicProduct(GroupSpec):
         return {"type": "cyclic_product", "orders": list(self.orders)}
 
 
-class CayleyGroup(GroupSpec):
+class CayleyGroup(FiniteGroup):
     """Finite group given explicitly by its Cayley table; may be nonabelian.
 
     table[a][b] is the index of a+b; the group axioms are checked at
@@ -271,7 +338,6 @@ class CayleyGroup(GroupSpec):
     """
 
     kind = "cayley"
-    is_finite = True
 
     def __init__(self, table: list[list[int]] | tuple, identity: int = 0, name: str | None = None):
         tab = tuple(tuple(int(x) for x in row) for row in table)
@@ -296,11 +362,11 @@ class CayleyGroup(GroupSpec):
                         raise ValueError("Cayley table is not associative")
         self.table = tab
         self.identity = identity
-        self.size = n
         self.is_abelian = all(tab[a][b] == tab[b][a] for a in range(n) for b in range(n))
         self.name = name or f"cayley[{n}]"
         self._hash = hash(("cayley", tab, identity))
         self._inverse = tuple(tab[a].index(identity) for a in range(n))
+        super().__init__(n, identity, lambda i, j: tab[i][j], self._inverse.__getitem__)
 
     def __eq__(self, other):
         return (
@@ -312,19 +378,12 @@ class CayleyGroup(GroupSpec):
     def __hash__(self):
         return self._hash
 
-    @property
-    def order(self) -> int:
-        return self.size
-
-    def zero(self) -> GroupElem:
-        return GroupElem(self, self.identity)
-
     def element(self, value) -> GroupElem:
         if isinstance(value, GroupElem):
             self._check(value)
             return value
         idx = int(value)
-        if not 0 <= idx < self.size:
+        if not 0 <= idx < self._order:
             raise ValueError(f"element index {idx} out of range for {self.name}")
         return GroupElem(self, idx)
 
@@ -338,27 +397,20 @@ class CayleyGroup(GroupSpec):
         return GroupElem(self, self._inverse[a.value])
 
     def elements(self) -> list[GroupElem]:
-        return [GroupElem(self, i) for i in range(self.size)]
-
-    def elem_sort_key(self, e: GroupElem):
-        return e.value
+        return [GroupElem(self, i) for i in range(self._order)]
 
     def elem_to_json(self, e: GroupElem):
         return e.value
 
-    def _compile(self) -> "CompiledGroup":
-        table = self.table
-        return CompiledGroup(self, lambda i, j: table[i][j], self._inverse.__getitem__)
-
     def invariant_factors(self) -> tuple[int, ...]:
         if not self.is_abelian:
             raise ValueError("invariant factors are defined for abelian groups only")
-        # The multiset {#elements killed by d : d | n} pins down the type.
-        n = self.size
+        # The multiset {#elements killed by d : d | n} pins down the type;
+        # d kills exactly the elements whose order divides d.
+        n = self._order
         divisors = [d for d in range(1, n + 1) if n % d == 0]
-        counts = tuple(
-            sum(1 for e in self.elements() if self.scale(d, e) == self.zero()) for d in divisors
-        )
+        orders = [self.cyclic(i).bit_count() for i in range(n)]
+        counts = tuple(sum(1 for o in orders if d % o == 0) for d in divisors)
         for candidate in abelian_types(n):
             model = tuple(math.prod(math.gcd(d, f) for f in candidate) for d in divisors)
             if model == counts:
@@ -420,80 +472,6 @@ class IntegerGroup(GroupSpec):
         return {"type": "integers"}
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Positions of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-class CompiledGroup:
-    """Dense index form of a finite group, for the hot loops.
-
-    Elements are numbered 0..n-1 in canonical `elem_sort_key` order; `elems`
-    and `index` convert between numbers and `GroupElem`s.  `add(i, j)` and
-    `neg(i)` act on numbers, and a set of elements is an int bitmask with bit
-    i for element i.  `prime` is p when the group is cyclic of prime order p,
-    where the Cauchy-Davenport bound applies, and None otherwise.
-    """
-
-    def __init__(self, group: GroupSpec, add, neg, rotates: bool = False):
-        self.group = group
-        self.elems = tuple(group.elements())
-        self.index = {e: i for i, e in enumerate(self.elems)}
-        self.order = len(self.elems)
-        self.zero = self.index[group.zero()]
-        self.full = (1 << self.order) - 1
-        self.add = add
-        self.neg = neg
-        # with a single cyclic factor, d + x is (d + x) mod n: a rotation of the bits
-        self._rotates = rotates
-        # a group of prime order p is cyclic, and no other group has invariant factors (p,)
-        self.prime = self.order if _is_prime(self.order) else None
-
-    def elems_of(self, mask: int) -> frozenset[GroupElem]:
-        elems = self.elems
-        return frozenset(elems[i] for i in _bits(mask))
-
-    def translate(self, d: int, mask: int) -> int:
-        """Bitmask of {d + x : x in mask}."""
-        if self._rotates:
-            return ((mask << d) | (mask >> (self.order - d))) & self.full
-        add = self.add
-        out = 0
-        for x in _bits(mask):
-            out |= 1 << add(d, x)
-        return out
-
-    def sumset(self, xs: int, ys: int) -> int:
-        """Bitmask of {x + y}; checks the prime-field lower bound when it applies."""
-        out = 0
-        for x in _bits(xs):
-            out |= self.translate(x, ys)
-        if self.prime is not None and xs and ys:
-            size = out.bit_count()
-            if size < min(xs.bit_count() + ys.bit_count() - 1, self.prime):
-                raise InternalInvariantError(
-                    f"sumset bound violated over {self.group.name}: |X+Y|={size}"
-                )
-        return out
-
-    def cyclic(self, g: int) -> int:
-        """Bitmask of the cyclic subgroup generated by element g."""
-        zero, add = self.zero, self.add
-        mask = 1 << zero
-        acc = g
-        while acc != zero:
-            mask |= 1 << acc
-            acc = add(acc, g)
-        return mask
-
-    def coset_order_above_two(self, g1: int, sub: int) -> bool:
-        """Whether g1 + H has order > 2 in the quotient by the subgroup mask H."""
-        return not (sub >> g1 & 1 or sub >> self.add(g1, g1) & 1)
-
-
 def group_from_json(data: dict) -> GroupSpec:
     require_keys(data, ("type",), "group")
     kind = data["type"]
@@ -514,8 +492,7 @@ def element_order(e: GroupElem) -> int | float:
     group = e.group
     if not group.is_finite:
         return 1 if e == group.zero() else INFINITE
-    c = group.compiled()
-    return c.cyclic(c.index[e]).bit_count()
+    return group.cyclic(e.value).bit_count()
 
 
 def cyclic_subgroup(e: GroupElem) -> frozenset[GroupElem]:
@@ -523,8 +500,7 @@ def cyclic_subgroup(e: GroupElem) -> frozenset[GroupElem]:
     group = e.group
     if not group.is_finite:
         raise ValueError("cyclic subgroups of the integers are infinite")
-    c = group.compiled()
-    return c.elems_of(c.cyclic(c.index[e]))
+    return group.from_mask(group.cyclic(e.value))
 
 
 def subgroup_contains(generator: GroupElem, target: GroupElem) -> bool:
@@ -560,13 +536,13 @@ def find_bad_pair(group: GroupSpec) -> tuple[GroupElem, GroupElem] | None:
     """
     if not group.is_finite or not group.is_abelian:
         raise ValueError("bad-pair search requires a finite abelian group")
-    c = group.compiled()
-    nonzero = [g for g in range(c.order) if g != c.zero]
-    subgroups = [c.cyclic(g) for g in range(c.order)]
+    zero = group.zero().value
+    nonzero = [g for g in range(group.order) if g != zero]
+    subgroups = [group.cyclic(g) for g in range(group.order)]
     for g1 in nonzero:
         for g2 in nonzero:
-            if c.coset_order_above_two(g1, subgroups[g2]):
-                return (c.elems[g1], c.elems[g2])
+            if group.coset_order_above_two(g1, subgroups[g2]):
+                return (GroupElem(group, g1), GroupElem(group, g2))
     return None
 
 
@@ -619,10 +595,8 @@ def _ell_ep_by_replay(group: GroupSpec, ell: GroupElem) -> bool:
     if ell == zero:
         return find_bad_pair(group) is None
     # A nonzero g whose cyclic subgroup misses ell yields a grid counterexample.
-    c = group.compiled()
-    target = c.index[ell]
-    for g in range(c.order):
-        if g != c.zero and not c.cyclic(g) >> target & 1:
+    for g in range(group.order):
+        if g != zero.value and not group.cyclic(g) >> ell.value & 1:
             return False
     # Otherwise the order of ell must be prime, the group order a power of it,
     # and the subgroup generated by ell the unique one of that order.
@@ -672,9 +646,8 @@ def sumset(xs: set[GroupElem] | frozenset[GroupElem], ys: set[GroupElem] | froze
     if not group.is_finite:
         return frozenset(x + y for x in xs for y in ys)
     group._check(*xs, *ys)
-    c = group.compiled()
-    xm, ym = (sum(1 << i for i in {c.index[e] for e in s}) for s in (xs, ys))
-    return c.elems_of(c.sumset(xm, ym))
+    xm, ym = (sum(1 << i for i in {e.value for e in s}) for s in (xs, ys))
+    return group.from_mask(group.sumset(xm, ym))
 
 
 def iter_abelian_groups(max_order: int) -> Iterator[CyclicProduct]:

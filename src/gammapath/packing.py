@@ -178,15 +178,18 @@ def max_packing(
             count += 1
         return count
 
-    def dfs(free: int, chosen: list[int]):
-        nonlocal best, best_choice
+    # depth-first on an explicit stack, include-branch first; a state is
+    # checked against the bound when it is popped, as on entry to a call
+    stack: list[tuple[int, list[int]]] = [(all_free, [])]
+    while stack:
+        free, chosen = stack.pop()
         if len(chosen) + bound(free) <= best:
-            return
+            continue
         if not free:
             if len(chosen) > best:
                 best = len(chosen)
                 best_choice = tuple(sorted(chosen))
-            return
+            continue
         # branch on the free member with most free conflicts, smallest index first
         pick = -1
         pick_deg = -1
@@ -209,11 +212,10 @@ def max_packing(
                     rest &= rest - 1
                 best = len(sel)
                 best_choice = tuple(sorted(sel))
-            return
-        dfs(free & ~(1 << pick) & ~conflict[pick], chosen + [pick])
-        dfs(free & ~(1 << pick), chosen)
+            continue
+        stack.append((free & ~(1 << pick), chosen))
+        stack.append((free & ~(1 << pick) & ~conflict[pick], chosen + [pick]))
 
-    dfs(all_free, [])
     chosen_paths = tuple(members[i] for i in best_choice)
     return best, chosen_paths
 
@@ -256,23 +258,21 @@ def min_cover(
                 count += 1
         return count
 
-    def dfs(chosen: set):
-        nonlocal best, best_cover
+    # depth-first on an explicit stack, children in vertex order; a state is
+    # checked against the bound when it is popped, as on entry to a call
+    stack: list[frozenset] = [frozenset()]
+    while stack:
+        chosen = stack.pop()
         uncovered_ids = [i for i in order if not chosen.intersection(vsets[i])]
         if not uncovered_ids:
             if len(chosen) < best:
                 best = len(chosen)
-                best_cover = frozenset(chosen)
-            return
+                best_cover = chosen
+            continue
         if len(chosen) + disjoint_bound(uncovered_ids) >= best:
-            return
-        target = uncovered_ids[0]
-        for v in vsets[target]:
-            chosen.add(v)
-            dfs(chosen)
-            chosen.discard(v)
+            continue
+        stack.extend(chosen | {v} for v in reversed(vsets[uncovered_ids[0]]))
 
-    dfs(set())
     _verify_cover(members, best_cover)
     return best, best_cover
 

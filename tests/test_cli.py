@@ -16,7 +16,7 @@ from gammapath.errors import Limits
 from gammapath.frame import frame_pack_or_cover
 from gammapath.graphs import UNDIRECTED, DIRECTED, LabelledGraph
 
-from util import Z
+from util import Z, make_s3
 
 
 def invoke(capsys, *argv):
@@ -513,3 +513,27 @@ def test_a_removed_option_is_a_usage_error(tmp_path, capsys, argv):
     code, payload, err = invoke(capsys, *argv, "--graph", graph)
     assert (code, payload) == (2, None)
     assert "unrecognized arguments" in err
+
+
+S3_JSON = json.dumps(make_s3().to_json())
+
+
+@pytest.mark.parametrize(
+    "group, ell, detail",
+    [
+        (S3_JSON, "9", "bad element JSON: element index 9 out of range for cayley[6]"),
+        ('{"type":"cyclic_product","orders":[2,2]}', "1", "bad element JSON: Z/2xZ/2 needs 2 coordinates"),
+    ],
+)
+def test_bad_element_messages_are_pinned(capsys, group, ell, detail):
+    code, payload, err = invoke(capsys, "classify", "--group", group, "--ell", ell)
+    assert (code, payload) == (2, {"error": "usage", "detail": detail})
+    assert err == f"usage error: {detail}\n"
+
+
+def test_unreachable_chain_prints_coordinates(tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    chain = {"group": {"type": "cyclic_product", "orders": [2, 4]}, "core_weight": [0, 1], "deltas": [[0, 2]]}
+    path.write_text(json.dumps(chain))
+    code, payload, _ = invoke(capsys, "chain", "--chain", str(path), "--target", "[1, 0]")
+    assert (code, payload) == (1, {"verdict": "NONE", "reachable": [[0, 1], [0, 3]]})

@@ -1,39 +1,78 @@
-"""The compiled (int-indexed, bitmask) group form against GroupElem oracles."""
+"""Int element values and bitmask sets against coordinate-tuple and GroupElem oracles."""
 
 from __future__ import annotations
+
+import functools
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gammapath.chains import CycleChain, reachable_weights, reroute_to_weight
-from gammapath.errors import InternalInvariantError
-from gammapath.groups import CompiledGroup, CyclicProduct, find_bad_pair, iter_abelian_groups, sumset
+from gammapath.errors import GroupMismatchError, InternalInvariantError
+from gammapath.groups import CyclicProduct, FiniteGroup, find_bad_pair, iter_abelian_groups, sumset
 
 from util import (
+    INTS,
     Z,
+    coordinate_tuples,
     make_q8,
     make_s3,
     oracle_find_bad_pair,
     oracle_reachable_weights,
     oracle_reroute_subset,
+    tuple_add,
+    tuple_neg,
 )
 
 ORACLE_GROUPS = [*iter_abelian_groups(32), make_s3(), make_q8()]
 SMALL_GROUPS = [Z(7), Z(2, 4), make_s3()]
 
 
+def _written_forms(group):
+    """Each value's written form (coordinate tuple or table index), with add and neg on those forms."""
+    if isinstance(group, CyclicProduct):
+        return coordinate_tuples(group), functools.partial(tuple_add, group), functools.partial(tuple_neg, group)
+    table = group.table
+    return list(range(group.order)), lambda a, b: table[a][b], lambda a: table[a].index(group.identity)
+
+
 @pytest.mark.parametrize("group", ORACLE_GROUPS, ids=lambda g: g.name)
 def test_compiled_arithmetic_matches_group_elements(group):
-    c = group.compiled()
-    assert group.compiled() is c
-    assert list(c.elems) == sorted(group.elements(), key=group.elem_sort_key)
-    assert all(c.index[e] == i for i, e in enumerate(c.elems))
-    assert c.elems[c.zero] == group.zero()
-    for i, a in enumerate(c.elems):
-        assert c.elems[c.neg(i)] == -a
-        for j, b in enumerate(c.elems):
-            assert c.elems[c.add(i, j)] == a + b
+    written, add, neg = _written_forms(group)
+    elems = group.elements()
+    assert [e.value for e in elems] == list(range(group.order))
+    assert sorted(elems, key=group.elem_sort_key) == elems
+    assert group.element(written[group.zero().value]) == group.zero()
+    for i, (a, w) in enumerate(zip(elems, written)):
+        assert type(a.value) is int
+        assert group.element(w) == a
+        assert a.to_json() == (list(w) if isinstance(w, tuple) else w)
+        assert group.elem_from_json(a.to_json()) == a
+        assert repr(a) == f"<{w!r} in {group.name}>"
+        assert (-a).value == group._neg(i)
+        assert written[group._neg(i)] == neg(w)
+        for j, (b, v) in enumerate(zip(elems, written)):
+            total = a + b
+            assert total.value == group._add(i, j)
+            assert written[total.value] == add(w, v)
+
+
+def test_written_forms_are_pinned():
+    assert repr(Z(2, 2).element((1, 0))) == "<(1, 0) in Z/2xZ/2>"
+    assert Z(3, 4).element((2, 1)).value == 9 and Z(3, 4).element((-1, 5)).value == 9
+    trivial = CyclicProduct(())
+    assert trivial.elements() == [trivial.zero()] == [trivial.element(())]
+    assert trivial.zero().value == 0 and trivial.zero().to_json() == []
+    assert repr(trivial.zero()) == "<() in trivial>"
+    assert repr(make_s3().zero()) == f"<{make_s3().identity} in S3>"
+    for value in (0, 7, -7, 10**30):
+        e = INTS.element(value)
+        assert type(e.value) is int and e.to_json() == str(value) and repr(e) == f"<{value} in Z>"
+    message = "element <(1,) in Z/4> does not belong to Z/2xZ/2"
+    with pytest.raises(GroupMismatchError, match=re.escape(message)):
+        Z(2, 2).element(Z(4).element(1))
 
 
 @pytest.mark.parametrize("group", ORACLE_GROUPS, ids=lambda g: g.name)
@@ -77,13 +116,13 @@ def test_chain_dp_matches_object_oracle(which, data):
 
 
 def test_dropped_element_in_the_int_dp_is_caught(monkeypatch):
-    translate = CompiledGroup.translate
+    translate = FiniteGroup.translate
 
     def lossy(self, d, mask):
         out = translate(self, d, mask)
         return out & (out - 1)  # drops the lowest element
 
-    monkeypatch.setattr(CompiledGroup, "translate", lossy)
+    monkeypatch.setattr(FiniteGroup, "translate", lossy)
     chain = CycleChain.abstract(Z(7), 0, [1, 2, 3])
     with pytest.raises(InternalInvariantError):
         reachable_weights(chain)

@@ -82,7 +82,7 @@ def test_quotient_gadget_labels():
     labels = {}
     for e in gadget.graph.edges:
         key = tuple(sorted((e.u, e.v)))
-        labels[key] = e.label.value[0]
+        labels[key] = e.label.to_json()[0]
     assert labels[("u1", "v1_1")] == 1
     assert labels[("v1_2", "w1")] == 3  # g2 - g1
     assert labels[("v1_1", "v1_2")] == 4  # g2 on the top row
@@ -117,7 +117,7 @@ def test_subgroup_escape_gadget_labels():
     labels = {}
     for e in gadget.graph.edges:
         key = tuple(sorted((e.u, e.v)))
-        labels[key] = e.label.value[0]
+        labels[key] = e.label.to_json()[0]
     assert labels[("u1", "v1_1")] == 3  # ell - g
     assert labels[("v1_1", "v1_2")] == 2  # g on the top row
     assert labels[("v1_2", "w1")] == 0

@@ -190,7 +190,7 @@ def test_shift_examples():
     same = tri.shift("a", z2.zero())
     assert [e.label for e in same.edges] == [e.label for e in tri.edges]
     shifted = tri.shift("c", z2.element(1))
-    assert [e.label.value for e in shifted.edges] == [(1,), (1,), (1,)]
+    assert [e.label for e in shifted.edges] == [z2.element(1)] * 3
     z4 = Z(4)
     g = undirected(z4, [("a", "b", 1), ("b", "c", 3)], ["a"])
     twice = g.shift("b", z4.element(2)).shift("b", z4.element(2))
@@ -376,7 +376,7 @@ def test_three_blocks_with_parallel_edges():
     assert abn
     for block in abn:
         ab_labels = sorted(
-            e.label.value[0] for e in block.block_graph.edges if {e.u, e.v} == {"a", "b"}
+            e.label.to_json()[0] for e in block.block_graph.edges if {e.u, e.v} == {"a", "b"}
         )
         # distinct parallel weights become distinct block edges
         assert 1 in ab_labels and 3 in ab_labels
@@ -513,7 +513,7 @@ def test_fan_extraction_triangle():
     path = nonzero_terminal_path_from_fans(g, ("c1", "c2", "c3", "c1"), (0, 1, 2), fans)
     path.validate(g)
     assert path.weight != z3.zero()
-    assert path.weight.value in {(1,), (2,)}
+    assert path.weight in {z3.element(1), z3.element(2)}
 
 
 def test_fan_extraction_z2_arcs():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -202,6 +203,36 @@ def test_solvers_on_odd_cycle_conflicts():
         assert cover & set(m.vertices)
 
 
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_solvers_search_deeper_than_the_python_stack():
+    # a 5-cycle of conflicts gives each solver's bound one unit of slack, so
+    # the search dives one level per path center or singleton before it stops
+    from gammapath.graphs import PathWitness
+
+    zero = Z(2).zero()
+    cycle = [PathWitness((f"p{i}", f"q{i}", f"p{(i + 1) % 5}"), ("a", "b"), zero) for i in range(5)]
+    k = 300
+    # consecutive members share a vertex: a path of 2k+1 conflicts, packing k+1
+    chain = [PathWitness((f"x{i}", f"m{i}", f"x{i + 1}"), ("a", "b"), zero) for i in range(2 * k + 1)]
+    singles = [PathWitness((i,), (), zero, trivial=True) for i in range(k)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        nu, packing = max_packing(chain + cycle)
+        tau, cover = min_cover(singles + cycle)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert nu == len(packing) == k + 3
+    assert all(not set(p.vertices) & set(q.vertices) for p, q in itertools.combinations(packing, 2))
+    assert tau == len(cover) == k + 3
+
+
 def test_family_size_limit():
     z2 = Z(2)
     edges = [(u, v, 0) for u, v in itertools.combinations(range(8), 2)]
@@ -214,7 +245,7 @@ def test_reduce_weight_example():
     z9 = Z(9)
     g = undirected(z9, [("a", "x", 2), ("x", "b", 1)], ["a", "b"])
     out = reduce_weight_to_zero(g, z9.element(3), z9.element(6))
-    assert [e.label.value for e in out.edges] == [(5,), (4,)]
+    assert [e.label for e in out.edges] == [z9.element(5), z9.element(4)]
     before = enumerate_terminal_paths(g, weight=z9.element(3))
     after = enumerate_terminal_paths(out, weight=z9.zero())
     assert [p.vertices for p in before] == [p.vertices for p in after]

@@ -47,7 +47,25 @@ def make_q8() -> CayleyGroup:
     return CayleyGroup(table, identity=0, name="Q8")
 
 
-# --- object-level oracles for the compiled fast paths -----------------------
+# --- coordinate-tuple arithmetic: the oracle for int element values --------
+
+
+def coordinate_tuples(group) -> list[tuple]:
+    """Every coordinate tuple of a cyclic product, in lexicographic order."""
+    return list(itertools.product(*(range(n) for n in group.orders)))
+
+
+def tuple_add(group, a: tuple, b: tuple) -> tuple:
+    """a + b on coordinate tuples of a cyclic product."""
+    return tuple((x + y) % n for x, y, n in zip(a, b, group.orders))
+
+
+def tuple_neg(group, a: tuple) -> tuple:
+    """-a on a coordinate tuple of a cyclic product."""
+    return tuple((-x) % n for x, n in zip(a, group.orders))
+
+
+# --- object-level oracles for the int and bitmask fast paths -----------------
 
 
 def _object_cyclic_subgroup(e) -> set:
