@@ -1,6 +1,13 @@
 """Packing and covering of weighted terminal-linking paths in labelled graphs."""
 
-from .chains import CycleChain, reachable_weights, reroute_to_weight, sharpness_witness, zero_path_from_chain
+from .chains import (
+    CycleChain,
+    reachable_mask,
+    reachable_weights,
+    reroute_to_weight,
+    sharpness_witness,
+    zero_path_from_chain,
+)
 from .errors import (
     DEFAULT_LIMITS,
     GammapathError,

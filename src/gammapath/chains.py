@@ -129,26 +129,31 @@ class Reroute:
     path: PathWitness | None
 
 
-def _suffix_sums(chain: CycleChain) -> list[int]:
+def _suffix_sums(group: GroupSpec, deltas) -> list[int]:
     """Subset-sum DP on element masks, one bound-checked sumset per detour.
 
-    suffix[i] is the bitmask of the sums d_j1 + ... + d_jk, added left to right,
-    over i <= j1 < ... < jk; the empty sum is included.
+    deltas are element values.  suffix[i] is the bitmask of the sums
+    d_j1 + ... + d_jk, added left to right, over i <= j1 < ... < jk; the empty
+    sum is included.
     """
-    group = chain.group
     unit = 1 << group.zero().value
-    suffix = [unit] * (chain.length + 1)
-    for i in range(chain.length - 1, -1, -1):
-        suffix[i] = group.sumset(unit | 1 << chain.deltas[i].value, suffix[i + 1])
+    suffix = [unit] * (len(deltas) + 1)
+    for i in range(len(deltas) - 1, -1, -1):
+        suffix[i] = group.sumset(unit | 1 << deltas[i], suffix[i + 1])
     return suffix
+
+
+def reachable_mask(group: GroupSpec, core: int, deltas) -> int:
+    """Bitmask of the weights attainable from core value and delta values."""
+    if not group.is_finite:
+        raise PreconditionFailed("reachability needs a finite group")
+    return group.translate(core, _suffix_sums(group, deltas)[0])
 
 
 def reachable_weights(chain: CycleChain) -> frozenset[GroupElem]:
     """All weights attainable by switching any subset of detours on."""
-    group = chain.group
-    if not group.is_finite:
-        raise PreconditionFailed("reachability needs a finite group")
-    return group.from_mask(group.translate(chain.core_weight.value, _suffix_sums(chain)[0]))
+    deltas = [d.value for d in chain.deltas]
+    return chain.group.from_mask(reachable_mask(chain.group, chain.core_weight.value, deltas))
 
 
 def reroute_to_weight(chain: CycleChain, target) -> Reroute | None:
@@ -162,7 +167,7 @@ def reroute_to_weight(chain: CycleChain, target) -> Reroute | None:
     if not group.is_finite:
         raise PreconditionFailed("rerouting needs a finite group")
     target = group.element(target)
-    suffix = _suffix_sums(chain)
+    suffix = _suffix_sums(group, [d.value for d in chain.deltas])
     add, neg, goal = group._add, group._neg, target.value
     acc = chain.core_weight.value
     # acc + rest = goal needs rest = -acc + goal among the suffix sums

@@ -61,12 +61,12 @@ def _first_zero_path_disjoint_from(graph: LabelledGraph, blocked: set | frozense
     zero = graph.group.zero()
     sources = [a for a in sorted(graph.terminals, key=vertex_key) if a not in blocked]
     for vertices, edge_ids, w in search_paths(
-        graph, sources, graph.terminals, _from_smaller_end,
+        graph, sources, graph.terminals, _from_smaller_end(graph),
         forbidden=blocked, max_len=limits.max_len, max_count=limits.max_paths,
         cut="path length while certifying zero-path absence",
     ):
-        if w == zero:
-            return PathWitness(vertices, edge_ids, w)
+        if w == zero.value:
+            return PathWitness(vertices, edge_ids, zero)
     return None
 
 

@@ -91,6 +91,16 @@ class LabelledGraph:
         for v in adj:
             adj[v].sort(key=lambda pair: (vertex_key(pair[1]), _eid_key(pair[0].eid)))
         self._adj = adj
+        # the path kernel's step table: (edge id, next vertex, step value); the step
+        # is negated when it enters the edge's tail, which only directed edges have
+        neg = group._neg
+        self._steps = {
+            v: tuple((e.eid, y, neg(e.label.value) if y == e.tail else e.label.value) for e, y in pairs)
+            for v, pairs in adj.items()
+        }
+        # vertices and edges are sorted, so index ranks order them as their keys do
+        self._rank = {v: i for i, v in enumerate(self.vertices)}
+        self._erank = {e.eid: i for i, e in enumerate(self.edges)}
 
     @classmethod
     def build(cls, group, model, edges, terminals=(), extra_vertices=()):
@@ -196,12 +206,6 @@ class PathWitness:
     def endpoints(self) -> tuple:
         return (self.vertices[0], self.vertices[-1])
 
-    def sort_key(self):
-        return (
-            tuple(vertex_key(v) for v in self.vertices),
-            tuple(_eid_key(e) for e in self.edge_ids),
-        )
-
     def reversed(self, graph: LabelledGraph) -> "PathWitness":
         return PathWitness(
             tuple(reversed(self.vertices)),
@@ -289,16 +293,17 @@ def search_paths(
     max_len: int,
     max_count: int,
     cut: str,
-) -> Iterator[tuple[tuple, tuple, GroupElem]]:
+) -> Iterator[tuple[tuple, tuple, int]]:
     """Simple paths from each source, in turn, that end at their first stop vertex.
 
     Depth-first in adjacency order, on an explicit stack.  A neighbour is
     checked in this order: forbidden vertices are skipped; a stop vertex ends
-    the path, which is yielded as (vertices, edge ids, weight) when
+    the path, which is yielded as (vertices, edge ids, weight value) when
     accept(prefix vertices, prefix edge ids, end, last edge id) holds; any
-    other unused vertex extends it.  The weight is summed left to right as
-    vertices are pushed, each label negated when the edge is traversed
-    against its orientation in the directed model.
+    other unused vertex extends it.  The weight is an element value, summed
+    left to right with `group._add` over the graph's step table as vertices
+    are pushed; a step is the label's value, negated when the edge is
+    traversed against its orientation in the directed model.
 
     The search owns its limits.  Accepted paths beyond max_count raise
     LimitExceeded("enumerated paths", max_count).  Paths longer than max_len
@@ -306,27 +311,27 @@ def search_paths(
     raises LimitExceeded(cut, max_len), since its results may be incomplete;
     a caller that stops at its first hit never reaches that end.
     """
-    directed = graph.model == DIRECTED
-    zero = graph.group.zero()
+    add = graph.group._add
+    steps = graph._steps
+    zero = graph.group.zero().value
     found = 0
     truncated = False
     for source in sources:
         path, edges, weights, used = [source], [], [zero], {source}
-        frames = [iter(graph.incident(source))]
+        frames = [iter(steps[source])]
         while frames:
             budget = max_len - len(edges)
-            for e, nxt in frames[-1]:
+            for eid, nxt, step in frames[-1]:
                 if nxt in forbidden:
                     continue
                 if nxt in stop:
                     if budget < 1:
                         truncated = True
-                    elif accept(path, edges, nxt, e.eid):
+                    elif accept(path, edges, nxt, eid):
                         found += 1
                         if found > max_count:
                             raise LimitExceeded("enumerated paths", max_count)
-                        step = -e.label if directed and e.sign_into(nxt) < 0 else e.label
-                        yield tuple(path) + (nxt,), tuple(edges) + (e.eid,), weights[-1] + step
+                        yield tuple(path) + (nxt,), tuple(edges) + (eid,), add(weights[-1], step)
                     continue
                 if nxt in used:
                     continue
@@ -334,12 +339,11 @@ def search_paths(
                 if budget < 2:
                     truncated = True
                     continue
-                step = -e.label if directed and e.sign_into(nxt) < 0 else e.label
                 path.append(nxt)
-                edges.append(e.eid)
-                weights.append(weights[-1] + step)
+                edges.append(eid)
+                weights.append(add(weights[-1], step))
                 used.add(nxt)
-                frames.append(iter(graph.incident(nxt)))
+                frames.append(iter(steps[nxt]))
                 break
             else:
                 frames.pop()
@@ -350,9 +354,10 @@ def search_paths(
         raise LimitExceeded(cut, max_len)
 
 
-def _from_smaller_end(path: list, edges: list, end, eid) -> bool:
-    """Accept each terminal path once, traversed from its smaller endpoint."""
-    return vertex_key(end) > vertex_key(path[0])
+def _from_smaller_end(graph: LabelledGraph) -> Callable[[list, list, object, object], bool]:
+    """The accept that takes each terminal path once, from its smaller endpoint."""
+    rank = graph._rank
+    return lambda path, edges, end, eid: rank[end] > rank[path[0]]
 
 
 def enumerate_terminal_paths(
@@ -372,39 +377,42 @@ def enumerate_terminal_paths(
     if weight is not None and nonzero:
         raise ValueError("choose at most one filter")
     tset = graph.terminals if terminals is None else frozenset(terminals)
-    zero = graph.group.zero()
+    group = graph.group
+    zero = group.zero().value
     if weight is not None:
-        weight = graph.group.element(weight)
+        weight = group.element(weight)
+    directed = graph.model == DIRECTED
     out = []
     sources = [a for a in sorted(tset, key=vertex_key) if a in graph]
     for vertices, edge_ids, w in search_paths(
-        graph, sources, tset, _from_smaller_end, max_len=limits.max_len, max_count=limits.max_paths,
-        cut="path length during exhaustive enumeration",
+        graph, sources, tset, _from_smaller_end(graph), max_len=limits.max_len,
+        max_count=limits.max_paths, cut="path length during exhaustive enumeration",
     ):
         if weight is not None:
-            if w == weight:
-                out.append(PathWitness(vertices, edge_ids, w))
-            elif graph.model == DIRECTED and -w == weight:
+            if w == weight.value:
+                out.append(PathWitness(vertices, edge_ids, weight))
+            elif directed and group._neg(w) == weight.value:
                 out.append(
                     PathWitness(tuple(reversed(vertices)), tuple(reversed(edge_ids)), weight)
                 )
             continue
         if nonzero and w == zero:
             continue
-        out.append(PathWitness(vertices, edge_ids, w))
-    out.sort(key=PathWitness.sort_key)
+        out.append(PathWitness(vertices, edge_ids, GroupElem(group, w)))
+    rank, erank = graph._rank, graph._erank
+    out.sort(key=lambda p: ([rank[v] for v in p.vertices], [erank[e] for e in p.edge_ids]))
     return tuple(out)
 
 
 def iter_simple_cycles(
     graph: LabelledGraph, cycle_cap: int
-) -> Iterator[tuple[tuple, tuple, GroupElem]]:
-    """All simple cycles (vertices, edge ids, weight), each edge set exactly once.
+) -> Iterator[tuple[tuple, tuple, int]]:
+    """All simple cycles (vertices, edge ids, weight value), each edge set exactly once.
 
     A cycle is closed at its smallest vertex and traversed in the first
     direction the search meets; cycles of two parallel edges are included.
-    The weight is that traversal's walk weight, so in the orientation-free
-    model it is the plain label sum.
+    The weight is the value of that traversal's walk weight, so in the
+    orientation-free model it is the plain label sum.
     """
     emitted: set[frozenset] = set()
 
@@ -469,7 +477,7 @@ def is_gamma_bipartite(graph: LabelledGraph, cycle_cap: int | None = None) -> bo
     if _potential_certificate(graph) is not None:
         return True
     cap = DEFAULT_LIMITS.cycle_cap if cycle_cap is None else cycle_cap
-    zero = graph.group.zero()
+    zero = graph.group.zero().value
     for _, _, w in iter_simple_cycles(graph, cap):
         if w != zero:
             return False
@@ -666,20 +674,18 @@ def three_blocks(graph: LabelledGraph, limits: Limits = DEFAULT_LIMITS) -> list[
 
 def _block_path_weights(graph, bset, limits) -> dict[tuple, list[GroupElem]]:
     """Distinct weights realized by block-internal-free paths, per vertex pair."""
-    seen: dict[tuple, set] = {}
-    by_pair: dict[tuple, list[GroupElem]] = {}
+    group = graph.group
+    by_pair: dict[tuple, set[int]] = {}
     for vertices, _, w in search_paths(
-        graph, sorted(bset, key=vertex_key), bset, _from_smaller_end,
+        graph, sorted(bset, key=vertex_key), bset, _from_smaller_end(graph),
         max_len=limits.max_len, max_count=limits.max_paths,
         cut="path length during block-weight enumeration",
     ):
-        pair = (vertices[0], vertices[-1])
-        if w not in seen.setdefault(pair, set()):
-            seen[pair].add(w)
-            by_pair.setdefault(pair, []).append(w)
-    for weights in by_pair.values():
-        weights.sort(key=graph.group.elem_sort_key)
-    return by_pair
+        by_pair.setdefault((vertices[0], vertices[-1]), set()).add(w)
+    return {
+        pair: sorted((GroupElem(group, w) for w in weights), key=group.elem_sort_key)
+        for pair, weights in by_pair.items()
+    }
 
 
 def _bridges(graph: LabelledGraph, bset: set) -> tuple[Bridge, ...]:

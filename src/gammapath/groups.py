@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -124,7 +125,7 @@ class GroupElem:
 
 
 class GroupSpec:
-    """Shared interface of the three group kinds."""
+    """Shared interface of the three group kinds; each has `_add`/`_neg` on element values."""
 
     kind: str
     name: str
@@ -233,8 +234,11 @@ class FiniteGroup(GroupSpec):
     def sumset(self, xs: int, ys: int) -> int:
         """Bitmask of {x + y}; checks the prime-field lower bound when it applies."""
         out = 0
-        for x in _bits(xs):
-            out |= self.translate(x, ys)
+        rest = xs
+        while rest:
+            low = rest & -rest
+            out |= self.translate(low.bit_length() - 1, ys)
+            rest ^= low
         if self.prime is not None and xs and ys:
             size = out.bit_count()
             if size < min(xs.bit_count() + ys.bit_count() - 1, self.prime):
@@ -428,6 +432,8 @@ class IntegerGroup(GroupSpec):
     is_abelian = True
     is_finite = False
     name = "Z"
+    _add = staticmethod(operator.add)
+    _neg = staticmethod(operator.neg)
 
     def __eq__(self, other):
         return isinstance(other, IntegerGroup)

@@ -21,7 +21,7 @@ from .graphs import (
     enumerate_terminal_paths,
     vertex_key,
 )
-from .groups import GroupElem
+from .groups import GroupElem, _bits
 
 
 WEIGHT = "weight"
@@ -129,30 +129,25 @@ def max_packing(
     n = len(members)
     if n == 0:
         return 0, ()
-    vidx: dict = {}
-    masks = []
-    for m in members:
-        mask = 0
+    # bit i of through[v] is set when member i passes through v
+    through: dict = {}
+    for i, m in enumerate(members):
         for v in m.vertices:
-            if v not in vidx:
-                vidx[v] = len(vidx)
-            mask |= 1 << vidx[v]
-        masks.append(mask)
+            through[v] = through.get(v, 0) | 1 << i
     conflict = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if masks[i] & masks[j]:
-                conflict[i] |= 1 << j
-                conflict[j] |= 1 << i
+    for i, m in enumerate(members):
+        for v in m.vertices:
+            conflict[i] |= through[v]
+        conflict[i] &= ~(1 << i)
 
     # greedy seed: scan members by increasing conflict count
-    order = sorted(range(n), key=lambda i: (bin(conflict[i]).count("1"), i))
+    order = sorted(range(n), key=lambda i: (conflict[i].bit_count(), i))
     best_set: list[int] = []
-    taken_mask = 0
+    taken = 0
     for i in order:
-        if not masks[i] & taken_mask:
+        if not conflict[i] & taken:
             best_set.append(i)
-            taken_mask |= masks[i]
+            taken |= 1 << i
     best = len(best_set)
     best_choice = tuple(sorted(best_set))
 
@@ -196,14 +191,14 @@ def max_packing(
         rest = free
         while rest:
             i = (rest & -rest).bit_length() - 1
-            deg = bin(conflict[i] & free).count("1")
+            deg = (conflict[i] & free).bit_count()
             if deg > pick_deg:
                 pick, pick_deg = i, deg
             rest &= rest - 1
         if pick_deg == 0:
             # all remaining are pairwise disjoint
             rest = free
-            count = bin(free).count("1")
+            count = free.bit_count()
             if len(chosen) + count > best:
                 sel = chosen[:]
                 while rest:
@@ -231,8 +226,14 @@ def min_cover(
     members = _family(spec, limits)
     if not members:
         return 0, frozenset()
-    vsets = [tuple(sorted(set(m.vertices), key=vertex_key)) for m in members]
+    # each vertex's sort key, computed once
+    keys = {v: vertex_key(v) for m in members for v in m.vertices}
+    vsets = [tuple(sorted(set(m.vertices), key=keys.__getitem__)) for m in members]
     order = sorted(range(len(vsets)), key=lambda i: (len(vsets[i]), i))
+    # vertex sets as bitmasks, bit k for the k-th vertex met
+    bit = {v: 1 << k for k, v in enumerate(keys)}
+    vmask = [sum(bit[v] for v in vs) for vs in vsets]
+    by_bit = list(keys)
 
     # greedy upper bound: repeatedly take the vertex hitting most uncovered members
     cover: set = set()
@@ -242,36 +243,37 @@ def min_cover(
         for i in uncovered:
             for v in vsets[i]:
                 counts[v] = counts.get(v, 0) + 1
-        v = min(counts, key=lambda x: (-counts[x], vertex_key(x)))
+        v = min(counts, key=lambda x: (-counts[x], keys[x]))
         cover.add(v)
         uncovered = {i for i in uncovered if v not in vsets[i]}
     best = len(cover)
     best_cover = frozenset(cover)
 
     def disjoint_bound(uncovered_ids: list[int]) -> int:
-        used: set = set()
+        used = 0
         count = 0
         for i in uncovered_ids:
-            s = vsets[i]
-            if not used.intersection(s):
-                used.update(s)
+            if not vmask[i] & used:
+                used |= vmask[i]
                 count += 1
         return count
 
-    # depth-first on an explicit stack, children in vertex order; a state is
-    # checked against the bound when it is popped, as on entry to a call
-    stack: list[frozenset] = [frozenset()]
+    # depth-first on an explicit stack of chosen-vertex masks, children in
+    # vertex order; a state is checked against the bound when it is popped,
+    # as on entry to a call
+    stack = [0]
     while stack:
         chosen = stack.pop()
-        uncovered_ids = [i for i in order if not chosen.intersection(vsets[i])]
+        size = chosen.bit_count()
+        uncovered_ids = [i for i in order if not vmask[i] & chosen]
         if not uncovered_ids:
-            if len(chosen) < best:
-                best = len(chosen)
-                best_cover = chosen
+            if size < best:
+                best = size
+                best_cover = frozenset(by_bit[k] for k in _bits(chosen))
             continue
-        if len(chosen) + disjoint_bound(uncovered_ids) >= best:
+        if size + disjoint_bound(uncovered_ids) >= best:
             continue
-        stack.extend(chosen | {v} for v in reversed(vsets[uncovered_ids[0]]))
+        stack.extend(chosen | bit[v] for v in reversed(vsets[uncovered_ids[0]]))
 
     _verify_cover(members, best_cover)
     return best, best_cover

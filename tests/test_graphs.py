@@ -143,10 +143,10 @@ def test_enumerate_matches_networkx_on_random_simple_graphs():
         sources = [a for a in sorted(terminals) if a not in blocked]
         found = []
         for vs, es, w in search_paths(
-            g, sources, g.terminals, _from_smaller_end,
+            g, sources, g.terminals, _from_smaller_end(g),
             forbidden=blocked, max_len=n, max_count=10_000, cut="path length",
         ):
-            assert w == walk_weight(g, vs, es)
+            assert w == walk_weight(g, vs, es).value
             found.append(vs)
         assert len(found) == len(set(found))
         h.remove_nodes_from(blocked)

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from gammapath.errors import Limits, LimitExceeded, PreconditionFailed
+from gammapath.gadgets import build_integer_gadget, build_quotient_gadget, build_subgroup_escape_gadget
 from gammapath.graphs import DIRECTED, UNDIRECTED, LabelledGraph, enumerate_terminal_paths
 from gammapath.packing import (
     ABA,
@@ -21,7 +22,7 @@ from gammapath.packing import (
     reduce_weight_to_zero,
 )
 
-from util import Z, naive_max_packing, naive_min_cover
+from util import Z, naive_max_packing, naive_min_cover, oracle_max_packing, oracle_min_cover
 
 
 def undirected(group, edges, terminals, extra=()):
@@ -164,6 +165,40 @@ def test_solvers_match_naive_oracles_on_random_instances():
         assert max_packing(members)[0] == naive_max_packing(members)
         assert min_cover(members)[0] == naive_min_cover(members)
     assert checked >= 40
+
+
+def test_bitmask_solvers_match_the_pre_change_solvers():
+    # same sizes and byte-identical certificates as the pairwise-scan solvers
+    rng = random.Random(29)
+    trivial = 0
+    for _ in range(240):
+        group = rng.choice([Z(2), Z(3), Z(4)])
+        g = _random_instance(rng, group, rng.choice([DIRECTED, UNDIRECTED]), n_max=11)
+        kind = rng.choice([WEIGHT, NONZERO, ODD, ABA])
+        if kind == WEIGHT:
+            spec = PathFamilySpec(WEIGHT, g, weight=rng.choice(group.elements()))
+        elif kind == ABA:
+            # a terminal in the through-set gives a trivial member
+            through = rng.sample(sorted(g.terminals), rng.randint(0, 1)) + rng.sample(g.vertices, 2)
+            spec = PathFamilySpec(ABA, g, through=frozenset(through))
+        else:
+            spec = PathFamilySpec(kind, g)
+        members = spec.members()
+        trivial += any(m.trivial for m in members)
+        assert max_packing(members) == oracle_max_packing(members)
+        assert min_cover(members) == oracle_min_cover(members)
+    assert trivial >= 20
+    # gadget families branch past the greedy seed, where tie-breaks pick the certificate
+    for n in (2, 3):
+        for gadget in (
+            build_integer_gadget(n, 0),
+            build_subgroup_escape_gadget(n, Z(4), 1, 2),
+            build_quotient_gadget(n, Z(8), 1, 4),
+        ):
+            for kind in (ODD, NONZERO):
+                members = PathFamilySpec(kind, gadget.graph).members()
+                assert max_packing(members) == oracle_max_packing(members)
+                assert min_cover(members) == oracle_min_cover(members)
 
 
 def test_packing_never_exceeds_cover():

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 
+from gammapath.errors import InternalInvariantError, LimitExceeded
+from gammapath.graphs import DIRECTED, _eid_key, vertex_key
 from gammapath.groups import CayleyGroup, CyclicProduct, IntegerGroup
 from gammapath.harness import make_s3, naive_max_packing, naive_min_cover  # noqa: F401
 
@@ -141,3 +143,194 @@ def oracle_is_three_connected(graph) -> bool:
             if len(graph.component_of(start, forbidden=frozenset(cut))) != len(graph.vertices) - r:
                 return False
     return True
+
+
+# --- the GroupElem path kernel: the oracle for the int kernel ----------------
+
+
+def oracle_from_smaller_end(path, edges, end, eid) -> bool:
+    """Accept each terminal path once, traversed from its smaller endpoint by vertex_key."""
+    return vertex_key(end) > vertex_key(path[0])
+
+
+def oracle_search_paths(graph, sources, stop, accept, *, forbidden=frozenset(), max_len, max_count, cut):
+    """search_paths summing GroupElem labels over graph.incident, as it was before the int kernel."""
+    directed = graph.model == DIRECTED
+    zero = graph.group.zero()
+    found = 0
+    truncated = False
+    for source in sources:
+        path, edges, weights, used = [source], [], [zero], {source}
+        frames = [iter(graph.incident(source))]
+        while frames:
+            budget = max_len - len(edges)
+            for e, nxt in frames[-1]:
+                if nxt in forbidden:
+                    continue
+                if nxt in stop:
+                    if budget < 1:
+                        truncated = True
+                    elif accept(path, edges, nxt, e.eid):
+                        found += 1
+                        if found > max_count:
+                            raise LimitExceeded("enumerated paths", max_count)
+                        step = -e.label if directed and e.sign_into(nxt) < 0 else e.label
+                        yield tuple(path) + (nxt,), tuple(edges) + (e.eid,), weights[-1] + step
+                    continue
+                if nxt in used:
+                    continue
+                if budget < 2:
+                    truncated = True
+                    continue
+                step = -e.label if directed and e.sign_into(nxt) < 0 else e.label
+                path.append(nxt)
+                edges.append(e.eid)
+                weights.append(weights[-1] + step)
+                used.add(nxt)
+                frames.append(iter(graph.incident(nxt)))
+                break
+            else:
+                frames.pop()
+                used.discard(path.pop())
+                weights.pop()
+                del edges[-1:]
+    if truncated:
+        raise LimitExceeded(cut, max_len)
+
+
+def oracle_path_sort_key(p):
+    """The order terminal paths were listed in: vertex keys, then edge-id keys."""
+    return (tuple(vertex_key(v) for v in p.vertices), tuple(_eid_key(e) for e in p.edge_ids))
+
+
+# --- the exact solvers before the bitmask rewrite: oracles for certificates ----
+
+
+def oracle_max_packing(members) -> tuple[int, tuple]:
+    """max_packing with the pairwise conflict scan and bin() counts it had before."""
+    n = len(members)
+    if n == 0:
+        return 0, ()
+    vidx: dict = {}
+    masks = []
+    for m in members:
+        mask = 0
+        for v in m.vertices:
+            if v not in vidx:
+                vidx[v] = len(vidx)
+            mask |= 1 << vidx[v]
+        masks.append(mask)
+    conflict = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if masks[i] & masks[j]:
+                conflict[i] |= 1 << j
+                conflict[j] |= 1 << i
+    order = sorted(range(n), key=lambda i: (bin(conflict[i]).count("1"), i))
+    best_set: list[int] = []
+    taken_mask = 0
+    for i in order:
+        if not masks[i] & taken_mask:
+            best_set.append(i)
+            taken_mask |= masks[i]
+    best = len(best_set)
+    best_choice = tuple(sorted(best_set))
+
+    def bound(free: int) -> int:
+        count = 0
+        rest = free
+        while rest:
+            i = (rest & -rest).bit_length() - 1
+            clique = rest & (conflict[i] | (1 << i))
+            keep = 1 << i
+            cand = clique & ~(1 << i)
+            while cand:
+                j = (cand & -cand).bit_length() - 1
+                if (conflict[j] | (1 << j)) & keep == keep:
+                    keep |= 1 << j
+                cand &= cand - 1
+            rest &= ~keep
+            count += 1
+        return count
+
+    stack: list[tuple[int, list[int]]] = [((1 << n) - 1, [])]
+    while stack:
+        free, chosen = stack.pop()
+        if len(chosen) + bound(free) <= best:
+            continue
+        if not free:
+            if len(chosen) > best:
+                best = len(chosen)
+                best_choice = tuple(sorted(chosen))
+            continue
+        pick = -1
+        pick_deg = -1
+        rest = free
+        while rest:
+            i = (rest & -rest).bit_length() - 1
+            deg = bin(conflict[i] & free).count("1")
+            if deg > pick_deg:
+                pick, pick_deg = i, deg
+            rest &= rest - 1
+        if pick_deg == 0:
+            rest = free
+            count = bin(free).count("1")
+            if len(chosen) + count > best:
+                sel = chosen[:]
+                while rest:
+                    i = (rest & -rest).bit_length() - 1
+                    sel.append(i)
+                    rest &= rest - 1
+                best = len(sel)
+                best_choice = tuple(sorted(sel))
+            continue
+        stack.append((free & ~(1 << pick), chosen))
+        stack.append((free & ~(1 << pick) & ~conflict[pick], chosen + [pick]))
+    return best, tuple(members[i] for i in best_choice)
+
+
+def oracle_min_cover(members) -> tuple[int, frozenset]:
+    """min_cover on frozensets of vertices, as it was before the bitmask rewrite."""
+    if not members:
+        return 0, frozenset()
+    vsets = [tuple(sorted(set(m.vertices), key=vertex_key)) for m in members]
+    order = sorted(range(len(vsets)), key=lambda i: (len(vsets[i]), i))
+    cover: set = set()
+    uncovered = set(range(len(vsets)))
+    while uncovered:
+        counts: dict = {}
+        for i in uncovered:
+            for v in vsets[i]:
+                counts[v] = counts.get(v, 0) + 1
+        v = min(counts, key=lambda x: (-counts[x], vertex_key(x)))
+        cover.add(v)
+        uncovered = {i for i in uncovered if v not in vsets[i]}
+    best = len(cover)
+    best_cover = frozenset(cover)
+
+    def disjoint_bound(uncovered_ids: list[int]) -> int:
+        used: set = set()
+        count = 0
+        for i in uncovered_ids:
+            s = vsets[i]
+            if not used.intersection(s):
+                used.update(s)
+                count += 1
+        return count
+
+    stack: list[frozenset] = [frozenset()]
+    while stack:
+        chosen = stack.pop()
+        uncovered_ids = [i for i in order if not chosen.intersection(vsets[i])]
+        if not uncovered_ids:
+            if len(chosen) < best:
+                best = len(chosen)
+                best_cover = chosen
+            continue
+        if len(chosen) + disjoint_bound(uncovered_ids) >= best:
+            continue
+        stack.extend(chosen | {v} for v in reversed(vsets[uncovered_ids[0]]))
+    for m in members:
+        if not best_cover.intersection(m.vertices):
+            raise InternalInvariantError("claimed cover misses a family member")
+    return best, best_cover
