@@ -154,12 +154,12 @@ class LabelledGraph:
                     stack.append(y)
         return seen
 
-    def components(self) -> list[set]:
-        left = set(self.vertices)
+    def components(self, forbidden=frozenset()) -> list[set]:
+        left = set(self.vertices) - forbidden
         out = []
         while left:
             start = min(left, key=vertex_key)
-            comp = self.component_of(start)
+            comp = self.component_of(start, forbidden)
             out.append(comp)
             left -= comp
         return out
@@ -167,8 +167,11 @@ class LabelledGraph:
     def is_three_connected(self) -> bool:
         """At least 4 vertices and every pair inseparable (Whitney)."""
         n = len(self.vertices)
+        # deleting its at most two neighbours cuts a vertex off from the other n - 3
+        if n < 4 or any(len({y for _, y in self._adj[v]}) <= 2 for v in self.vertices):
+            return False
         masks = _inseparable_masks(self)
-        return n >= 4 and all(m | 1 << i == (1 << n) - 1 for i, m in enumerate(masks))
+        return all(m | 1 << i == (1 << n) - 1 for i, m in enumerate(masks))
 
     def to_json(self) -> dict:
         out = {
@@ -611,10 +614,12 @@ def _inseparable_masks(graph: LabelledGraph) -> list[int]:
                 k = via[head[k ^ 1]]
         return True
 
+    # deleting its at most two neighbours cuts a vertex off from all the others
+    low = [len(x) <= 2 for x in nbrs]
     masks = [0] * n
     for s in range(n):
         for t in range(s + 1, n):
-            if t in nbrs[s] or three_paths(s, t):
+            if t in nbrs[s] or (not (low[s] or low[t]) and three_paths(s, t)):
                 masks[s] |= 1 << t
                 masks[t] |= 1 << s
     return masks
@@ -657,48 +662,60 @@ def three_blocks(graph: LabelledGraph, limits: Limits = DEFAULT_LIMITS) -> list[
     out = []
     for bverts in blocks:
         bset = set(bverts)
-        by_pair = _block_path_weights(graph, bset, limits)
-        edges = []
-        next_id = 0
-        for i, u in enumerate(bverts):
-            for v in bverts[i + 1 :]:
-                for w in by_pair.get((u, v), ()):
-                    edges.append(Edge(f"b{next_id}", u, v, w, None))
-                    next_id += 1
-        block_graph = LabelledGraph(
-            graph.group, UNDIRECTED, bverts, edges, graph.terminals & bset
-        )
-        out.append(ThreeBlock(bverts, block_graph, _bridges(graph, bset)))
+        bridges = _bridges(graph, bset)
+        edges = [
+            Edge(f"b{i}", u, v, w, None)
+            for i, (u, v, w) in enumerate(_block_path_weights(graph, bridges, limits))
+        ]
+        block_graph = LabelledGraph(graph.group, UNDIRECTED, bverts, edges, graph.terminals & bset)
+        out.append(ThreeBlock(bverts, block_graph, bridges))
     return out
 
 
-def _block_path_weights(graph, bset, limits) -> dict[tuple, list[GroupElem]]:
-    """Distinct weights realized by block-internal-free paths, per vertex pair."""
+def _block_path_weights(graph, bridges, limits) -> list[tuple]:
+    """(a, b, weight) for each distinct weight of an a-b path between block
+    vertices whose interior avoids the block, pairs in the bridges' order.
+
+    Such a path lies in one bridge on {a, b}, so one search per attachment
+    pair, confined to its bridges, finds them all; it stops once it has every
+    element of the group.  max_paths counts the paths accepted over all pairs.
+    """
     group = graph.group
-    by_pair: dict[tuple, set[int]] = {}
-    for vertices, _, w in search_paths(
-        graph, sorted(bset, key=vertex_key), bset, _from_smaller_end(graph),
-        max_len=limits.max_len, max_count=limits.max_paths,
-        cut="path length during block-weight enumeration",
-    ):
-        by_pair.setdefault((vertices[0], vertices[-1]), set()).add(w)
-    return {
-        pair: sorted((GroupElem(group, w) for w in weights), key=group.elem_sort_key)
-        for pair, weights in by_pair.items()
-    }
+    confine: dict[tuple, set] = {}
+    for bridge in bridges:
+        if len(bridge.attachments) == 2:
+            confine.setdefault(bridge.attachments, set(bridge.attachments)).update(bridge.vertices)
+    vertices = set(graph.vertices)
+    found = 0
+    out = []
+    for (a, b), allowed in confine.items():
+        weights: set[int] = set()
+        for _, _, w in search_paths(
+            graph, (a,), {b}, lambda *_: True, forbidden=vertices - allowed,
+            max_len=limits.max_len, max_count=limits.max_paths,
+            cut="path length during block-weight enumeration",
+        ):
+            found += 1
+            if found > limits.max_paths:
+                raise LimitExceeded("enumerated paths", limits.max_paths)
+            weights.add(w)
+            if len(weights) == group.order:
+                break
+        elems = sorted((GroupElem(group, w) for w in weights), key=group.elem_sort_key)
+        out += ((a, b, g) for g in elems)
+    return out
 
 
 def _bridges(graph: LabelledGraph, bset: set) -> tuple[Bridge, ...]:
     out = []
-    rest = graph.without_vertices(bset)
-    for comp in rest.components():
+    for comp in graph.components(forbidden=bset):
         attach = set()
-        edge_ids = []
-        for e in graph.edges:
-            endpoints = {e.u, e.v}
-            if endpoints & comp:
-                edge_ids.append(e.eid)
-                attach |= endpoints & bset
+        edge_ids = set()
+        for x in comp:
+            for e, y in graph.incident(x):
+                edge_ids.add(e.eid)
+                if y in bset:
+                    attach.add(y)
         if len(attach) > 2:
             raise InternalInvariantError("bridge with more than two attachments")
         out.append(
@@ -711,7 +728,7 @@ def _bridges(graph: LabelledGraph, bset: set) -> tuple[Bridge, ...]:
     for e in graph.edges:
         if e.u in bset and e.v in bset:
             out.append(Bridge((), tuple(sorted((e.u, e.v), key=vertex_key)), (e.eid,)))
-    out.sort(key=lambda b: (b.attachments and tuple(map(vertex_key, b.attachments)), b.vertices))
+    out.sort(key=lambda b: (tuple(map(vertex_key, b.attachments)), tuple(map(vertex_key, b.vertices))))
     return tuple(out)
 
 

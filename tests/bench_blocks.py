@@ -2,9 +2,15 @@
 
 Times `three_blocks` and `LabelledGraph.is_three_connected` on
 `harness.random_three_connected` graphs over Z/3 (K4 grown by degree-3
-attachments) at 10, 14, 18 and 24 vertices.  The file name matches no
-`test_*.py` pattern, so the Tier-1 run does not collect it.  Run from the
-root of a checkout:
+attachments) at 10, 14, 18 and 24 vertices.  Those graphs are 3-connected,
+so their one block has no bridges and the block-weight search never runs;
+`three_blocks` is therefore also timed on sparse random graphs over Z/3
+(`util.sparse_graph`: a spanning tree plus distinct pairs up to 2n edges),
+whose blocks are mostly joined through bridges, at 14, 18, 22 and 24
+vertices and at 140, the largest size in steps of 20 that took under 1 s
+on the reference machine.
+The file name matches no `test_*.py` pattern, so the Tier-1 run does not
+collect it.  Run from the root of a checkout:
 
     PYTHONPATH=src python -m pytest tests/bench_blocks.py --benchmark-json BENCH_blocks.json
 """
@@ -18,9 +24,10 @@ import pytest
 from gammapath.graphs import three_blocks
 from gammapath.harness import random_three_connected
 
-from util import Z
+from util import Z, sparse_graph
 
 SIZES = (10, 14, 18, 24)
+SPARSE_SIZES = (14, 18, 22, 24, 140)
 
 
 def _graph(n: int):
@@ -34,6 +41,22 @@ def test_three_blocks(benchmark, n):
     benchmark.extra_info.update(vertices=n, edges=len(graph.edges))
     blocks = benchmark(three_blocks, graph)
     assert [b.vertices for b in blocks] == [graph.vertices]
+
+
+@pytest.mark.parametrize("n", SPARSE_SIZES)
+def test_three_blocks_sparse(benchmark, n):
+    graph = sparse_graph(random.Random(n), Z(3), n, 2 * n)
+    blocks = benchmark.pedantic(three_blocks, args=(graph,), rounds=3)
+    assert blocks
+    benchmark.extra_info.update(
+        vertices=n,
+        edges=len(graph.edges),
+        blocks=len(blocks),
+        block_edges=sum(len(k.block_graph.edges) for k in blocks),
+        # bridges with two attachments and interior vertices: the searches that
+        # leave the block
+        searched_bridges=sum(bool(b.vertices) and len(b.attachments) == 2 for k in blocks for b in k.bridges),
+    )
 
 
 @pytest.mark.parametrize("n", SIZES)

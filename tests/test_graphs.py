@@ -31,7 +31,14 @@ from gammapath.graphs import (
     walk_weight,
 )
 
-from util import Z
+from util import (
+    INTS,
+    Z,
+    oracle_block_path_weights,
+    oracle_bridges,
+    random_label,
+    sparse_graph,
+)
 
 
 def undirected(group, edges, terminals, extra=()):
@@ -492,6 +499,98 @@ def test_three_blocks_match_oracle_random():
         g = _random_undirected(rng, z2, rng.randint(4, 9), extra_parallel=False)
         got = {frozenset(b.vertices) for b in three_blocks(g)}
         assert got == _oracle_blocks(g)
+
+
+def _pendants_and_parallels(rng, group, n):
+    """A sparse graph with parallel copies of some edges and pendant paths or
+    cycles, each hanging off one vertex."""
+    edges = [(e.u, e.v, e.label) for e in sparse_graph(rng, group, n, rng.randint(n - 1, 2 * n)).edges]
+    edges += [(u, v, random_label(rng, group)) for u, v, _ in rng.sample(edges, rng.randint(0, 3))]
+    size = n
+    for _ in range(rng.randint(0, 2)):
+        at = rng.randrange(n)
+        length = rng.randint(1, 4)
+        chain = [at, *range(size, size + length)] + ([at] if rng.random() < 0.5 else [])
+        size += length
+        edges += [(x, y, random_label(rng, group)) for x, y in zip(chain, chain[1:])]
+    return undirected(group, edges, [], extra=range(size))
+
+
+@pytest.mark.parametrize("group", [Z(3), Z(2, 2), Z(4), INTS], ids=lambda g: g.name)
+def test_block_weights_match_the_all_paths_oracle(group):
+    rng = random.Random(29)
+    seen = set()
+    for i in range(60):
+        if i % 4 == 3:
+            # the benchmark's blocks shape: 12-14 vertices and 2n edges
+            n = 12 + i % 3
+            g = sparse_graph(rng, group, n, 2 * n)
+        else:
+            g = _pendants_and_parallels(rng, group, rng.randint(4, 9))
+        for block in three_blocks(g):
+            bset = set(block.vertices)
+            assert block.bridges == oracle_bridges(g, bset)
+            weights = oracle_block_path_weights(g, bset, Limits())
+            want = [
+                (u, v, w)
+                for u, v in itertools.combinations(block.vertices, 2)
+                for w in weights.get((u, v), ())
+            ]
+            edges = sorted(block.block_graph.edges, key=lambda e: int(e.eid[1:]))
+            assert [(e.u, e.v, e.label) for e in edges] == want
+            seen.update(len(b.attachments) for b in block.bridges)
+            seen.update("whole group" for w in weights.values() if len(w) == group.order)
+    # the draw has pendant bridges and, for a finite group, pairs that realize all of it
+    assert seen >= {1, 2} | ({"whole group"} if group.is_finite else set())
+
+
+def test_three_blocks_with_mixed_vertex_ids():
+    # K4 on a, b, c, d with two bridges on {a, b}: one through the int vertex 1, one through "x"
+    edges = [(u, v, 0) for u, v in itertools.combinations("abcd", 2)]
+    edges += [("a", 1, 0), (1, "b", 1), ("a", "x", 0), ("x", "b", 0)]
+    blocks = three_blocks(undirected(Z(2), edges, []))
+    assert [b.vertices for b in blocks] == [(1, "a", "b"), ("a", "b", "c", "d"), ("a", "b", "x")]
+    assert [b.vertices for b in blocks[1].bridges if b.vertices] == [(1,), ("x",)]
+    ab = [e.label for e in blocks[1].block_graph.edges if (e.u, e.v) == ("a", "b")]
+    assert ab == [Z(2).element(0), Z(2).element(1)]
+
+
+def test_block_weights_skip_a_bridge_with_one_attachment():
+    # K4 with a 12-cycle through its vertex 0, which no path between block vertices enters
+    ring = [0, *(f"c{i}" for i in range(11)), 0]
+    edges = [(u, v, 1) for u, v in itertools.combinations(range(4), 2)]
+    edges += [(x, y, 1) for x, y in zip(ring, ring[1:])]
+    blocks = three_blocks(undirected(Z(2), edges, []), Limits(max_len=3))
+    assert [b.vertices for b in blocks] == [(0, 1, 2, 3)]
+    assert [b.attachments for b in blocks[0].bridges if b.vertices] == [(0,)]
+    assert [e.label for e in blocks[0].block_graph.edges] == [Z(2).element(1)] * 6
+
+
+def test_block_weights_stop_at_the_whole_group():
+    # K4 on a, b, c, d, two more a-b edges, and the path a-a1-a2-a3-b, which the
+    # search from a enters first and cuts at max_len = 2
+    edges = [(u, v, 0) for u, v in itertools.combinations("abcd", 2)]
+    edges += [("a", "b", 1), ("a", "b", 2)]
+    edges += [("a", "a1", 1), ("a1", "a2", 0), ("a2", "a3", 0), ("a3", "b", 0)]
+    # the direct a-b edges realize all of Z/3, so the cut cannot change the answer
+    blocks = three_blocks(undirected(Z(3), edges, []), Limits(max_len=2))
+    assert [b.vertices for b in blocks] == [("a", "b", "c", "d")]
+    ab = [e.label for e in blocks[0].block_graph.edges if (e.u, e.v) == ("a", "b")]
+    assert ab == [Z(3).element(x) for x in (0, 1, 2)]
+    # over Z/5 the pair stays incomplete, so its search runs to its end and reports the cut
+    with pytest.raises(LimitExceeded) as info:
+        three_blocks(undirected(Z(5), edges, []), Limits(max_len=2))
+    assert str(info.value) == "path length during block-weight enumeration exceeds limit 2"
+
+
+def test_block_weight_path_cap_counts_over_all_pairs():
+    # block {a, b, c} has two a-b paths (the edge and a-d-b) and one path for each other pair
+    edges = [("a", "b", 0), ("a", "c", 0), ("b", "c", 0), ("a", "d", 0), ("b", "d", 0)]
+    g = undirected(Z(2), edges, [])
+    assert [b.vertices for b in three_blocks(g, Limits(max_paths=4))] == [("a", "b", "c"), ("a", "b", "d")]
+    with pytest.raises(LimitExceeded) as info:
+        three_blocks(g, Limits(max_paths=3))
+    assert str(info.value) == "enumerated paths exceeds limit 3"
 
 
 def test_fan_extraction_triangle():

@@ -3,10 +3,20 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 from gammapath.errors import InternalInvariantError, LimitExceeded
-from gammapath.graphs import DIRECTED, _eid_key, vertex_key
-from gammapath.groups import CayleyGroup, CyclicProduct, IntegerGroup
+from gammapath.graphs import (
+    DIRECTED,
+    UNDIRECTED,
+    Bridge,
+    LabelledGraph,
+    _eid_key,
+    _from_smaller_end,
+    search_paths,
+    vertex_key,
+)
+from gammapath.groups import CayleyGroup, CyclicProduct, GroupElem, IntegerGroup
 from gammapath.harness import make_s3, naive_max_packing, naive_min_cover  # noqa: F401
 
 
@@ -334,3 +344,72 @@ def oracle_min_cover(members) -> tuple[int, frozenset]:
         if not best_cover.intersection(m.vertices):
             raise InternalInvariantError("claimed cover misses a family member")
     return best, best_cover
+
+
+# --- block weights by enumerating every path: the oracle for three_blocks ----
+
+
+def oracle_block_path_weights(graph, bset, limits) -> dict[tuple, list[GroupElem]]:
+    """Distinct weights realized by block-internal-free paths, per vertex pair.
+
+    Enumerates every path between two block vertices, from its smaller end;
+    `three_blocks` must realize the same weights with one search per
+    attachment pair.
+    """
+    group = graph.group
+    by_pair: dict[tuple, set[int]] = {}
+    for vertices, _, w in search_paths(
+        graph, sorted(bset, key=vertex_key), bset, _from_smaller_end(graph),
+        max_len=limits.max_len, max_count=limits.max_paths,
+        cut="path length during block-weight enumeration",
+    ):
+        by_pair.setdefault((vertices[0], vertices[-1]), set()).add(w)
+    return {
+        pair: sorted((GroupElem(group, w) for w in weights), key=group.elem_sort_key)
+        for pair, weights in by_pair.items()
+    }
+
+
+def oracle_bridges(graph, bset: set) -> tuple[Bridge, ...]:
+    """The bridges of a block from the components of a copy of the graph without it."""
+    out = []
+    rest = graph.without_vertices(bset)
+    for comp in rest.components():
+        attach = set()
+        edge_ids = []
+        for e in graph.edges:
+            endpoints = {e.u, e.v}
+            if endpoints & comp:
+                edge_ids.append(e.eid)
+                attach |= endpoints & bset
+        if len(attach) > 2:
+            raise InternalInvariantError("bridge with more than two attachments")
+        out.append(
+            Bridge(
+                tuple(sorted(comp, key=vertex_key)),
+                tuple(sorted(attach, key=vertex_key)),
+                tuple(sorted(edge_ids, key=_eid_key)),
+            )
+        )
+    for e in graph.edges:
+        if e.u in bset and e.v in bset:
+            out.append(Bridge((), tuple(sorted((e.u, e.v), key=vertex_key)), (e.eid,)))
+    out.sort(key=lambda b: (b.attachments and tuple(map(vertex_key, b.attachments)), b.vertices))
+    return tuple(out)
+
+
+def random_label(rng: random.Random, group) -> GroupElem:
+    """A uniform element of a finite group, or an integer in [-3, 3]."""
+    if group.is_finite:
+        return rng.choice(group.elements())
+    return group.element(rng.randint(-3, 3))
+
+
+def sparse_graph(rng: random.Random, group, n: int, m: int) -> LabelledGraph:
+    """Undirected graph on 0..n-1: a random spanning tree plus further distinct
+    pairs up to m edges, with random labels and no terminals."""
+    pairs = {(rng.randrange(v), v) for v in range(1, n)}
+    rest = [p for p in itertools.combinations(range(n), 2) if p not in pairs]
+    pairs.update(rng.sample(rest, min(len(rest), m - len(pairs))))
+    edges = [(u, v, random_label(rng, group)) for u, v in sorted(pairs)]
+    return LabelledGraph.build(group, UNDIRECTED, edges, (), extra_vertices=range(n))
