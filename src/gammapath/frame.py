@@ -353,18 +353,14 @@ def frame_pack_or_cover(
         candidate = _first_zero_path_disjoint_from(graph, forest_vertices, limits)
         if candidate is not None:
             add_component(candidate)
-            if debug:
-                for t in trees:
-                    _validate_tree(graph, t, degree)
-            continue
-        attach_found = _first_attach_path(graph, forest_vertices, degree, limits)
-        if attach_found is not None:
+        else:
+            attach_found = _first_attach_path(graph, forest_vertices, degree, limits)
+            if attach_found is None:
+                break
             attach(*attach_found)
-            if debug:
-                for t in trees:
-                    _validate_tree(graph, t, degree)
-            continue
-        break
+        if debug:
+            for t in trees:
+                _validate_tree(graph, t, degree)
 
     if len(trees) >= k:
         chosen = [t.witness for t in trees[:k]]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DEFAULT_LIMITS, Limits, PreconditionFailed
-from .graphs import DIRECTED, UNDIRECTED, Edge, LabelledGraph, vertex_key
+from .graphs import UNDIRECTED, LabelledGraph, vertex_key
 from .groups import GroupElem, GroupSpec, IntegerGroup, subgroup_contains
 from .packing import WEIGHT, PathFamilySpec, max_packing, min_cover
 
@@ -101,16 +101,9 @@ def build_integer_gadget(n: int, ell: int, model: str = UNDIRECTED) -> GridGadge
         return group.zero()
 
     vertices, raw = _grid_edges(n, group, label_of)
-    if model == DIRECTED:
-        edges = []
-        for i, (u, v, lab) in enumerate(raw):
-            # pendants oriented from u_i into the grid and from the grid into w_i;
-            # interior edges oriented from the smaller endpoint
-            tail = u
-            edges.append(Edge(i, u, v, lab, tail))
-        graph = LabelledGraph(group, DIRECTED, vertices, edges, _terminals(n))
-    else:
-        graph = LabelledGraph.build(group, UNDIRECTED, raw, _terminals(n), vertices)
+    # directed: every edge runs from its first listed end, so pendants lead
+    # from u_i into the grid and from the grid into w_i
+    graph = LabelledGraph.build(group, model, raw, _terminals(n), vertices)
     return GridGadget(
         "gamma",
         n,

@@ -116,102 +116,76 @@ def _family(members_or_spec, limits: Limits) -> list[PathWitness]:
     return members
 
 
+def _masks(vertex_sets) -> tuple[dict, list[int]]:
+    """Member masks: bit i of through[v] is set when member i passes through v,
+    and conflict[i] holds the other members that share a vertex with member i."""
+    through: dict = {}
+    for i, vs in enumerate(vertex_sets):
+        for v in vs:
+            through[v] = through.get(v, 0) | 1 << i
+    conflict = []
+    for i, vs in enumerate(vertex_sets):
+        mask = 0
+        for v in vs:
+            mask |= through[v]
+        conflict.append(mask & ~(1 << i))
+    return through, conflict
+
+
 def max_packing(
     spec: PathFamilySpec | Iterable[PathWitness], limits: Limits = DEFAULT_LIMITS
 ) -> tuple[int, tuple[PathWitness, ...]]:
     """Exact maximum number of pairwise vertex-disjoint members, with a witness.
 
-    Branch and bound over the conflict structure: greedy start, clique-cover
-    style bound, branching on the member that conflicts with the most others
-    (smallest index on ties).
+    Branch and bound over the conflict structure: greedy start, a greedy
+    clique-cover bound (bitset colouring), branching on the member that
+    conflicts with the most others (smallest index on ties).
     """
     members = _family(spec, limits)
     n = len(members)
-    if n == 0:
-        return 0, ()
-    # bit i of through[v] is set when member i passes through v
-    through: dict = {}
-    for i, m in enumerate(members):
-        for v in m.vertices:
-            through[v] = through.get(v, 0) | 1 << i
-    conflict = [0] * n
-    for i, m in enumerate(members):
-        for v in m.vertices:
-            conflict[i] |= through[v]
-        conflict[i] &= ~(1 << i)
+    _, conflict = _masks([m.vertices for m in members])
 
-    # greedy seed: scan members by increasing conflict count
-    order = sorted(range(n), key=lambda i: (conflict[i].bit_count(), i))
-    best_set: list[int] = []
+    # greedy seed: scan members by increasing conflict count, smallest index first
     taken = 0
-    for i in order:
+    for i in sorted(range(n), key=lambda i: conflict[i].bit_count()):
         if not conflict[i] & taken:
-            best_set.append(i)
             taken |= 1 << i
-    best = len(best_set)
-    best_choice = tuple(sorted(best_set))
-
-    all_free = (1 << n) - 1
+    best_choice = tuple(_bits(taken))
+    best = len(best_choice)
 
     def bound(free: int) -> int:
-        # greedy clique cover of the conflict graph restricted to free
+        # greedy clique cover of the conflict graph on free: each clique grows
+        # from its lowest member by the lowest member conflicting with all so far
         count = 0
-        rest = free
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            clique = rest & (conflict[i] | (1 << i))
-            # members pairwise conflicting with i need not conflict mutually;
-            # shrink to a genuine clique around i greedily
-            keep = 1 << i
-            cand = clique & ~(1 << i)
-            while cand:
-                j = (cand & -cand).bit_length() - 1
-                if (conflict[j] | (1 << j)) & keep == keep:
-                    keep |= 1 << j
-                cand &= cand - 1
-            rest &= ~keep
+        while free:
             count += 1
+            cand = free
+            while cand:
+                low = cand & -cand
+                free ^= low
+                cand &= conflict[low.bit_length() - 1]
         return count
 
     # depth-first on an explicit stack, include-branch first; a state is
     # checked against the bound when it is popped, as on entry to a call
-    stack: list[tuple[int, list[int]]] = [(all_free, [])]
+    stack: list[tuple[int, list[int]]] = [((1 << n) - 1, [])]
     while stack:
         free, chosen = stack.pop()
         if len(chosen) + bound(free) <= best:
             continue
-        if not free:
-            if len(chosen) > best:
-                best = len(chosen)
-                best_choice = tuple(sorted(chosen))
-            continue
         # branch on the free member with most free conflicts, smallest index first
-        pick = -1
-        pick_deg = -1
-        rest = free
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            deg = (conflict[i] & free).bit_count()
-            if deg > pick_deg:
-                pick, pick_deg = i, deg
-            rest &= rest - 1
-        if pick_deg == 0:
-            # all remaining are pairwise disjoint
-            rest = free
-            count = free.bit_count()
-            if len(chosen) + count > best:
-                sel = chosen[:]
-                while rest:
-                    i = (rest & -rest).bit_length() - 1
-                    sel.append(i)
-                    rest &= rest - 1
-                best = len(sel)
-                best_choice = tuple(sorted(sel))
+        pick = max(_bits(free), key=lambda i: (conflict[i] & free).bit_count(), default=None)
+        if pick is None or not conflict[pick] & free:
+            # the free members are pairwise disjoint, so the bound is their
+            # number and taking them all beats the best
+            best_choice = tuple(sorted(chosen + list(_bits(free))))
+            best = len(best_choice)
             continue
         stack.append((free & ~(1 << pick), chosen))
         stack.append((free & ~(1 << pick) & ~conflict[pick], chosen + [pick]))
 
     chosen_paths = tuple(members[i] for i in best_choice)
+    _verify_packing(chosen_paths)
     return best, chosen_paths
 
 
@@ -224,56 +198,44 @@ def min_cover(
     chosen); a greedy disjoint-members bound prunes.
     """
     members = _family(spec, limits)
-    if not members:
-        return 0, frozenset()
-    # each vertex's sort key, computed once
+    # each vertex's sort key, computed once; members renumbered shortest first,
+    # so the lowest uncovered bit is a shortest uncovered member
     keys = {v: vertex_key(v) for m in members for v in m.vertices}
-    vsets = [tuple(sorted(set(m.vertices), key=keys.__getitem__)) for m in members]
-    order = sorted(range(len(vsets)), key=lambda i: (len(vsets[i]), i))
-    # vertex sets as bitmasks, bit k for the k-th vertex met
-    bit = {v: 1 << k for k, v in enumerate(keys)}
-    vmask = [sum(bit[v] for v in vs) for vs in vsets]
-    by_bit = list(keys)
+    vsets = sorted((tuple(sorted(set(m.vertices), key=keys.__getitem__)) for m in members), key=len)
+    through, conflict = _masks(vsets)
+    everyone = (1 << len(vsets)) - 1
 
     # greedy upper bound: repeatedly take the vertex hitting most uncovered members
-    cover: set = set()
-    uncovered = set(range(len(vsets)))
+    cover = []
+    uncovered = everyone
     while uncovered:
-        counts: dict = {}
-        for i in uncovered:
-            for v in vsets[i]:
-                counts[v] = counts.get(v, 0) + 1
-        v = min(counts, key=lambda x: (-counts[x], keys[x]))
-        cover.add(v)
-        uncovered = {i for i in uncovered if v not in vsets[i]}
+        v = min(keys, key=lambda x: (-(through[x] & uncovered).bit_count(), keys[x]))
+        cover.append(v)
+        uncovered &= ~through[v]
     best = len(cover)
     best_cover = frozenset(cover)
 
-    def disjoint_bound(uncovered_ids: list[int]) -> int:
-        used = 0
-        count = 0
-        for i in uncovered_ids:
-            if not vmask[i] & used:
-                used |= vmask[i]
-                count += 1
-        return count
-
-    # depth-first on an explicit stack of chosen-vertex masks, children in
-    # vertex order; a state is checked against the bound when it is popped,
-    # as on entry to a call
-    stack = [0]
+    # depth-first on an explicit stack of (uncovered members, chosen vertices),
+    # children in vertex order; a state is checked against the bound when it
+    # is popped, as on entry to a call
+    stack = [(everyone, ())]
     while stack:
-        chosen = stack.pop()
-        size = chosen.bit_count()
-        uncovered_ids = [i for i in order if not vmask[i] & chosen]
-        if not uncovered_ids:
-            if size < best:
-                best = size
-                best_cover = frozenset(by_bit[k] for k in _bits(chosen))
+        uncovered, chosen = stack.pop()
+        # greedy set of pairwise disjoint uncovered members, shortest first
+        disjoint = 0
+        rest = uncovered
+        while rest:
+            low = rest & -rest
+            rest &= ~(low | conflict[low.bit_length() - 1])
+            disjoint += 1
+        if len(chosen) + disjoint >= best:
             continue
-        if size + disjoint_bound(uncovered_ids) >= best:
+        if not uncovered:
+            best = len(chosen)
+            best_cover = frozenset(chosen)
             continue
-        stack.extend(chosen | bit[v] for v in reversed(vsets[uncovered_ids[0]]))
+        first = vsets[(uncovered & -uncovered).bit_length() - 1]
+        stack.extend((uncovered & ~through[v], chosen + (v,)) for v in reversed(first))
 
     _verify_cover(members, best_cover)
     return best, best_cover
@@ -283,6 +245,14 @@ def _verify_cover(members, cover: frozenset) -> None:
     for m in members:
         if not cover.intersection(m.vertices):
             raise InternalInvariantError("claimed cover misses a family member")
+
+
+def _verify_packing(paths) -> None:
+    used: set = set()
+    for p in paths:
+        if used.intersection(p.vertices):
+            raise InternalInvariantError("claimed packing has two members sharing a vertex")
+        used.update(p.vertices)
 
 
 def duality_report(

@@ -6,7 +6,8 @@ Times two runs that push the frontier:
   (35 vertices, 50 edges; 74,054 kept paths, so max_len and max_paths are
   raised above their defaults), reported per kept path;
 - `gammapath duality --family odd` on the n = 4 integer gadget (2,162
-  members, nu = tau = 4), through the CLI, with the sha256 of its output.
+  members, nu = tau = 4), through the CLI; the sha256 of its output must
+  match the recorded one, so a changed certificate fails even an untimed run.
 
 The file name matches no `test_*.py` pattern, so the Tier-1 run does not
 collect it.  Run from the root of a checkout:
@@ -27,6 +28,8 @@ from gammapath.gadgets import build_integer_gadget, build_subgroup_escape_gadget
 from gammapath.graphs import enumerate_terminal_paths
 
 from util import Z
+
+ODD_DUALITY_SHA256 = "c2b9c26bc9edde1ca811bb31be719981a43a3cae8c63077012585ef3402d7407"
 
 
 def test_weight_one_paths_of_the_subgroup_escape_gadget(benchmark):
@@ -55,6 +58,7 @@ def test_odd_duality_on_the_integer_gadget(benchmark, tmp_path):
     code, stdout = benchmark.pedantic(duality, rounds=3)
     payload = json.loads(stdout)
     assert (code, payload["nu"], payload["tau"]) == (0, 4, 4)
-    benchmark.extra_info.update(
-        nu=payload["nu"], tau=payload["tau"], stdout_sha256=hashlib.sha256(stdout.encode()).hexdigest()
-    )
+    sha256 = hashlib.sha256(stdout.encode()).hexdigest()
+    # the certificates are part of the output contract: a solver change must not alter them
+    assert sha256 == ODD_DUALITY_SHA256
+    benchmark.extra_info.update(nu=payload["nu"], tau=payload["tau"], stdout_sha256=sha256)

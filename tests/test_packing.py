@@ -6,9 +6,9 @@ import sys
 
 import pytest
 
-from gammapath.errors import Limits, LimitExceeded, PreconditionFailed
+from gammapath.errors import InternalInvariantError, Limits, LimitExceeded, PreconditionFailed
 from gammapath.gadgets import build_integer_gadget, build_quotient_gadget, build_subgroup_escape_gadget
-from gammapath.graphs import DIRECTED, UNDIRECTED, LabelledGraph, enumerate_terminal_paths
+from gammapath.graphs import DIRECTED, UNDIRECTED, LabelledGraph, PathWitness, enumerate_terminal_paths, vertex_key
 from gammapath.packing import (
     ABA,
     NONZERO,
@@ -16,6 +16,7 @@ from gammapath.packing import (
     WEIGHT,
     PathFamilySpec,
     TerminalEdgeWarning,
+    _verify_packing,
     duality_report,
     max_packing,
     min_cover,
@@ -127,9 +128,11 @@ def test_aba_disjoint_pairs():
     assert report["theorem_backed"] and report["bound_ok"]
 
 
-def _random_instance(rng, group, model, n_max=9):
+def _random_instance(rng, group, model, n_max=9, mixed=False):
     n = rng.randint(4, n_max)
     vertices = list(range(n))
+    # mixed: odd vertices get string ids, which vertex_key orders after the ints
+    name = {v: f"v{v}" if mixed and v % 2 else v for v in vertices}
     possible = list(itertools.combinations(vertices, 2))
     m = rng.randint(n - 1, min(len(possible), 2 * n))
     chosen = rng.sample(possible, m)
@@ -138,11 +141,11 @@ def _random_instance(rng, group, model, n_max=9):
     for u, v in chosen:
         if model == DIRECTED:
             tail = u if rng.random() < 0.5 else v
-            edges.append((u, v, rng.choice(elems), tail))
+            edges.append((name[u], name[v], rng.choice(elems), name[tail]))
         else:
-            edges.append((u, v, rng.choice(elems)))
-    terminals = rng.sample(vertices, rng.randint(2, 4))
-    return LabelledGraph.build(group, model, edges, terminals, extra_vertices=vertices)
+            edges.append((name[u], name[v], rng.choice(elems)))
+    terminals = [name[v] for v in rng.sample(vertices, rng.randint(2, 4))]
+    return LabelledGraph.build(group, model, edges, terminals, extra_vertices=name.values())
 
 
 def test_solvers_match_naive_oracles_on_random_instances():
@@ -170,24 +173,26 @@ def test_solvers_match_naive_oracles_on_random_instances():
 def test_bitmask_solvers_match_the_pre_change_solvers():
     # same sizes and byte-identical certificates as the pairwise-scan solvers
     rng = random.Random(29)
-    trivial = 0
-    for _ in range(240):
+    trivial = mixed = 0
+    for trial in range(240):
         group = rng.choice([Z(2), Z(3), Z(4)])
-        g = _random_instance(rng, group, rng.choice([DIRECTED, UNDIRECTED]), n_max=11)
+        # every third graph mixes int and str vertex ids, which the tie-breaks order by vertex_key
+        g = _random_instance(rng, group, rng.choice([DIRECTED, UNDIRECTED]), n_max=11, mixed=trial % 3 == 0)
         kind = rng.choice([WEIGHT, NONZERO, ODD, ABA])
         if kind == WEIGHT:
             spec = PathFamilySpec(WEIGHT, g, weight=rng.choice(group.elements()))
         elif kind == ABA:
             # a terminal in the through-set gives a trivial member
-            through = rng.sample(sorted(g.terminals), rng.randint(0, 1)) + rng.sample(g.vertices, 2)
+            through = rng.sample(sorted(g.terminals, key=vertex_key), rng.randint(0, 1)) + rng.sample(g.vertices, 2)
             spec = PathFamilySpec(ABA, g, through=frozenset(through))
         else:
             spec = PathFamilySpec(kind, g)
         members = spec.members()
         trivial += any(m.trivial for m in members)
+        mixed += len({type(v) for m in members for v in m.vertices}) == 2
         assert max_packing(members) == oracle_max_packing(members)
         assert min_cover(members) == oracle_min_cover(members)
-    assert trivial >= 20
+    assert trivial >= 20 and mixed >= 40
     # gadget families branch past the greedy seed, where tie-breaks pick the certificate
     for n in (2, 3):
         for gadget in (
@@ -199,6 +204,15 @@ def test_bitmask_solvers_match_the_pre_change_solvers():
                 members = PathFamilySpec(kind, gadget.graph).members()
                 assert max_packing(members) == oracle_max_packing(members)
                 assert min_cover(members) == oracle_min_cover(members)
+
+
+def test_packing_certificate_check_rejects_overlapping_members():
+    zero = Z(2).zero()
+    left = PathWitness(("a", "m", "b"), ("e0", "e1"), zero)
+    right = PathWitness(("c", "m", "d"), ("e2", "e3"), zero)
+    _verify_packing((left, PathWitness(("c", "d"), ("e4",), zero)))
+    with pytest.raises(InternalInvariantError, match="sharing a vertex"):
+        _verify_packing((left, right))
 
 
 def test_packing_never_exceeds_cover():
@@ -222,8 +236,6 @@ def test_duality_bound_on_directed_nonzero():
 def test_solvers_on_odd_cycle_conflicts():
     # five members whose conflict structure is a 5-cycle: max packing 2,
     # min cover 3 (classic case where pure greedy choices go wrong)
-    from gammapath.graphs import PathWitness
-
     z2 = Z(2)
     zero = z2.zero()
     members = [
@@ -248,8 +260,6 @@ def _stack_depth() -> int:
 def test_solvers_search_deeper_than_the_python_stack():
     # a 5-cycle of conflicts gives each solver's bound one unit of slack, so
     # the search dives one level per path center or singleton before it stops
-    from gammapath.graphs import PathWitness
-
     zero = Z(2).zero()
     cycle = [PathWitness((f"p{i}", f"q{i}", f"p{(i + 1) % 5}"), ("a", "b"), zero) for i in range(5)]
     k = 300
