@@ -22,8 +22,8 @@ from .graphs import (
     LabelledGraph,
     PathWitness,
     _eid_key,
-    _from_smaller_end,
     search_paths,
+    search_terminal_paths,
     vertex_key,
     walk_weight,
 )
@@ -59,10 +59,8 @@ def _first_zero_path_disjoint_from(graph: LabelledGraph, blocked: set | frozense
     cut at max_len, since "no candidate" is then uncertifiable.
     """
     zero = graph.group.zero()
-    sources = [a for a in sorted(graph.terminals, key=vertex_key) if a not in blocked]
-    for vertices, edge_ids, w in search_paths(
-        graph, sources, graph.terminals, _from_smaller_end(graph),
-        forbidden=blocked, max_len=limits.max_len, max_count=limits.max_paths,
+    for vertices, edge_ids, w in search_terminal_paths(
+        graph, graph.terminals, blocked=blocked, limits=limits,
         cut="path length while certifying zero-path absence",
     ):
         if w == zero.value:

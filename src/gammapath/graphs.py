@@ -58,12 +58,12 @@ class LabelledGraph:
         # ids are checked by their sort keys before they are hashed
         self.vertices = tuple(dict.fromkeys(sorted(vertices, key=vertex_key)))
         vset = set(self.vertices)
-        norm = []
+        keyed = []
         seen_ids = set()
         for e in edges:
             if not isinstance(e, Edge):
                 e = Edge(*e)
-            _eid_key(e.eid)
+            key = _eid_key(e.eid)
             if e.eid in seen_ids:
                 raise ValueError(f"duplicate edge id {e.eid!r}")
             seen_ids.add(e.eid)
@@ -71,25 +71,32 @@ class LabelledGraph:
                 raise ValueError(f"edge {e.eid!r} has an endpoint outside the vertex set")
             if e.u == e.v:
                 raise ValueError(f"edge {e.eid!r} is a loop")
-            label = group.element(e.label)
+            label = e.label
+            # an element made on this very group (graph_from_json's) is valid already
+            if not (isinstance(label, GroupElem) and label.group is group):
+                label = group.element(label)
             if model == DIRECTED:
                 if e.tail not in (e.u, e.v):
                     raise ValueError(f"edge {e.eid!r} needs an orientation in the directed model")
             elif e.tail is not None:
                 raise ValueError(f"edge {e.eid!r} carries an orientation in the undirected model")
-            norm.append(Edge(e.eid, e.u, e.v, label, e.tail))
-        norm.sort(key=lambda e: _eid_key(e.eid))
-        self.edges = tuple(norm)
+            keyed.append((key, Edge(e.eid, e.u, e.v, label, e.tail)))
+        keyed.sort(key=lambda ke: ke[0])
+        self.edges = tuple(e for _, e in keyed)
         self.terminals = frozenset(terminals)
         if not self.terminals <= vset:
             raise ValueError("terminals must be vertices")
         self._by_id = {e.eid: e for e in self.edges}
+        # vertices and edges are sorted, so index ranks order them as their keys do
+        self._rank = rank = {v: i for i, v in enumerate(self.vertices)}
+        self._erank = {e.eid: i for i, e in enumerate(self.edges)}
         adj: dict = {v: [] for v in self.vertices}
         for e in self.edges:
             adj[e.u].append((e, e.v))
             adj[e.v].append((e, e.u))
+        # edges went in by id and the sort is stable: neighbour order, then edge id
         for v in adj:
-            adj[v].sort(key=lambda pair: (vertex_key(pair[1]), _eid_key(pair[0].eid)))
+            adj[v].sort(key=lambda pair: rank[pair[1]])
         self._adj = adj
         # the path kernel's step table: (edge id, next vertex, step value); the step
         # is negated when it enters the edge's tail, which only directed edges have
@@ -98,9 +105,6 @@ class LabelledGraph:
             v: tuple((e.eid, y, neg(e.label.value) if y == e.tail else e.label.value) for e, y in pairs)
             for v, pairs in adj.items()
         }
-        # vertices and edges are sorted, so index ranks order them as their keys do
-        self._rank = {v: i for i, v in enumerate(self.vertices)}
-        self._erank = {e.eid: i for i, e in enumerate(self.edges)}
 
     @classmethod
     def build(cls, group, model, edges, terminals=(), extra_vertices=()):
@@ -308,6 +312,9 @@ def search_paths(
     are pushed; a step is the label's value, negated when the edge is
     traversed against its orientation in the directed model.
 
+    A finished source is forbidden to later searches (on a copy of forbidden),
+    so a path between two sources is found once, from the earlier one.
+
     The search owns its limits.  Accepted paths beyond max_count raise
     LimitExceeded("enumerated paths", max_count).  Paths longer than max_len
     edges are cut, and a search that runs to its end after cutting one
@@ -317,6 +324,7 @@ def search_paths(
     add = graph.group._add
     steps = graph._steps
     zero = graph.group.zero().value
+    forbidden = set(forbidden)
     found = 0
     truncated = False
     for source in sources:
@@ -353,14 +361,23 @@ def search_paths(
                 used.discard(path.pop())
                 weights.pop()
                 del edges[-1:]
+        forbidden.add(source)
     if truncated:
         raise LimitExceeded(cut, max_len)
 
 
-def _from_smaller_end(graph: LabelledGraph) -> Callable[[list, list, object, object], bool]:
-    """The accept that takes each terminal path once, from its smaller endpoint."""
-    rank = graph._rank
-    return lambda path, edges, end, eid: rank[end] > rank[path[0]]
+def search_terminal_paths(graph: LabelledGraph, terminals, *, blocked=frozenset(), limits: Limits, cut: str):
+    """Each terminal path that avoids blocked, once, from its smaller end, as search_paths yields it.
+
+    The terminals start their searches in vertex order and the largest starts
+    none, so a cut at max_len raises only on a path that leaves a smaller
+    terminal, which every terminal path does.
+    """
+    sources = [a for a in sorted(terminals, key=vertex_key) if a in graph and a not in blocked]
+    return search_paths(
+        graph, sources[:-1], terminals, lambda path, edges, end, eid: end != path[0],
+        forbidden=blocked, max_len=limits.max_len, max_count=limits.max_paths, cut=cut,
+    )
 
 
 def enumerate_terminal_paths(
@@ -369,13 +386,16 @@ def enumerate_terminal_paths(
     weight: GroupElem | None = None,
     nonzero: bool = False,
     terminals=None,
+    keep: Callable[[tuple, tuple], bool] | None = None,
     limits: Limits = DEFAULT_LIMITS,
 ) -> tuple[PathWitness, ...]:
     """Exhaustively enumerate terminal-linking paths, optionally filtered.
 
     weight selects paths of one weight (in the directed model a path matches
     when either traversal direction attains it); nonzero selects paths of
-    nonzero weight.  Results come in a deterministic order.
+    nonzero weight; keep(vertices, edge ids), when given, must also hold.
+    The filters run before a witness is built.  Results come in a
+    deterministic order.
     """
     if weight is not None and nonzero:
         raise ValueError("choose at most one filter")
@@ -386,11 +406,11 @@ def enumerate_terminal_paths(
         weight = group.element(weight)
     directed = graph.model == DIRECTED
     out = []
-    sources = [a for a in sorted(tset, key=vertex_key) if a in graph]
-    for vertices, edge_ids, w in search_paths(
-        graph, sources, tset, _from_smaller_end(graph), max_len=limits.max_len,
-        max_count=limits.max_paths, cut="path length during exhaustive enumeration",
+    for vertices, edge_ids, w in search_terminal_paths(
+        graph, tset, limits=limits, cut="path length during exhaustive enumeration"
     ):
+        if keep is not None and not keep(vertices, edge_ids):
+            continue
         if weight is not None:
             if w == weight.value:
                 out.append(PathWitness(vertices, edge_ids, weight))

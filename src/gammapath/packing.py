@@ -63,13 +63,11 @@ class PathFamilySpec:
         if self.kind == NONZERO:
             return list(enumerate_terminal_paths(g, nonzero=True, limits=limits))
         if self.kind == ODD:
-            return [p for p in enumerate_terminal_paths(g, limits=limits) if len(p.edge_ids) % 2]
+            return list(enumerate_terminal_paths(g, keep=lambda vs, es: len(es) % 2, limits=limits))
         members = []
         for a in sorted(g.terminals & self.through, key=vertex_key):
             members.append(PathWitness((a,), (), g.group.zero(), trivial=True))
-        for p in enumerate_terminal_paths(g, limits=limits):
-            if set(p.vertices) & self.through:
-                members.append(p)
+        members += enumerate_terminal_paths(g, keep=lambda vs, es: not self.through.isdisjoint(vs), limits=limits)
         return members
 
     def to_json(self) -> dict:
@@ -200,7 +198,7 @@ def min_cover(
     members = _family(spec, limits)
     # each vertex's sort key, computed once; members renumbered shortest first,
     # so the lowest uncovered bit is a shortest uncovered member
-    keys = {v: vertex_key(v) for m in members for v in m.vertices}
+    keys = {v: vertex_key(v) for v in set().union(*(m.vertices for m in members))}
     vsets = sorted((tuple(sorted(set(m.vertices), key=keys.__getitem__)) for m in members), key=len)
     through, conflict = _masks(vsets)
     everyone = (1 << len(vsets)) - 1

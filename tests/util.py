@@ -11,9 +11,8 @@ from gammapath.graphs import (
     UNDIRECTED,
     Bridge,
     LabelledGraph,
+    PathWitness,
     _eid_key,
-    _from_smaller_end,
-    search_paths,
     vertex_key,
 )
 from gammapath.groups import CayleyGroup, CyclicProduct, GroupElem, IntegerGroup
@@ -213,6 +212,46 @@ def oracle_path_sort_key(p):
     return (tuple(vertex_key(v) for v in p.vertices), tuple(_eid_key(e) for e in p.edge_ids))
 
 
+# --- terminal paths searched from both ends: the oracles for one search per path ---
+
+
+def oracle_enumerate_terminal_paths(graph, *, weight=None, nonzero=False, terminals=None, limits):
+    """enumerate_terminal_paths as it was before each path was searched once.
+
+    Every terminal starts a search, the largest included, and a path is
+    kept only from its smaller end, so a cut anywhere raises.
+    """
+    tset = graph.terminals if terminals is None else frozenset(terminals)
+    zero = graph.group.zero()
+    out = []
+    for vertices, edge_ids, w in oracle_search_paths(
+        graph, [a for a in sorted(tset, key=vertex_key) if a in graph], tset, oracle_from_smaller_end,
+        max_len=limits.max_len, max_count=limits.max_paths, cut="path length during exhaustive enumeration",
+    ):
+        if weight is not None:
+            if w == weight:
+                out.append(PathWitness(vertices, edge_ids, weight))
+            elif graph.model == DIRECTED and -w == weight:
+                out.append(PathWitness(tuple(reversed(vertices)), tuple(reversed(edge_ids)), weight))
+        elif not (nonzero and w == zero):
+            out.append(PathWitness(vertices, edge_ids, w))
+    return tuple(sorted(out, key=oracle_path_sort_key))
+
+
+def oracle_first_zero_path_disjoint_from(graph, blocked, limits):
+    """The frame's first zero-weight terminal path avoiding blocked, searched from every terminal."""
+    zero = graph.group.zero()
+    sources = [a for a in sorted(graph.terminals, key=vertex_key) if a not in blocked]
+    for vertices, edge_ids, w in oracle_search_paths(
+        graph, sources, graph.terminals, oracle_from_smaller_end,
+        forbidden=blocked, max_len=limits.max_len, max_count=limits.max_paths,
+        cut="path length while certifying zero-path absence",
+    ):
+        if w == zero:
+            return PathWitness(vertices, edge_ids, zero)
+    return None
+
+
 # --- the exact solvers before the bitmask rewrite: oracles for certificates ----
 
 
@@ -356,18 +395,14 @@ def oracle_block_path_weights(graph, bset, limits) -> dict[tuple, list[GroupElem
     `three_blocks` must realize the same weights with one search per
     attachment pair.
     """
-    group = graph.group
-    by_pair: dict[tuple, set[int]] = {}
-    for vertices, _, w in search_paths(
-        graph, sorted(bset, key=vertex_key), bset, _from_smaller_end(graph),
+    by_pair: dict[tuple, set[GroupElem]] = {}
+    for vertices, _, w in oracle_search_paths(
+        graph, sorted(bset, key=vertex_key), bset, oracle_from_smaller_end,
         max_len=limits.max_len, max_count=limits.max_paths,
         cut="path length during block-weight enumeration",
     ):
         by_pair.setdefault((vertices[0], vertices[-1]), set()).add(w)
-    return {
-        pair: sorted((GroupElem(group, w) for w in weights), key=group.elem_sort_key)
-        for pair, weights in by_pair.items()
-    }
+    return {pair: sorted(weights, key=graph.group.elem_sort_key) for pair, weights in by_pair.items()}
 
 
 def oracle_bridges(graph, bset: set) -> tuple[Bridge, ...]:
