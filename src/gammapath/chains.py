@@ -136,10 +136,10 @@ def _suffix_sums(group: GroupSpec, deltas) -> list[int]:
     d_j1 + ... + d_jk, added left to right, over i <= j1 < ... < jk; the empty
     sum is included.
     """
-    unit = 1 << group.zero().value
+    unit, step = 1 << group._zero, group.optional_sum
     suffix = [unit] * (len(deltas) + 1)
     for i in range(len(deltas) - 1, -1, -1):
-        suffix[i] = group.sumset(unit | 1 << deltas[i], suffix[i + 1])
+        suffix[i] = step(deltas[i], suffix[i + 1])
     return suffix
 
 

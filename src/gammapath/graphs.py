@@ -538,18 +538,21 @@ def apply_shifts(graph: LabelledGraph, shifts) -> LabelledGraph:
     model, g + g = 0 and a known vertex.  The model's group is abelian, so
     the shifts at a vertex can be summed first.
     """
-    zero = graph.group.zero()
+    group = graph.group
+    add, zero = group._add, group.zero().value
     total: dict = {}
     for v, g in shifts:
         if graph.model != UNDIRECTED:
             raise PreconditionFailed("shifting is defined in the orientation-free model")
-        g = graph.group.element(g)
-        if g + g != zero:
+        g = group.element(g)
+        if add(g.value, g.value) != zero:
             raise PreconditionFailed(f"shift value must satisfy g+g=0, got {g!r}")
         if v not in graph:
             raise ValueError(f"unknown vertex {v!r}")
-        total[v] = total.get(v, zero) + g
-    return graph.with_labels(lambda e: e.label + total.get(e.u, zero) + total.get(e.v, zero))
+        total[v] = add(total.get(v, zero), g.value)
+    return graph.with_labels(
+        lambda e: GroupElem(group, add(add(e.label.value, total.get(e.u, zero)), total.get(e.v, zero)))
+    )
 
 
 # --- 3-blocks ---------------------------------------------------------------

@@ -134,11 +134,11 @@ class GroupSpec:
 
     def _check(self, *elems: GroupElem) -> None:
         for e in elems:
-            if e.group != self:
+            if e.group is not self and e.group != self:
                 raise GroupMismatchError(f"element {e!r} does not belong to {self.name}")
 
     def zero(self) -> GroupElem:
-        raise NotImplementedError
+        return self._zero_elem
 
     def add(self, a: GroupElem, b: GroupElem) -> GroupElem:
         raise NotImplementedError
@@ -185,6 +185,11 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _rotate(mask: int, d: int, n: int) -> int:
+    """{d + x : x in mask} over Z/n: the n-bit mask rotated left by d places."""
+    return (mask << d | mask >> (n - d)) & ((1 << n) - 1)
+
+
 class FiniteGroup(GroupSpec):
     """A finite group whose element values are 0..n-1 in canonical order.
 
@@ -199,9 +204,11 @@ class FiniteGroup(GroupSpec):
     def __init__(self, order: int, zero: int, add, neg, rotates: bool = False):
         self._order = order
         self._zero = zero
-        self._full = (1 << order) - 1
         self._add = add
         self._neg = neg
+        # the shared element of each value, made on first use (see from_mask)
+        self._zero_elem = GroupElem(self, zero)
+        self._elements = {zero: self._zero_elem}
         # with a single cyclic factor, d + x is (d + x) mod n: a rotation of the bits
         self._rotates = rotates
         # a group of prime order p is cyclic, and no other group has invariant factors (p,)
@@ -211,20 +218,20 @@ class FiniteGroup(GroupSpec):
     def order(self) -> int:
         return self._order
 
-    def zero(self) -> GroupElem:
-        return GroupElem(self, self._zero)
-
     def elem_sort_key(self, e: GroupElem):
         return e.value
 
     def from_mask(self, mask: int) -> frozenset[GroupElem]:
         """The elements whose values are the set bits of mask."""
-        return frozenset(GroupElem(self, i) for i in _bits(mask))
+        cache = self._elements
+        return frozenset(
+            cache[i] if i in cache else cache.setdefault(i, GroupElem(self, i)) for i in _bits(mask)
+        )
 
     def translate(self, d: int, mask: int) -> int:
         """Bitmask of {d + x : x in mask}."""
         if self._rotates:
-            return ((mask << d) | (mask >> (self._order - d))) & self._full
+            return _rotate(mask, d, self._order)
         add = self._add
         out = 0
         for x in _bits(mask):
@@ -234,14 +241,22 @@ class FiniteGroup(GroupSpec):
     def sumset(self, xs: int, ys: int) -> int:
         """Bitmask of {x + y}; checks the prime-field lower bound when it applies."""
         out = 0
-        rest = xs
-        while rest:
-            low = rest & -rest
-            out |= self.translate(low.bit_length() - 1, ys)
-            rest ^= low
+        for x in _bits(xs):
+            out |= self.translate(x, ys)
+        return self._bounded(xs, ys, out)
+
+    def optional_sum(self, d: int, ys: int) -> int:
+        """Bitmask of {0, d} + ys, checked as `sumset` is: one rotate-or on one cyclic factor."""
+        xs = 1 << self._zero | 1 << d
+        if not self._rotates:
+            return self.sumset(xs, ys)
+        return self._bounded(xs, ys, ys | _rotate(ys, d, self._order))
+
+    def _bounded(self, xs: int, ys: int, out: int) -> int:
+        """out, the sumset of xs and ys, once it meets Cauchy-Davenport over Z/p."""
         if self.prime is not None and xs and ys:
             size = out.bit_count()
-            if size < min(xs.bit_count() + ys.bit_count() - 1, self.prime):
+            if size < xs.bit_count() + ys.bit_count() - 1 and size < self.prime:
                 raise InternalInvariantError(
                     f"sumset bound violated over {self.name}: |X+Y|={size}"
                 )
@@ -435,6 +450,9 @@ class IntegerGroup(GroupSpec):
     _add = staticmethod(operator.add)
     _neg = staticmethod(operator.neg)
 
+    def __init__(self):
+        self._zero_elem = GroupElem(self, 0)
+
     def __eq__(self, other):
         return isinstance(other, IntegerGroup)
 
@@ -444,9 +462,6 @@ class IntegerGroup(GroupSpec):
     @property
     def order(self) -> float:
         return INFINITE
-
-    def zero(self) -> GroupElem:
-        return GroupElem(self, 0)
 
     def element(self, value) -> GroupElem:
         if isinstance(value, GroupElem):

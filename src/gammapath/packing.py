@@ -199,7 +199,7 @@ def min_cover(
     # each vertex's sort key, computed once; members renumbered shortest first,
     # so the lowest uncovered bit is a shortest uncovered member
     keys = {v: vertex_key(v) for v in set().union(*(m.vertices for m in members))}
-    vsets = sorted((tuple(sorted(set(m.vertices), key=keys.__getitem__)) for m in members), key=len)
+    vsets = sorted((tuple(set(m.vertices)) for m in members), key=len)
     through, conflict = _masks(vsets)
     everyone = (1 << len(vsets)) - 1
 
@@ -232,8 +232,8 @@ def min_cover(
             best = len(chosen)
             best_cover = frozenset(chosen)
             continue
-        first = vsets[(uncovered & -uncovered).bit_length() - 1]
-        stack.extend((uncovered & ~through[v], chosen + (v,)) for v in reversed(first))
+        first = sorted(vsets[(uncovered & -uncovered).bit_length() - 1], key=keys.__getitem__, reverse=True)
+        stack.extend((uncovered & ~through[v], chosen + (v,)) for v in first)
 
     _verify_cover(members, best_cover)
     return best, best_cover
@@ -241,7 +241,7 @@ def min_cover(
 
 def _verify_cover(members, cover: frozenset) -> None:
     for m in members:
-        if not cover.intersection(m.vertices):
+        if cover.isdisjoint(m.vertices):
             raise InternalInvariantError("claimed cover misses a family member")
 
 

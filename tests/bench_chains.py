@@ -1,0 +1,49 @@
+"""Layer benchmark: the chain subset-sum DP, `chains.reachable_mask`.
+
+Times two runs over Z/p, each reported per delta vector:
+
+- all 46,656 ordered vectors of p - 1 = 6 nonzero deltas at p = 7, the
+  exhaustive part of verify-suite's `chain-exhaustive` check;
+- all 92,378 multisets of p - 1 = 10 nonzero deltas at p = 11
+  (`itertools.combinations_with_replacement`).  The reachable set of an
+  abelian chain depends only on the multiset of its deltas, so this is the
+  exhaustive p = 11 case; it is timed here and is not part of the suite.
+
+Every vector must reach every weight (Cauchy-Davenport), so a wrong DP fails
+even an untimed run.  The file name matches no `test_*.py` pattern, so the
+Tier-1 run does not collect it.  Run from the root of a checkout:
+
+    PYTHONPATH=src python -m pytest tests/bench_chains.py --benchmark-json BENCH_chains.json
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import pytest
+
+from gammapath.chains import reachable_mask
+
+from util import Z
+
+CASES = {
+    "p7_ordered": (7, lambda p: itertools.product(range(1, p), repeat=p - 1), 46_656),
+    "p11_multisets": (11, lambda p: itertools.combinations_with_replacement(range(1, p), p - 1), 92_378),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_reachable_mask_reaches_every_weight(benchmark, case):
+    p, vectors, count = CASES[case]
+    group, full = Z(p), (1 << p) - 1
+    deltas = list(vectors(p))
+    assert len(deltas) == count
+
+    def run() -> int:
+        return sum(reachable_mask(group, 0, d) == full for d in deltas)
+
+    assert benchmark.pedantic(run, rounds=3) == count
+    benchmark.extra_info.update(p=p, vectors=count)
+    # --benchmark-disable runs the test once and keeps no stats
+    if benchmark.stats is not None:
+        benchmark.extra_info["us_per_vector"] = round(benchmark.stats.stats.median / count * 1e6, 2)

@@ -7,6 +7,8 @@ writes their graph files under `tmp_path`, runs each one through
 instance's (id, exit code, stdout).  An exception that escapes `run` counts
 as its type name in place of the exit code.  A change that alters any
 certificate, verdict or error payload on these 1,596 instances fails here.
+The `verify-suite` report at both seeds must match the digest of the
+benchmark's expected answers, taken by `benchmarks/run.py`'s `fingerprint`.
 
 The file name matches no `test_*.py` pattern, so the Tier-1 run does not
 collect it.  Run from the root of a checkout:
@@ -29,6 +31,7 @@ from gammapath.cli import run
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "benchmarks"))
 import instances  # noqa: E402
+import run as bench_run  # noqa: E402
 
 # recorded before the one-search-per-path change, which left them unchanged
 GOLDEN = {
@@ -70,3 +73,12 @@ def digest(workload: str, seed: int, directory: pathlib.Path) -> str:
 @pytest.mark.parametrize("workload,seed", sorted(GOLDEN))
 def test_cli_output_matches_the_recorded_digest(workload, seed, tmp_path):
     assert digest(workload, seed, tmp_path) == GOLDEN[(workload, seed)]
+
+
+@pytest.mark.parametrize("seed", [7, 1013])
+def test_verify_suite_report_matches_the_expected_answer(seed):
+    argv = instances.suite_instances(seed)[0]["argv"]
+    code, stdout = _run(argv)
+    assert code == 0
+    expected = bench_run.load_expected("suite", seed)["suite"]["sha256"]
+    assert bench_run.fingerprint(argv, json.loads(stdout)) == expected

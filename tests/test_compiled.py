@@ -3,15 +3,26 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gammapath import chains, groups
 from gammapath.chains import CycleChain, reachable_weights, reroute_to_weight
 from gammapath.errors import GroupMismatchError, InternalInvariantError
-from gammapath.groups import CyclicProduct, FiniteGroup, find_bad_pair, iter_abelian_groups, sumset
+from gammapath.groups import (
+    CayleyGroup,
+    CyclicProduct,
+    FiniteGroup,
+    GroupElem,
+    _rotate,
+    find_bad_pair,
+    iter_abelian_groups,
+    sumset,
+)
 
 from util import (
     INTS,
@@ -115,17 +126,73 @@ def test_chain_dp_matches_object_oracle(which, data):
     assert (out.subset if out is not None else None) == expected
 
 
-def test_dropped_element_in_the_int_dp_is_caught(monkeypatch):
-    translate = FiniteGroup.translate
+def _generic_z(n: int) -> FiniteGroup:
+    """Z/n without the rotation fast path: every sum goes through `_add`."""
+    group = FiniteGroup(n, 0, lambda i, j: (i + j) % n, lambda i: -i % n)
+    group.name = f"generic Z/{n}"
+    return group
 
-    def lossy(self, d, mask):
-        out = translate(self, d, mask)
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_rotating_step_matches_the_generic_sumset(n):
+    # composite n has prime None, so only prime n checks the Cauchy-Davenport bound
+    group, generic = Z(n), _generic_z(n)
+    assert group._rotates and not generic._rotates and group.prime == generic.prime
+    for mask in range(1 << n):
+        for d in range(n):
+            expected = generic.sumset(1 | 1 << d, mask)
+            assert mask | _rotate(mask, d, n) == expected
+            assert group.optional_sum(d, mask) == generic.optional_sum(d, mask) == expected
+            assert group.sumset(1 | 1 << d, mask) == expected
+            assert group.translate(d, mask) == generic.translate(d, mask)
+    # the DP's own loop, zero deltas included
+    for deltas in itertools.product(range(n), repeat=3):
+        assert chains._suffix_sums(group, deltas) == chains._suffix_sums(generic, deltas)
+
+
+def _lossy(rotate):
+    def dropped(*args):
+        out = rotate(*args)
         return out & (out - 1)  # drops the lowest element
 
-    monkeypatch.setattr(FiniteGroup, "translate", lossy)
+    return dropped
+
+
+def test_dropped_element_in_the_int_dp_is_caught(monkeypatch):
+    # Z/7 rotates: its DP steps are `optional_sum`'s rotate-or
+    monkeypatch.setattr(groups, "_rotate", _lossy(groups._rotate))
     chain = CycleChain.abstract(Z(7), 0, [1, 2, 3])
     with pytest.raises(InternalInvariantError):
         reachable_weights(chain)
+
+
+def test_dropped_element_in_the_table_dp_is_caught(monkeypatch):
+    # a prime-order Cayley table does not rotate: its DP steps go through `translate`
+    monkeypatch.setattr(FiniteGroup, "translate", _lossy(FiniteGroup.translate))
+    group = CayleyGroup([[(i + j) % 7 for j in range(7)] for i in range(7)])
+    assert group.prime == 7 and not group._rotates
+    chain = CycleChain.abstract(group, 0, [1, 2, 3])
+    with pytest.raises(InternalInvariantError):
+        reachable_weights(chain)
+
+
+@pytest.mark.parametrize("group", [Z(7), Z(2, 4), make_s3(), INTS], ids=lambda g: g.name)
+def test_zero_is_one_cached_element(group):
+    assert group.zero() is group.zero()
+    assert group.zero() == GroupElem(group, group.zero().value)
+
+
+def test_from_mask_reuses_cached_elements_equal_to_fresh_ones():
+    for group in (Z(7), Z(2, 4), make_s3()):
+        mask = 0b101101
+        out = group.from_mask(mask)
+        assert out == frozenset(GroupElem(group, i) for i in range(group.order) if mask >> i & 1)
+        again = {e.value: e for e in group.from_mask(mask)}
+        assert all(again[e.value] is e for e in out)
+        assert again[group.zero().value] is group.zero()
+    big = Z(10007)
+    assert big.from_mask(1 << 10006 | 1 << 5000) == {big.element(10006), big.element(5000)}
+    assert len(big._elements) == 3  # zero and the two asked for, not all 10,007
 
 
 def test_large_groups_match_object_oracles():
