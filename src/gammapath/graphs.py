@@ -8,6 +8,7 @@ abelian.  Graphs are immutable; mutating operations return new graphs.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
@@ -56,55 +57,62 @@ class LabelledGraph:
         self.group = group
         self.model = model
         # ids are checked by their sort keys before they are hashed
-        self.vertices = tuple(dict.fromkeys(sorted(vertices, key=vertex_key)))
-        vset = set(self.vertices)
-        keyed = []
-        seen_ids = set()
+        self.vertices = tuple(dict.fromkeys(_sorted_ids(vertices, vertex_key)))
+        # vertices are sorted, so index ranks order them as their keys do
+        self._rank = rank = dict(zip(self.vertices, range(len(self.vertices))))
+        by_id = {}
         for e in edges:
             if not isinstance(e, Edge):
                 e = Edge(*e)
-            key = _eid_key(e.eid)
-            if e.eid in seen_ids:
-                raise ValueError(f"duplicate edge id {e.eid!r}")
-            seen_ids.add(e.eid)
-            if e.u not in vset or e.v not in vset:
-                raise ValueError(f"edge {e.eid!r} has an endpoint outside the vertex set")
-            if e.u == e.v:
-                raise ValueError(f"edge {e.eid!r} is a loop")
-            label = e.label
+            eid, u, v, label, tail = e
+            if type(eid) is not int:
+                _eid_key(eid)
+            if eid in by_id:
+                raise ValueError(f"duplicate edge id {eid!r}")
+            if u not in rank or v not in rank:
+                raise ValueError(f"edge {eid!r} has an endpoint outside the vertex set")
+            if u == v:
+                raise ValueError(f"edge {eid!r} is a loop")
             # an element made on this very group (graph_from_json's) is valid already
             if not (isinstance(label, GroupElem) and label.group is group):
-                label = group.element(label)
+                e = Edge(eid, u, v, group.element(label), tail)
             if model == DIRECTED:
-                if e.tail not in (e.u, e.v):
-                    raise ValueError(f"edge {e.eid!r} needs an orientation in the directed model")
-            elif e.tail is not None:
-                raise ValueError(f"edge {e.eid!r} carries an orientation in the undirected model")
-            keyed.append((key, Edge(e.eid, e.u, e.v, label, e.tail)))
-        keyed.sort(key=lambda ke: ke[0])
-        self.edges = tuple(e for _, e in keyed)
+                if tail not in (u, v):
+                    raise ValueError(f"edge {eid!r} needs an orientation in the directed model")
+            elif tail is not None:
+                raise ValueError(f"edge {eid!r} carries an orientation in the undirected model")
+            by_id[eid] = e
+        ids = _sorted_ids(by_id, _eid_key)
+        self.edges = tuple(map(by_id.__getitem__, ids))
         self.terminals = frozenset(terminals)
-        if not self.terminals <= vset:
+        if not self.terminals <= rank.keys():
             raise ValueError("terminals must be vertices")
-        self._by_id = {e.eid: e for e in self.edges}
-        # vertices and edges are sorted, so index ranks order them as their keys do
-        self._rank = rank = {v: i for i, v in enumerate(self.vertices)}
-        self._erank = {e.eid: i for i, e in enumerate(self.edges)}
-        adj: dict = {v: [] for v in self.vertices}
-        for e in self.edges:
-            adj[e.u].append((e, e.v))
-            adj[e.v].append((e, e.u))
-        # edges went in by id and the sort is stable: neighbour order, then edge id
-        for v in adj:
-            adj[v].sort(key=lambda pair: rank[pair[1]])
-        self._adj = adj
-        # the path kernel's step table: (edge id, next vertex, step value); the step
-        # is negated when it enters the edge's tail, which only directed edges have
-        neg = group._neg
-        self._steps = {
-            v: tuple((e.eid, y, neg(e.label.value) if y == e.tail else e.label.value) for e, y in pairs)
-            for v, pairs in adj.items()
-        }
+        self._by_id = by_id
+        self._erank = dict(zip(ids, range(len(ids))))
+        self._link()
+
+    def _link(self) -> None:
+        """`_adj[v]`: (edge, neighbour) by neighbour rank, then edge order; `_steps[v]`, the path
+        kernel's table: (edge id, neighbour, step value) in that order, the step negated into a tail."""
+        rank, vertices, edges = self._rank, self.vertices, self.edges
+        # one sort of all half-edges: (vertex rank, neighbour rank, edge index) is unique
+        half = []
+        for i, (_, u, v, _, _) in enumerate(edges):
+            ru, rv = rank[u], rank[v]
+            half.append((ru, rv, i))
+            half.append((rv, ru, i))
+        half.sort()
+        adj = [[] for _ in vertices]
+        steps = [[] for _ in vertices]
+        neg = self.group._neg
+        for x, y, i in half:
+            e = edges[i]
+            eid, _, _, label, tail = e
+            w = vertices[y]
+            adj[x].append((e, w))
+            steps[x].append((eid, w, neg(label.value) if w == tail else label.value))
+        self._adj = dict(zip(vertices, adj))
+        self._steps = dict(zip(vertices, map(tuple, steps)))
 
     @classmethod
     def build(cls, group, model, edges, terminals=(), extra_vertices=()):
@@ -138,8 +146,13 @@ class LabelledGraph:
         return LabelledGraph(self.group, self.model, keep, edges, self.terminals - removed)
 
     def with_labels(self, relabel: Callable[[Edge], GroupElem]) -> "LabelledGraph":
-        edges = [Edge(e.eid, e.u, e.v, relabel(e), e.tail) for e in self.edges]
-        return LabelledGraph(self.group, self.model, self.vertices, edges, self.terminals)
+        """The same graph with each edge's label replaced by relabel(edge), checked on the group."""
+        out = copy.copy(self)
+        element = self.group.element
+        out.edges = tuple(Edge(e.eid, e.u, e.v, element(relabel(e)), e.tail) for e in self.edges)
+        out._by_id = {e.eid: e for e in out.edges}
+        out._link()
+        return out
 
     def shift(self, v, g: GroupElem) -> "LabelledGraph":
         """Add g (an element with g + g = 0) to every edge incident with v."""
@@ -191,6 +204,12 @@ class LabelledGraph:
                 entry["tail"] = e.tail
             out["edges"].append(entry)
         return out
+
+
+def _sorted_ids(ids, key) -> list:
+    """ids in key order: plain ints sort as themselves, other ids are checked by key."""
+    ids = list(ids)
+    return sorted(ids) if set(map(type, ids)) == {int} else sorted(ids, key=key)
 
 
 def _eid_key(eid):

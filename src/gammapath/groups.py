@@ -114,6 +114,10 @@ class GroupElem:
     def __bool__(self) -> bool:
         return self != self.group.zero()
 
+    def __hash__(self) -> int:
+        # the value alone: equality still compares the group, so equal elements hash alike
+        return hash(self.value)
+
     def sort_key(self):
         return self.group.elem_sort_key(self)
 

@@ -402,6 +402,27 @@ def test_graph_json_with_a_wrongly_typed_value_is_a_usage_error(tmp_path, capsys
     assert "Traceback" not in err
 
 
+_ALIKE_LABELS = [[1], 1, 1.0, True, "1"]
+
+
+@pytest.mark.parametrize("second", _ALIKE_LABELS, ids=repr)
+@pytest.mark.parametrize("first", _ALIKE_LABELS, ids=repr)
+def test_labels_that_hash_alike_are_each_read_as_on_their_own(tmp_path, capsys, first, second):
+    """Over Z/2, 1, True and "1" read as [1] and 1.0 is a usage error, whichever label came first."""
+    data = LabelledGraph.build(Z(2), UNDIRECTED, [("a", "b", 1), ("b", "c", 1)], ["a", "c"]).to_json()
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(data))
+    expected = invoke(capsys, "bipartite", "--graph", str(path))
+    data["edges"][0]["label"], data["edges"][1]["label"] = first, second
+    path.write_text(json.dumps(data))
+    code, payload, err = invoke(capsys, "bipartite", "--graph", str(path))
+    if float in (type(first), type(second)):
+        assert (code, payload) == (2, {"error": "usage", "detail": "bad graph JSON: 'float' object is not iterable"})
+        assert "Traceback" not in err
+    else:
+        assert (code, payload, err) == expected
+
+
 def test_element_token_of_the_wrong_shape_is_a_usage_error(capsys):
     code, payload, _ = invoke(
         capsys, "classify", "--group", '{"type":"cyclic_product","orders":[4]}', "--ell", "[[1]]"

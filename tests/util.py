@@ -5,17 +5,18 @@ from __future__ import annotations
 import itertools
 import random
 
-from gammapath.errors import InternalInvariantError, LimitExceeded
+from gammapath.errors import InternalInvariantError, LimitExceeded, parsing, require_keys
 from gammapath.graphs import (
     DIRECTED,
     UNDIRECTED,
     Bridge,
+    Edge,
     LabelledGraph,
     PathWitness,
     _eid_key,
     vertex_key,
 )
-from gammapath.groups import CayleyGroup, CyclicProduct, GroupElem, IntegerGroup
+from gammapath.groups import CayleyGroup, CyclicProduct, GroupElem, IntegerGroup, group_from_json
 from gammapath.harness import make_s3, naive_max_packing, naive_min_cover  # noqa: F401
 
 
@@ -448,3 +449,105 @@ def sparse_graph(rng: random.Random, group, n: int, m: int) -> LabelledGraph:
     pairs.update(rng.sample(rest, min(len(rest), m - len(pairs))))
     edges = [(u, v, random_label(rng, group)) for u, v in sorted(pairs)]
     return LabelledGraph.build(group, UNDIRECTED, edges, (), extra_vertices=range(n))
+
+
+# --- the graph constructor and reader before the one-pass boundary ------------
+
+
+class OracleLabelledGraph(LabelledGraph):
+    """LabelledGraph built by the constructor as it was before the one-pass
+    boundary: every edge rebuilt, ids sorted by their keys, one adjacency sort
+    per vertex.  The tests compare the fields it sets with the new ones."""
+
+    def __init__(self, group, model, vertices, edges, terminals=()):
+        if model not in (DIRECTED, UNDIRECTED):
+            raise ValueError(f"unknown model {model!r}")
+        if model == UNDIRECTED and not group.is_abelian:
+            raise ValueError("the orientation-free model requires an abelian group")
+        self.group = group
+        self.model = model
+        # ids are checked by their sort keys before they are hashed
+        self.vertices = tuple(dict.fromkeys(sorted(vertices, key=vertex_key)))
+        vset = set(self.vertices)
+        keyed = []
+        seen_ids = set()
+        for e in edges:
+            if not isinstance(e, Edge):
+                e = Edge(*e)
+            key = _eid_key(e.eid)
+            if e.eid in seen_ids:
+                raise ValueError(f"duplicate edge id {e.eid!r}")
+            seen_ids.add(e.eid)
+            if e.u not in vset or e.v not in vset:
+                raise ValueError(f"edge {e.eid!r} has an endpoint outside the vertex set")
+            if e.u == e.v:
+                raise ValueError(f"edge {e.eid!r} is a loop")
+            label = e.label
+            # an element made on this very group (graph_from_json's) is valid already
+            if not (isinstance(label, GroupElem) and label.group is group):
+                label = group.element(label)
+            if model == DIRECTED:
+                if e.tail not in (e.u, e.v):
+                    raise ValueError(f"edge {e.eid!r} needs an orientation in the directed model")
+            elif e.tail is not None:
+                raise ValueError(f"edge {e.eid!r} carries an orientation in the undirected model")
+            keyed.append((key, Edge(e.eid, e.u, e.v, label, e.tail)))
+        keyed.sort(key=lambda ke: ke[0])
+        self.edges = tuple(e for _, e in keyed)
+        self.terminals = frozenset(terminals)
+        if not self.terminals <= vset:
+            raise ValueError("terminals must be vertices")
+        self._by_id = {e.eid: e for e in self.edges}
+        # vertices and edges are sorted, so index ranks order them as their keys do
+        self._rank = rank = {v: i for i, v in enumerate(self.vertices)}
+        self._erank = {e.eid: i for i, e in enumerate(self.edges)}
+        adj: dict = {v: [] for v in self.vertices}
+        for e in self.edges:
+            adj[e.u].append((e, e.v))
+            adj[e.v].append((e, e.u))
+        # edges went in by id and the sort is stable: neighbour order, then edge id
+        for v in adj:
+            adj[v].sort(key=lambda pair: rank[pair[1]])
+        self._adj = adj
+        # the path kernel's step table: (edge id, next vertex, step value); the step
+        # is negated when it enters the edge's tail, which only directed edges have
+        neg = group._neg
+        self._steps = {
+            v: tuple((e.eid, y, neg(e.label.value) if y == e.tail else e.label.value) for e, y in pairs)
+            for v, pairs in adj.items()
+        }
+
+
+def oracle_graph_from_json(data: dict) -> OracleLabelledGraph:
+    """graph_from_json before the label memo: each label parsed on its own."""
+    require_keys(data, ("group", "model", "vertices", "edges"), "graph")
+    group = group_from_json(data["group"])
+    model = data["model"]
+    with parsing("graph"):
+        edges = []
+        for entry in data["edges"]:
+            require_keys(entry, ("id", "u", "v", "label"), "edge")
+            edges.append(
+                Edge(
+                    entry["id"],
+                    entry["u"],
+                    entry["v"],
+                    group.element(entry["label"]),
+                    entry.get("tail") if model == DIRECTED else None,
+                )
+            )
+        return OracleLabelledGraph(group, model, data["vertices"], edges, data.get("A", ()))
+
+
+def graph_tables(graph: LabelledGraph) -> tuple:
+    """Every field the constructor sets, in a form that compares order too."""
+    return (
+        graph.vertices,
+        graph.edges,
+        graph.terminals,
+        list(graph._adj.items()),
+        list(graph._steps.items()),
+        list(graph._rank.items()),
+        list(graph._erank.items()),
+        sorted(graph._by_id.items(), key=lambda item: _eid_key(item[0])),
+    )
