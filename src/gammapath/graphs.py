@@ -154,10 +154,6 @@ class LabelledGraph:
         out._link()
         return out
 
-    def shift(self, v, g: GroupElem) -> "LabelledGraph":
-        """Add g (an element with g + g = 0) to every edge incident with v."""
-        return apply_shifts(self, [(v, g)])
-
     # --- connectivity helpers --------------------------------------------
 
     def component_of(self, start, forbidden=frozenset()) -> set:
@@ -174,21 +170,17 @@ class LabelledGraph:
     def components(self, forbidden=frozenset()) -> list[set]:
         left = set(self.vertices) - forbidden
         out = []
-        while left:
-            start = min(left, key=vertex_key)
-            comp = self.component_of(start, forbidden)
-            out.append(comp)
-            left -= comp
+        for start in self.vertices:
+            if start in left:
+                comp = self.component_of(start, forbidden)
+                out.append(comp)
+                left -= comp
         return out
 
     def is_three_connected(self) -> bool:
         """At least 4 vertices and every pair inseparable (Whitney)."""
         n = len(self.vertices)
-        # deleting its at most two neighbours cuts a vertex off from the other n - 3
-        if n < 4 or any(len({y for _, y in self._adj[v]}) <= 2 for v in self.vertices):
-            return False
-        masks = _inseparable_masks(self)
-        return all(m | 1 << i == (1 << n) - 1 for i, m in enumerate(masks))
+        return n >= 4 and all(m | 1 << i == (1 << n) - 1 for i, m in enumerate(_inseparable_masks(self)))
 
     def to_json(self) -> dict:
         out = {
@@ -611,60 +603,64 @@ def _inseparable_masks(graph: LabelledGraph) -> list[int]:
     """Bit t of entry s is set when no deletion of at most two other vertices
     separates graph.vertices[s] from graph.vertices[t].
 
-    Adjacent vertices never separate.  Two others are inseparable when three
-    internally disjoint paths join them (Menger), found as unit augmenting
-    paths in the vertex-split network (Even & Tarjan 1975), built once:
-    vertex i becomes in-node 2i and out-node 2i+1 joined by a unit arc, each
-    adjacent pair {a, b} gives unit arcs a_out -> b_in and b_out -> a_in,
-    and arc k ^ 1 is the reverse of arc k.
+    They split exactly when some third vertex v leaves them in no common
+    block of G - v: if {v, w} splits them, w is a cut vertex between them in
+    G - v, and such a cut vertex w makes {v, w} a split.  So each entry is the
+    AND of the block-mate masks of every G - v, v counted a mate in its own
+    pass, and of G itself, which decides pairs with no third vertex.
     """
-    index = {v: i for i, v in enumerate(graph.vertices)}
-    n = len(index)
-    nbrs: list[set] = [set() for _ in range(n)]
-    for e in graph.edges:
-        nbrs[index[e.u]].add(index[e.v])
-        nbrs[index[e.v]].add(index[e.u])
-    head: list[int] = []
-    cap: list[int] = []
-    arcs: list[list[int]] = [[] for _ in range(2 * n)]
-    for i in range(n):
-        for x, y in [(2 * i, 2 * i + 1)] + [(2 * i + 1, 2 * j) for j in sorted(nbrs[i])]:
-            arcs[x].append(len(head))
-            arcs[y].append(len(head) + 1)
-            head += (y, x)
-            cap += (1, 0)
+    rank = graph._rank
+    nbrs = [[rank[y] for _, y in graph._adj[v]] for v in graph.vertices]
+    masks = _block_mates(nbrs)
+    for v in range(len(nbrs)):
+        masks = [m & (k | 1 << v) for m, k in zip(masks, _block_mates(nbrs, v))]
+    return [m & ~(1 << s) for s, m in enumerate(masks)]
 
-    def three_paths(s: int, t: int) -> bool:
-        res = cap.copy()
-        for _ in range(3):
-            via = [-1] * (2 * n)  # the arc a breadth-first search reached each node by
-            via[2 * s + 1] = -2
-            queue = [2 * s + 1]
-            for x in queue:
-                for k in arcs[x]:
-                    if res[k] and via[head[k]] == -1:
-                        via[head[k]] = k
-                        queue.append(head[k])
-                if via[2 * t] != -1:
+
+def _block_mates(nbrs: list, skip: int = -1) -> list[int]:
+    """Entry x: the mask of the vertices sharing a block (biconnected
+    component) with x once vertex skip is deleted; entry skip is -1, all bits.
+
+    Hopcroft & Tarjan's depth-first search (CACM 1973) on an explicit stack:
+    a child y of x closes a block, x and the vertices pushed since y, when no
+    back edge from y's subtree reaches above x.  skip counts as visited
+    deeper than any vertex, so it is never entered and lowers no low point.
+    """
+    n = len(nbrs)
+    depth = [0] * n  # depth in the search forest from 1; 0 until visited
+    low = [0] * n
+    mates = [0] * n
+    if skip >= 0:
+        depth[skip], mates[skip] = n + 1, -1
+    pushed: list[int] = []
+    for root in range(n):
+        if depth[root]:
+            continue
+        depth[root] = low[root] = 1
+        frames = [(root, iter(nbrs[root]), 0)]
+        while frames:
+            x, it, height = frames[-1]
+            for y in it:
+                if not depth[y]:
+                    depth[y] = low[y] = depth[x] + 1
+                    frames.append((y, iter(nbrs[y]), len(pushed)))
+                    pushed.append(y)
                     break
-            k = via[2 * t]
-            if k == -1:
-                return False
-            while k >= 0:
-                res[k] -= 1
-                res[k ^ 1] += 1
-                k = via[head[k ^ 1]]
-        return True
-
-    # deleting its at most two neighbours cuts a vertex off from all the others
-    low = [len(x) <= 2 for x in nbrs]
-    masks = [0] * n
-    for s in range(n):
-        for t in range(s + 1, n):
-            if t in nbrs[s] or (not (low[s] or low[t]) and three_paths(s, t)):
-                masks[s] |= 1 << t
-                masks[t] |= 1 << s
-    return masks
+                if depth[y] < low[x]:
+                    low[x] = depth[y]
+            else:
+                frames.pop()
+                if frames:
+                    p = frames[-1][0]
+                    if low[x] < low[p]:
+                        low[p] = low[x]
+                    if low[x] >= depth[p]:
+                        block = pushed[height:] + [p]
+                        del pushed[height:]
+                        mask = sum(1 << w for w in block)
+                        for w in block:
+                            mates[w] |= mask
+    return mates
 
 
 def _maximal_cliques(nbrs: list[int]) -> Iterator[int]:

@@ -2,13 +2,13 @@
 
 Times `three_blocks` and `LabelledGraph.is_three_connected` on
 `harness.random_three_connected` graphs over Z/3 (K4 grown by degree-3
-attachments) at 10, 14, 18 and 24 vertices.  Those graphs are 3-connected,
-so their one block has no bridges and the block-weight search never runs;
-`three_blocks` is therefore also timed on sparse random graphs over Z/3
-(`util.sparse_graph`: a spanning tree plus distinct pairs up to 2n edges),
-whose blocks are mostly joined through bridges, at 14, 18, 22 and 24
-vertices and at 140, the largest size in steps of 20 that took under 1 s
-on the reference machine.
+attachments) at 10, 14, 18, 24, 60 and 100 vertices.  Those graphs are
+3-connected, so their one block has no bridges and the block-weight search
+never runs; `three_blocks` is therefore also timed on sparse random graphs
+over Z/3 (`util.sparse_graph`: a spanning tree plus distinct pairs up to 2n
+edges), whose blocks are mostly joined through bridges, at 14, 18, 22, 24,
+140 and 300 vertices and at 500, the largest multiple of 100 that took
+under 1 s on the reference machine in every run (600 took 0.85-1.03 s).
 The file name matches no `test_*.py` pattern, so the Tier-1 run does not
 collect it.  Run from the root of a checkout:
 
@@ -26,8 +26,10 @@ from gammapath.harness import random_three_connected
 
 from util import Z, sparse_graph
 
-SIZES = (10, 14, 18, 24)
-SPARSE_SIZES = (14, 18, 22, 24, 140)
+SIZES = (10, 14, 18, 24, 60, 100)
+SPARSE_SIZES = (14, 18, 22, 24, 140, 300, 500)
+# fixed rounds keep BENCH_blocks.json small
+ROUNDS = {"rounds": 30, "warmup_rounds": 1}
 
 
 def _graph(n: int):
@@ -39,7 +41,7 @@ def _graph(n: int):
 def test_three_blocks(benchmark, n):
     graph = _graph(n)
     benchmark.extra_info.update(vertices=n, edges=len(graph.edges))
-    blocks = benchmark(three_blocks, graph)
+    blocks = benchmark.pedantic(three_blocks, args=(graph,), **ROUNDS)
     assert [b.vertices for b in blocks] == [graph.vertices]
 
 
@@ -63,4 +65,4 @@ def test_three_blocks_sparse(benchmark, n):
 def test_is_three_connected(benchmark, n):
     graph = _graph(n)
     benchmark.extra_info.update(vertices=n, edges=len(graph.edges))
-    assert benchmark(graph.is_three_connected)
+    assert benchmark.pedantic(graph.is_three_connected, **ROUNDS)

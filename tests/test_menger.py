@@ -1,4 +1,9 @@
-"""The Menger pair test and 3-connectivity against brute force and networkx."""
+"""Inseparable pairs and 3-connectivity against brute force and networkx.
+
+The masks come from the blocks of G and of every G - v; they are checked
+pair by pair against trying every cut and against networkx's local node
+connectivity (three internally disjoint paths, Menger).
+"""
 
 from __future__ import annotations
 
@@ -13,7 +18,7 @@ from networkx.algorithms.connectivity import (
 )
 from networkx.algorithms.flow import build_residual_network
 
-from gammapath.graphs import UNDIRECTED, LabelledGraph, _inseparable_masks, three_blocks
+from gammapath.graphs import UNDIRECTED, LabelledGraph, _block_mates, _inseparable_masks, three_blocks
 from gammapath.harness import random_three_connected
 
 from util import Z, oracle_is_three_connected, oracle_pair_inseparable
@@ -47,10 +52,13 @@ def _check(graph: LabelledGraph) -> None:
 
 def _random_multigraph(rng: random.Random, n: int) -> LabelledGraph:
     density = rng.choice([0.15, 0.3, 0.5, 0.7, 0.9])
-    edges = [(u, v, 0) for u, v in itertools.combinations(range(n), 2) if rng.random() < density]
+    # about a third of the graphs mix int and str ids, "3" next to 3
+    mixed = rng.random() < 0.35
+    ids = [str(x) if mixed and rng.random() < 0.5 else x for x in range(n)]
+    edges = [(u, v, 0) for u, v in itertools.combinations(ids, 2) if rng.random() < density]
     if edges:
         edges += [rng.choice(edges) for _ in range(rng.randint(0, 3))]
-    return LabelledGraph.build(Z(2), UNDIRECTED, edges, (), extra_vertices=range(n))
+    return LabelledGraph.build(Z(2), UNDIRECTED, edges, (), extra_vertices=ids)
 
 
 def test_menger_matches_oracles_on_random_multigraphs():
@@ -65,6 +73,7 @@ def test_menger_matches_oracles_on_random_multigraphs():
         seen.add(("small", len(g.vertices) < 4))
         seen.add(("adjacent", bool(pairs)))
         seen.add(("three-connected", g.is_three_connected()))
+        seen.add(("mixed ids", len(set(map(type, g.vertices))) > 1))
     # the draw covers each case both ways
     assert seen == {(kind, flag) for kind, _ in seen for flag in (False, True)}
 
@@ -125,11 +134,23 @@ def test_menger_named_graphs(name):
 
 def test_three_connectivity_of_large_grown_graphs():
     # random_three_connected grows K4 by degree-3 attachments, which keeps it 3-connected
-    for n in (14, 18, 40):
+    for n in (14, 18, 40, 60, 100):
         g, _ = random_three_connected(random.Random(n), Z(3), n)
         assert g.is_three_connected()
+        assert nx.node_connectivity(_simple(g)) == 3
         # the last vertex has degree 3; dropping one of its edges leaves a 2-cut
         last = next(e for e in g.edges if n - 1 in (e.u, e.v))
         cut = LabelledGraph(g.group, UNDIRECTED, g.vertices, [e for e in g.edges if e != last])
         assert not cut.is_three_connected()
         assert not oracle_is_three_connected(cut)
+        assert nx.node_connectivity(_simple(cut)) == 2
+
+
+def test_block_mates_on_a_long_cycle():
+    # an explicit stack: a recursive search would exceed Python's recursion limit
+    n = 5000
+    cycle = [[(x - 1) % n, (x + 1) % n] for x in range(n)]
+    assert _block_mates(cycle) == [(1 << n) - 1] * n
+    # without vertex 0 it is a path, whose blocks are its edges
+    path = [-1] + [(7 << (x - 1)) & ~1 for x in range(1, n - 1)] + [3 << (n - 2)]
+    assert _block_mates(cycle, 0) == path

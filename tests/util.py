@@ -130,7 +130,7 @@ def oracle_reroute_subset(chain, target):
     return min(found) if found else None
 
 
-# --- brute-force oracles for the Menger connectivity tests ------------------
+# --- brute-force oracles for the 3-connectivity tests ------------------------
 
 
 def oracle_pair_inseparable(graph, u, v) -> bool:
