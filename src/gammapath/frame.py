@@ -21,13 +21,12 @@ from .graphs import (
     DIRECTED,
     LabelledGraph,
     PathWitness,
-    _eid_key,
     search_paths,
     search_terminal_paths,
     vertex_key,
     walk_weight,
 )
-from .packing import PackOrCover
+from .packing import PackOrCover, _verify_packing
 
 
 @dataclass
@@ -89,13 +88,12 @@ def _first_attach_path(graph: LabelledGraph, forest_vertices: set, degree: dict,
 
 
 def _tree_adjacency(graph: LabelledGraph, edge_ids: set) -> dict:
+    """Each vertex's (edge id, neighbour) pairs, in the graph's edge order."""
     adj: dict = {}
-    for eid in sorted(edge_ids, key=_eid_key):
+    for eid in sorted(edge_ids, key=graph._erank.__getitem__):
         e = graph.edge(eid)
         adj.setdefault(e.u, []).append((eid, e.v))
         adj.setdefault(e.v, []).append((eid, e.u))
-    for v in adj:
-        adj[v].sort(key=lambda pair: vertex_key(pair[1]))
     return adj
 
 
@@ -120,27 +118,25 @@ def _validate_tree(graph: LabelledGraph, tree: TerminalTree, degree: dict) -> No
         raise InternalInvariantError("stored witness left its component")
 
 
-def _leaf_paths_from(adj: dict, v) -> list[tuple[tuple, tuple]]:
-    """All paths in the tree from v to each leaf, ordered by leaf id."""
-    out = []
-    stack = [((v,), ())]
-    while stack:
-        path, edges = stack.pop()
-        nbrs = [(eid, y) for eid, y in adj[path[-1]] if len(path) < 2 or y != path[-2]]
-        if not nbrs and len(path) > 1:
-            out.append((path, edges))
-        stack.extend((path + (y,), edges + (eid,)) for eid, y in nbrs)
-    out.sort(key=lambda pe: vertex_key(pe[0][-1]))
-    return out
+def _rooted(adj: dict, root) -> tuple[list, dict]:
+    """Breadth-first order of root's tree, and each vertex's (edge id, parent); None at root."""
+    order = [root]
+    parent = {root: None}
+    for x in order:
+        for eid, y in adj[x]:
+            if y not in parent:
+                parent[y] = (eid, x)
+                order.append(y)
+    return order, parent
 
 
 def base_zero_path(graph: LabelledGraph, tree_edges: set, v) -> PathWitness:
     """Zero-weight terminal path inside a subcubic terminal tree, rooted at v.
 
-    Needs at least |group|+1 leaf paths from the internal vertex v: two of
-    them share a weight by pigeonhole, and their symmetric difference is the
-    witness (the common prefix cancels on the left even when the group is
-    nonabelian).
+    Needs at least |group|+1 leaf paths from the internal vertex v, taken in
+    leaf-id order: two of them share a weight by pigeonhole, and their
+    symmetric difference is the witness (the common prefix cancels on the
+    left even when the group is nonabelian).
     """
     group = graph.group
     if not group.is_finite:
@@ -148,11 +144,19 @@ def base_zero_path(graph: LabelledGraph, tree_edges: set, v) -> PathWitness:
     adj = _tree_adjacency(graph, tree_edges)
     if v not in adj or len(adj[v]) == 1:
         raise PreconditionFailed("root must be an internal tree vertex")
-    paths = _leaf_paths_from(adj, v)
+    order, parent = _rooted(adj, v)
+    leaves = sorted((x for x in order if len(adj[x]) == 1), key=vertex_key)
     need = group.order + 1
-    if len(paths) < need:
-        raise PreconditionFailed(f"need {need} leaf paths, found {len(paths)}")
-    chosen = paths[:need]
+    if len(leaves) < need:
+        raise PreconditionFailed(f"need {need} leaf paths, found {len(leaves)}")
+    chosen = []
+    for leaf in leaves[:need]:
+        verts, edges = [leaf], []
+        while verts[-1] != v:
+            eid, up = parent[verts[-1]]
+            verts.append(up)
+            edges.append(eid)
+        chosen.append((tuple(reversed(verts)), tuple(reversed(edges))))
     weights = [walk_weight(graph, vs, es) for vs, es in chosen]
     pair = None
     for i in range(need):
@@ -181,122 +185,88 @@ def base_zero_path(graph: LabelledGraph, tree_edges: set, v) -> PathWitness:
     return witness
 
 
-def _leaf_count(graph: LabelledGraph, edge_ids: set) -> int:
-    adj = _tree_adjacency(graph, edge_ids)
-    return sum(1 for v in adj if len(adj[v]) == 1)
-
-
-def _distances_from(adj: dict, start) -> dict:
-    dist = {start: 0}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for _, y in adj[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    nxt.append(y)
-        frontier = nxt
-    return dist
-
-
 def _prune_to_terminal_tree(graph: LabelledGraph, edge_ids: set) -> set:
     """Repeatedly drop non-terminal leaves: the largest sub-tree whose leaves
-    are all terminals."""
+    are all terminals.  An edge goes exactly when one of its sides holds no
+    terminal, so the order of the drops does not change the result."""
     edges = set(edge_ids)
     terminals = graph.terminals
-    while True:
-        adj = _tree_adjacency(graph, edges)
-        drop = None
-        for v, nbrs in adj.items():
-            if len(nbrs) == 1 and v not in terminals:
-                drop = nbrs[0][0]
+    adj = _tree_adjacency(graph, edges)
+    degree = {v: len(nbrs) for v, nbrs in adj.items()}
+    stack = [v for v, d in degree.items() if d == 1 and v not in terminals]
+    while stack:
+        # v's one remaining edge, if a neighbour's drop has not taken it already
+        for eid, y in adj[stack.pop()]:
+            if eid in edges:
+                edges.discard(eid)
+                degree[y] -= 1
+                if degree[y] == 1 and y not in terminals:
+                    stack.append(y)
                 break
-        if drop is None:
-            return edges
-        edges.discard(drop)
+    return edges
 
 
 def extract_zero_paths(graph: LabelledGraph, tree_edges: set, k: int) -> list[PathWitness]:
     """k pairwise disjoint zero-weight terminal paths from one subcubic tree.
 
-    Recursion: split at the farthest degree-3 vertex from a fixed leaf that
-    still leaves at least |group|+1 leaves on its far side, solve the far
-    side by pigeonhole, recurse on the near side.
+    While more than one path is due: root the tree at its smallest leaf,
+    split at the deepest degree-3 vertex (ties to the smallest id) with more
+    than |group| leaves below it, solve its subtree by pigeonhole, and go on
+    with the rest of the tree, pruned to its terminal leaves, owing one path
+    fewer.  The last path comes from what is left.
     """
-    group = graph.group
-    size = group.order
+    size = graph.group.order
     if k <= 0:
         return []
     edges = set(tree_edges)
-    leaves_now = _leaf_count(graph, edges)
-    if leaves_now < (2 * k - 1) * size + 1:
-        raise PreconditionFailed(
-            f"tree has {leaves_now} leaves; {(2 * k - 1) * size + 1} required for {k} paths"
-        )
-    if k == 1:
+    far_paths: list[PathWitness] = []
+    while True:
         adj = _tree_adjacency(graph, edges)
-        if len(edges) == 1:
-            # single-edge tree: only possible demand is over the trivial group
-            e = graph.edge(next(iter(edges)))
-            w = walk_weight(graph, (e.u, e.v), (e.eid,))
-            if w != group.zero():
-                raise InternalInvariantError("single-edge tree with nonzero weight")
-            witness = PathWitness((e.u, e.v), (e.eid,), w)
-            witness.validate(graph)
-            return [witness]
-        internal = sorted((v for v in adj if len(adj[v]) >= 2), key=vertex_key)
-        return [base_zero_path(graph, edges, internal[0])]
-
-    adj = _tree_adjacency(graph, edges)
-    anchor = min((v for v in adj if len(adj[v]) == 1), key=vertex_key)
-    dist = _distances_from(adj, anchor)
-    total_leaves = leaves_now
-
-    best = None  # (vertex, far_edges, near_edges); maximize distance, break ties downward
-    for v in adj:
-        if len(adj[v]) != 3:
-            continue
-        # component of tree - v containing the anchor
-        comp_edges = set()
-        stack = [anchor]
-        seen = {anchor}
-        while stack:
-            x = stack.pop()
-            for eid, y in adj[x]:
-                if y == v or y in seen:
-                    continue
-                seen.add(y)
-                comp_edges.add(eid)
-                stack.append(y)
-        near_prime_vertices = seen
-        far_edges = {
-            eid for eid in edges if not (
-                graph.edge(eid).u in near_prime_vertices or graph.edge(eid).v in near_prime_vertices
+        leaves = [v for v, nbrs in adj.items() if len(nbrs) == 1]
+        if len(leaves) < (2 * k - 1) * size + 1:
+            raise PreconditionFailed(
+                f"tree has {len(leaves)} leaves; {(2 * k - 1) * size + 1} required for {k} paths"
             )
-        }
-        far_leaves = total_leaves - sum(
-            1 for x in near_prime_vertices if len(adj[x]) == 1
-        )
-        if far_leaves >= size + 1:
-            better = best is None or dist[v] > dist[best[0]] or (
-                dist[v] == dist[best[0]] and vertex_key(v) < vertex_key(best[0])
-            )
-            if better:
-                best = (v, far_edges, comp_edges)
-    if best is None:
-        raise InternalInvariantError("no admissible split vertex; contradicts the leaf bound")
-    v, far_edges, near_prime_edges = best
-    near_edges = _prune_to_terminal_tree(graph, near_prime_edges)
-    far_paths = extract_zero_paths(graph, far_edges, 1)
-    near_paths = extract_zero_paths(graph, near_edges, k - 1)
-    out = near_paths + far_paths
-    used: set = set()
-    for p in out:
-        if used & set(p.vertices):
-            raise InternalInvariantError("extracted paths overlap")
-        used |= set(p.vertices)
-    return out
+        if k == 1:
+            break
+        anchor = min(leaves, key=vertex_key)
+        order, parent = _rooted(adj, anchor)
+        depth = {anchor: 0}
+        for v in order[1:]:
+            depth[v] = depth[parent[v][1]] + 1
+        below = dict.fromkeys(order, 0)
+        for v in reversed(order[1:]):
+            if len(adj[v]) == 1:
+                below[v] = 1
+            below[parent[v][1]] += below[v]
+        splits = [v for v in order if len(adj[v]) == 3 and below[v] > size]
+        if not splits:
+            raise InternalInvariantError("no admissible split vertex; contradicts the leaf bound")
+        split = min(splits, key=lambda v: (-depth[v], vertex_key(v)))
+        inside = {split}
+        far_edges = set()
+        for v in order[1:]:
+            eid, up = parent[v]
+            if up in inside:
+                inside.add(v)
+                far_edges.add(eid)
+        far_paths += extract_zero_paths(graph, far_edges, 1)
+        edges = _prune_to_terminal_tree(graph, edges - far_edges - {parent[split][0]})
+        k -= 1
+
+    if len(edges) == 1:
+        # single-edge tree: only possible demand is over the trivial group
+        e = graph.edge(next(iter(edges)))
+        w = walk_weight(graph, (e.u, e.v), (e.eid,))
+        if w != graph.group.zero():
+            raise InternalInvariantError("single-edge tree with nonzero weight")
+        last = PathWitness((e.u, e.v), (e.eid,), w)
+        last.validate(graph)
+    else:
+        last = base_zero_path(graph, edges, min((v for v in adj if len(adj[v]) >= 2), key=vertex_key))
+    paths = [last] + far_paths[::-1]
+    _verify_packing(paths)
+    return paths
 
 
 def largest_extractable(graph: LabelledGraph, leaf_count: int) -> int:
@@ -394,15 +364,12 @@ def frame_pack_or_cover(
 def _validate_packing(graph: LabelledGraph, paths: list[PathWitness], k: int) -> None:
     if len(paths) != k:
         raise InternalInvariantError("packing has the wrong size")
-    used: set = set()
     zero = graph.group.zero()
     for p in paths:
         p.validate(graph)
         if p.weight != zero:
             raise InternalInvariantError("packing contains a nonzero path")
-        if used & set(p.vertices):
-            raise InternalInvariantError("packing paths overlap")
-        used |= set(p.vertices)
+    _verify_packing(paths)
 
 
 def validate_frame_cover(graph: LabelledGraph, k: int, cover: frozenset, limits: Limits = DEFAULT_LIMITS) -> dict:

@@ -482,21 +482,21 @@ def _potential_certificate(graph: LabelledGraph) -> dict | None:
     group = graph.group
     zero = group.zero()
     phi: dict = {}
-    for comp in graph.components():
-        root = min(comp, key=vertex_key)
+    # vertices are sorted, so each root is the smallest vertex of its component
+    for root in graph.vertices:
+        if root in phi:
+            continue
         phi[root] = zero
         stack = [root]
-        seen = {root}
         while stack:
             x = stack.pop()
             for e, y in graph.incident(x):
-                if y in seen:
+                if y in phi:
                     continue
                 val = e.label - phi[x]
                 if val + val != zero:
                     return None
                 phi[y] = val
-                seen.add(y)
                 stack.append(y)
     for e in graph.edges:
         if phi[e.u] + phi[e.v] != e.label:
@@ -745,6 +745,8 @@ def _block_path_weights(graph, bridges, limits) -> list[tuple]:
 
 
 def _bridges(graph: LabelledGraph, bset: set) -> tuple[Bridge, ...]:
+    # vertices and edges are stored sorted, so their index ranks order them as their keys do
+    rank, erank = graph._rank.__getitem__, graph._erank.__getitem__
     out = []
     for comp in graph.components(forbidden=bset):
         attach = set()
@@ -758,15 +760,15 @@ def _bridges(graph: LabelledGraph, bset: set) -> tuple[Bridge, ...]:
             raise InternalInvariantError("bridge with more than two attachments")
         out.append(
             Bridge(
-                tuple(sorted(comp, key=vertex_key)),
-                tuple(sorted(attach, key=vertex_key)),
-                tuple(sorted(edge_ids, key=_eid_key)),
+                tuple(sorted(comp, key=rank)),
+                tuple(sorted(attach, key=rank)),
+                tuple(sorted(edge_ids, key=erank)),
             )
         )
     for e in graph.edges:
         if e.u in bset and e.v in bset:
-            out.append(Bridge((), tuple(sorted((e.u, e.v), key=vertex_key)), (e.eid,)))
-    out.sort(key=lambda b: (tuple(map(vertex_key, b.attachments)), tuple(map(vertex_key, b.vertices))))
+            out.append(Bridge((), tuple(sorted((e.u, e.v), key=rank)), (e.eid,)))
+    out.sort(key=lambda b: (tuple(map(rank, b.attachments)), tuple(map(rank, b.vertices))))
     return tuple(out)
 
 

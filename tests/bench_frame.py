@@ -1,0 +1,82 @@
+"""Layer benchmark: zero-path extraction from one subcubic terminal tree.
+
+Times `frame.extract_zero_paths` at k = `largest_extractable`, the most
+disjoint zero paths the leaf count guarantees, on:
+
+- caterpillars over Z/3: a spine of n vertices, each with one terminal leaf,
+  labels drawn from `random.Random(n)`, at n = 200, 400, 800 and 1,600.
+  Extraction splits the tree k - 1 = n/6 - 1 times, so these rows show how
+  the cost of one split grows with the tree;
+- one row of 50 random subcubic terminal trees over Z/3 on 20-200 vertices
+  (`util.random_subcubic_tree`, seed 0), each at its own k.
+
+Each result is checked to be k disjoint zero-weight paths, so a wrong
+extraction fails even an untimed run.  The file name matches no `test_*.py`
+pattern, so the Tier-1 run does not collect it.  Run from the root of a
+checkout:
+
+    PYTHONPATH=src python -m pytest tests/bench_frame.py --benchmark-json BENCH_frame.json
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from gammapath.frame import extract_zero_paths, largest_extractable
+from gammapath.graphs import DIRECTED, LabelledGraph
+from gammapath.packing import _verify_packing
+
+from util import Z, random_subcubic_tree
+
+CATERPILLAR_SIZES = (200, 400, 800, 1600)
+
+
+def _caterpillar(n: int):
+    """Spine 0..n-1, leaf n+i hanging off spine vertex i; the leaves are the terminals."""
+    rng = random.Random(n)
+    edges = [(i, i + 1, rng.randrange(3), i) for i in range(n - 1)]
+    edges += [(i, n + i, rng.randrange(3), i) for i in range(n)]
+    return LabelledGraph.build(Z(3), DIRECTED, edges, range(n, 2 * n)), set(range(2 * n - 1))
+
+
+def _random_trees():
+    """Random subcubic trees whose terminals are exactly their leaves, as the frame's are."""
+    rng = random.Random(0)
+    out = []
+    while len(out) < 50:
+        graph, tree = random_subcubic_tree(rng, Z(3), rng.randint(20, 200))
+        leaves = {v for v in graph.vertices if len(graph._adj[v]) == 1}
+        if graph.terminals == leaves:
+            out.append((graph, tree, largest_extractable(graph, len(leaves))))
+    return out
+
+
+def _check(graph, paths, k) -> None:
+    assert len(paths) == k
+    _verify_packing(paths)
+    for p in paths:
+        p.validate(graph)
+        assert p.weight == graph.group.zero()
+
+
+@pytest.mark.parametrize("n", CATERPILLAR_SIZES)
+def test_extract_caterpillar(benchmark, n):
+    graph, tree = _caterpillar(n)
+    k = largest_extractable(graph, n)
+    benchmark.extra_info.update(leaves=n, k=k)
+    paths = benchmark.pedantic(extract_zero_paths, args=(graph, tree, k), rounds=3)
+    _check(graph, paths, k)
+
+
+def test_extract_random_trees(benchmark):
+    cases = _random_trees()
+    benchmark.extra_info.update(
+        trees=len(cases),
+        vertices=sum(len(g.vertices) for g, _, _ in cases),
+        paths=sum(k for _, _, k in cases),
+    )
+    results = benchmark.pedantic(lambda: [extract_zero_paths(*case) for case in cases], rounds=3)
+    for (graph, _, k), paths in zip(cases, results):
+        _check(graph, paths, k)

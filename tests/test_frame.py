@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import inspect
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -16,9 +18,9 @@ from gammapath.frame import (
     validate_frame_cover,
 )
 from gammapath.graphs import DIRECTED, UNDIRECTED, LabelledGraph, walk_weight
-from gammapath.packing import WEIGHT, PathFamilySpec, max_packing
+from gammapath.packing import WEIGHT, PathFamilySpec, _verify_packing, max_packing
 
-from util import Z, make_s3
+from util import Z, make_s3, oracle_extract_zero_paths, random_subcubic_tree
 
 
 def directed(group, edges, terminals, extra=()):
@@ -122,6 +124,45 @@ def test_extract_requires_leaf_budget():
     g, tree = _caterpillar(z2, [0, 0, 1, 1, 0, 1])  # 6 leaves < 7
     with pytest.raises(PreconditionFailed):
         extract_zero_paths(g, tree, 2)
+
+
+def _outcome(fn, *args):
+    """The paths a call returns, or the type and message of what it raises."""
+    try:
+        return [(p.vertices, p.edge_ids, p.weight) for p in fn(*args)]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_extract_matches_recursive_oracle():
+    # trees with non-terminal leaves or interior terminals fail mid-extraction:
+    # the loop must fail the same way, at the same split
+    rng = random.Random(303)
+    groups = [Z(2), Z(3), Z(5), Z(2, 2), make_s3()]
+    packed = failed = 0
+    for i in range(600):
+        g, tree = random_subcubic_tree(rng, groups[i % len(groups)], rng.randint(2, 60))
+        leaves = sum(1 for v in g.vertices if len(g._adj[v]) == 1)
+        for k in range(1, largest_extractable(g, leaves) + 2):
+            got = _outcome(extract_zero_paths, g, tree, k)
+            assert got == _outcome(oracle_extract_zero_paths, g, tree, k), (i, k)
+            packed += isinstance(got, list) and k > 1
+            failed += isinstance(got, tuple)
+    assert packed and failed
+
+
+def test_extract_many_paths_without_deep_recursion():
+    # 399 leaves over Z/2 owe 100 paths; the recursive extraction nested one call per path
+    rng = random.Random(17)
+    g, tree = _caterpillar(Z(2), [rng.randrange(2) for _ in range(399)])
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        paths = extract_zero_paths(g, tree, 100)
+    finally:
+        sys.setrecursionlimit(old_limit)
+    assert len(paths) == 100
+    _verify_packing(paths)
 
 
 def test_largest_extractable_search():

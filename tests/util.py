@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from gammapath.errors import InternalInvariantError, LimitExceeded, parsing, require_keys
+from gammapath.errors import InternalInvariantError, LimitExceeded, PreconditionFailed, parsing, require_keys
 from gammapath.graphs import (
     DIRECTED,
     UNDIRECTED,
@@ -15,6 +15,7 @@ from gammapath.graphs import (
     PathWitness,
     _eid_key,
     vertex_key,
+    walk_weight,
 )
 from gammapath.groups import CayleyGroup, CyclicProduct, GroupElem, IntegerGroup, group_from_json
 from gammapath.harness import make_s3, naive_max_packing, naive_min_cover  # noqa: F401
@@ -551,3 +552,204 @@ def graph_tables(graph: LabelledGraph) -> tuple:
         list(graph._erank.items()),
         sorted(graph._by_id.items(), key=lambda item: _eid_key(item[0])),
     )
+
+
+# --- zero-path extraction by recursion: the oracle for the extraction loop -----
+
+
+def _oracle_tree_adjacency(graph, edge_ids) -> dict:
+    adj: dict = {}
+    for eid in sorted(edge_ids, key=_eid_key):
+        e = graph.edge(eid)
+        adj.setdefault(e.u, []).append((eid, e.v))
+        adj.setdefault(e.v, []).append((eid, e.u))
+    for v in adj:
+        adj[v].sort(key=lambda pair: vertex_key(pair[1]))
+    return adj
+
+
+def _oracle_leaf_paths_from(adj: dict, v) -> list[tuple[tuple, tuple]]:
+    """All paths in the tree from v to each leaf, ordered by leaf id."""
+    out = []
+    stack = [((v,), ())]
+    while stack:
+        path, edges = stack.pop()
+        nbrs = [(eid, y) for eid, y in adj[path[-1]] if len(path) < 2 or y != path[-2]]
+        if not nbrs and len(path) > 1:
+            out.append((path, edges))
+        stack.extend((path + (y,), edges + (eid,)) for eid, y in nbrs)
+    out.sort(key=lambda pe: vertex_key(pe[0][-1]))
+    return out
+
+
+def oracle_base_zero_path(graph, tree_edges, v) -> PathWitness:
+    """frame.base_zero_path as it was when it listed every leaf path from v."""
+    group = graph.group
+    if not group.is_finite:
+        raise PreconditionFailed("pigeonhole extraction needs a finite group")
+    adj = _oracle_tree_adjacency(graph, tree_edges)
+    if v not in adj or len(adj[v]) == 1:
+        raise PreconditionFailed("root must be an internal tree vertex")
+    paths = _oracle_leaf_paths_from(adj, v)
+    need = group.order + 1
+    if len(paths) < need:
+        raise PreconditionFailed(f"need {need} leaf paths, found {len(paths)}")
+    chosen = paths[:need]
+    weights = [walk_weight(graph, vs, es) for vs, es in chosen]
+    pair = None
+    for i in range(need):
+        for j in range(i + 1, need):
+            if weights[i] == weights[j]:
+                pair = (i, j)
+                break
+        if pair:
+            break
+    if pair is None:
+        raise InternalInvariantError("pigeonhole failed over the group order")
+    (vi, ei), (vj, ej) = chosen[pair[0]], chosen[pair[1]]
+    k = 0
+    while k < min(len(ei), len(ej)) and ei[k] == ej[k]:
+        k += 1
+    branch_i_v, branch_i_e = vi[k:], ei[k:]
+    branch_j_v, branch_j_e = vj[k:], ej[k:]
+    verts = tuple(reversed(branch_i_v)) + branch_j_v[1:]
+    edges = tuple(reversed(branch_i_e)) + branch_j_e
+    w = walk_weight(graph, verts, edges)
+    witness = PathWitness(verts, edges, w)
+    if w != group.zero():
+        raise InternalInvariantError("prefix cancellation did not produce weight zero")
+    witness.validate(graph)
+    return witness
+
+
+def _oracle_leaf_count(graph, edge_ids) -> int:
+    adj = _oracle_tree_adjacency(graph, edge_ids)
+    return sum(1 for v in adj if len(adj[v]) == 1)
+
+
+def _oracle_distances_from(adj: dict, start) -> dict:
+    dist = {start: 0}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for _, y in adj[x]:
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    nxt.append(y)
+        frontier = nxt
+    return dist
+
+
+def _oracle_prune_to_terminal_tree(graph, edge_ids) -> set:
+    """Drop the first non-terminal leaf's edge, one adjacency rebuild per drop."""
+    edges = set(edge_ids)
+    terminals = graph.terminals
+    while True:
+        adj = _oracle_tree_adjacency(graph, edges)
+        drop = None
+        for v, nbrs in adj.items():
+            if len(nbrs) == 1 and v not in terminals:
+                drop = nbrs[0][0]
+                break
+        if drop is None:
+            return edges
+        edges.discard(drop)
+
+
+def oracle_extract_zero_paths(graph, tree_edges, k) -> list[PathWitness]:
+    """frame.extract_zero_paths as it was: one recursion per path, and a DFS
+    from the anchor leaf around every degree-3 vertex to find the split."""
+    group = graph.group
+    size = group.order
+    if k <= 0:
+        return []
+    edges = set(tree_edges)
+    leaves_now = _oracle_leaf_count(graph, edges)
+    if leaves_now < (2 * k - 1) * size + 1:
+        raise PreconditionFailed(
+            f"tree has {leaves_now} leaves; {(2 * k - 1) * size + 1} required for {k} paths"
+        )
+    if k == 1:
+        adj = _oracle_tree_adjacency(graph, edges)
+        if len(edges) == 1:
+            e = graph.edge(next(iter(edges)))
+            w = walk_weight(graph, (e.u, e.v), (e.eid,))
+            if w != group.zero():
+                raise InternalInvariantError("single-edge tree with nonzero weight")
+            witness = PathWitness((e.u, e.v), (e.eid,), w)
+            witness.validate(graph)
+            return [witness]
+        internal = sorted((v for v in adj if len(adj[v]) >= 2), key=vertex_key)
+        return [oracle_base_zero_path(graph, edges, internal[0])]
+
+    adj = _oracle_tree_adjacency(graph, edges)
+    anchor = min((v for v in adj if len(adj[v]) == 1), key=vertex_key)
+    dist = _oracle_distances_from(adj, anchor)
+    total_leaves = leaves_now
+
+    best = None  # (vertex, far_edges, near_edges); maximize distance, break ties downward
+    for v in adj:
+        if len(adj[v]) != 3:
+            continue
+        comp_edges = set()
+        stack = [anchor]
+        seen = {anchor}
+        while stack:
+            x = stack.pop()
+            for eid, y in adj[x]:
+                if y == v or y in seen:
+                    continue
+                seen.add(y)
+                comp_edges.add(eid)
+                stack.append(y)
+        far_edges = {
+            eid for eid in edges if not (graph.edge(eid).u in seen or graph.edge(eid).v in seen)
+        }
+        far_leaves = total_leaves - sum(1 for x in seen if len(adj[x]) == 1)
+        if far_leaves >= size + 1:
+            better = best is None or dist[v] > dist[best[0]] or (
+                dist[v] == dist[best[0]] and vertex_key(v) < vertex_key(best[0])
+            )
+            if better:
+                best = (v, far_edges, comp_edges)
+    if best is None:
+        raise InternalInvariantError("no admissible split vertex; contradicts the leaf bound")
+    v, far_edges, near_prime_edges = best
+    near_edges = _oracle_prune_to_terminal_tree(graph, near_prime_edges)
+    far_paths = oracle_extract_zero_paths(graph, far_edges, 1)
+    near_paths = oracle_extract_zero_paths(graph, near_edges, k - 1)
+    out = near_paths + far_paths
+    used: set = set()
+    for p in out:
+        if used & set(p.vertices):
+            raise InternalInvariantError("extracted paths overlap")
+        used |= set(p.vertices)
+    return out
+
+
+def random_subcubic_tree(rng: random.Random, group, n: int):
+    """A directed graph that is one random subcubic tree on n >= 2 vertices.
+
+    Each vertex after the first hangs off a random earlier vertex of degree
+    below 3, by an edge of random orientation and label.  Ids mix ints and
+    strings.  Leaves are terminals, except that one tree in four turns a few
+    leaves into non-terminals and one in four makes a few interior vertices
+    terminals too.  Returns the graph and its edge-id set.
+    """
+    names = [v if rng.random() < 0.5 else f"v{v}" for v in rng.sample(range(4 * n), n)]
+    degree = {names[0]: 0}
+    edges = []
+    for i, v in enumerate(names[1:]):
+        u = rng.choice([x for x in names[: i + 1] if degree[x] < 3])
+        degree[u] += 1
+        degree[v] = 1
+        edges.append(Edge(f"e{i}" if i % 3 else i, u, v, rng.choice(group.elements()), rng.choice((u, v))))
+    leaves = [v for v in names if degree[v] == 1]
+    interior = [v for v in names if degree[v] > 1]
+    terminals = set(leaves)
+    if rng.random() < 0.25:
+        terminals -= set(rng.sample(leaves, rng.randint(1, max(1, len(leaves) // 4))))
+    if interior and rng.random() < 0.25:
+        terminals |= set(rng.sample(interior, rng.randint(1, max(1, len(interior) // 4))))
+    return LabelledGraph(group, DIRECTED, names, edges, terminals), {e.eid for e in edges}
