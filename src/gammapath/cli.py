@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import pathlib
 import sys
 
 from .chains import CycleChain, reachable_weights, reroute_to_weight
@@ -21,7 +22,7 @@ from .errors import (
     parsing,
     require_keys,
 )
-from .frame import frame_pack_or_cover, validate_frame_cover
+from .frame import frame_pack_or_cover
 from .gadgets import (
     build_integer_gadget,
     build_quotient_gadget,
@@ -55,6 +56,13 @@ EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
 
+# the gadget flags each variant reads; passing any other is a usage error
+_GADGET_PARAMS = {
+    "gamma": {"ell", "model"},
+    "gamma-prime": {"group", "g1", "g2"},
+    "gamma-double-prime": {"group", "ell", "g"},
+}
+
 
 def _parse_json(text: str, what: str):
     try:
@@ -66,8 +74,11 @@ def _parse_json(text: str, what: str):
 def _read_json(path: str):
     if path == "-":
         return _parse_json(sys.stdin.read(), "standard input")
-    with open(path, "r", encoding="utf-8") as fh:
-        return _parse_json(fh.read(), path)
+    try:
+        text = pathlib.Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from None
+    return _parse_json(text, path)
 
 
 def _emit(payload, out_path: str | None) -> None:
@@ -148,12 +159,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gadget", help="build a counterexample family instance")
     p.add_argument("--variant", required=True, choices=["gamma", "gamma-prime", "gamma-double-prime"])
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--group", help="group JSON (not used for gamma, which is over the integers)")
+    p.add_argument("--group", help="group JSON (not read by gamma, which is over the integers)")
     p.add_argument("--ell")
     p.add_argument("--g")
     p.add_argument("--g1")
     p.add_argument("--g2")
-    p.add_argument("--model", choices=[DIRECTED, UNDIRECTED], default=UNDIRECTED)
+    p.add_argument("--model", choices=[DIRECTED, UNDIRECTED], help="gamma only; undirected by default")
     p.add_argument("--verify", action="store_true")
     _add_common(p, graph=False)
 
@@ -261,12 +272,8 @@ def _dispatch(args) -> int:
 
     if args.command == "frame":
         graph = graph_from_json(_read_json(args.graph))
-        limits = _limits(args)
-        result = frame_pack_or_cover(graph, args.k, limits, debug=args.debug)
-        payload = {"k": args.k, **result.to_json()}
-        if result.outcome.kind == "cover":
-            payload["checks"] = validate_frame_cover(graph, args.k, result.outcome.vertices, limits)
-        _emit(payload, args.out)
+        result = frame_pack_or_cover(graph, args.k, _limits(args), debug=args.debug)
+        _emit({"k": args.k, **result.to_json()}, args.out)
         return EXIT_OK
 
     if args.command == "chain":
@@ -302,9 +309,13 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "gadget":
+        unread = [f"--{name}" for name in sorted(set().union(*_GADGET_PARAMS.values()))
+                  if getattr(args, name) is not None and name not in _GADGET_PARAMS[args.variant]]
+        if unread:
+            raise UsageError(f"{args.variant} does not read {', '.join(unread)}")
         if args.variant == "gamma":
             ell = int(args.ell) if args.ell is not None else 0
-            gadget = build_integer_gadget(args.n, ell, model=args.model)
+            gadget = build_integer_gadget(args.n, ell, model=args.model or UNDIRECTED)
         else:
             if not args.group:
                 raise ValueError("this variant needs --group")

@@ -74,7 +74,8 @@ class Limits:
     max_family: int = 10_000
 
     def __post_init__(self):
-        if self.max_len <= 0 or self.max_paths <= 0 or self.cycle_cap <= 0:
+        # written as `not > 0` so that NaN is rejected too
+        if not all(x > 0 for x in (self.max_len, self.max_paths, self.cycle_cap, self.budget_s, self.max_family)):
             raise ValueError("limits must be positive")
 
 

@@ -1,9 +1,13 @@
 """Constructive packing-or-covering for zero-weight paths in oriented graphs.
 
 A forest of subcubic terminal trees is grown greedily to a fixpoint of two
-augmentation moves; either enough disjoint zero-weight terminal paths come
-out of the trees (pigeonhole on leaf counts), or the degree-1/3 vertices of
-the forest form a small cover whose removal provably kills every zero path.
+augmentation moves.  The forest is one adjacency map, vertex -> [(edge id,
+neighbour)], plus the zero-weight path that started each tree, in creation
+order; degrees, the forest's vertex set and each tree's vertices are read
+from the map.  Either enough disjoint zero-weight terminal paths come out of
+the trees (pigeonhole on leaf counts), or the degree-1/3 vertices of the
+forest form a small cover, checked once by `validate_frame_cover`: its size
+against the bound, and by exhaustive search that no zero path survives it.
 Works for any finite group, nonabelian included.
 """
 
@@ -29,29 +33,20 @@ from .graphs import (
 from .packing import PackOrCover, _verify_packing
 
 
-@dataclass
-class TerminalTree:
-    """One forest component: a subcubic tree meeting the terminals in its leaves."""
-
-    vertices: set
-    edge_ids: set
-    witness: PathWitness
-
-    def leaves(self, degree: dict) -> list:
-        """The tree's degree-1 vertices, read from the forest's degree map."""
-        return sorted((v for v in self.vertices if degree[v] == 1), key=vertex_key)
-
-
 @dataclass(frozen=True)
 class FrameResult:
     outcome: PackOrCover
     audit: tuple[dict, ...]
+    checks: dict | None = None  # validate_frame_cover's report on a cover
 
     def to_json(self) -> dict:
-        return {"outcome": self.outcome.to_json(), "audit": list(self.audit)}
+        out = {"outcome": self.outcome.to_json(), "audit": list(self.audit)}
+        if self.checks is not None:
+            out["checks"] = self.checks
+        return out
 
 
-def _first_zero_path_disjoint_from(graph: LabelledGraph, blocked: set | frozenset, limits: Limits):
+def _first_zero_path_disjoint_from(graph: LabelledGraph, blocked, limits: Limits):
     """Lexicographically first zero-weight terminal path avoiding `blocked`.
 
     The search raises LimitExceeded when nothing was found but a path was
@@ -67,7 +62,7 @@ def _first_zero_path_disjoint_from(graph: LabelledGraph, blocked: set | frozense
     return None
 
 
-def _first_attach_path(graph: LabelledGraph, forest_vertices: set, degree: dict, limits: Limits):
+def _first_attach_path(graph: LabelledGraph, forest: dict, limits: Limits):
     """First path from a free terminal to a degree-2 forest vertex.
 
     Internal vertices avoid both the forest and the terminal set, so gluing
@@ -75,16 +70,23 @@ def _first_attach_path(graph: LabelledGraph, forest_vertices: set, degree: dict,
     the terminals it meets.
     """
     terminals = graph.terminals
-    targets = {v for v in forest_vertices if degree.get(v) == 2 and v not in terminals}
-    sources = [a for a in sorted(terminals, key=vertex_key) if a not in forest_vertices]
+    targets = {v for v, nbrs in forest.items() if len(nbrs) == 2 and v not in terminals}
+    sources = [a for a in sorted(terminals, key=vertex_key) if a not in forest]
     for vertices, edge_ids, _ in search_paths(
         graph, sources, targets, lambda *_: True,
-        forbidden=(terminals | forest_vertices) - targets,
+        forbidden=terminals.union(forest) - targets,
         max_len=limits.max_len, max_count=limits.max_paths,
         cut="path length while searching attachments",
     ):
         return vertices, edge_ids
     return None
+
+
+def _add_path(forest: dict, vertices: tuple, edge_ids: tuple) -> None:
+    """List each edge of the path at both of its ends."""
+    for x, eid, y in zip(vertices, edge_ids, vertices[1:]):
+        forest.setdefault(x, []).append((eid, y))
+        forest.setdefault(y, []).append((eid, x))
 
 
 def _tree_adjacency(graph: LabelledGraph, edge_ids: set) -> dict:
@@ -95,27 +97,6 @@ def _tree_adjacency(graph: LabelledGraph, edge_ids: set) -> dict:
         adj.setdefault(e.u, []).append((eid, e.v))
         adj.setdefault(e.v, []).append((eid, e.u))
     return adj
-
-
-def _validate_tree(graph: LabelledGraph, tree: TerminalTree, degree: dict) -> None:
-    adj = _tree_adjacency(graph, tree.edge_ids)
-    if set(adj) != tree.vertices:
-        raise InternalInvariantError("component vertex set out of sync")
-    if len(tree.edge_ids) != len(tree.vertices) - 1:
-        raise InternalInvariantError("component is not a tree")
-    for v, nbrs in adj.items():
-        if len(nbrs) > 3:
-            raise InternalInvariantError("component is not subcubic")
-        if degree.get(v) != len(nbrs):
-            raise InternalInvariantError("cached degree out of sync")
-    leaves = {v for v, nbrs in adj.items() if len(nbrs) == 1}
-    if tree.vertices & graph.terminals != leaves:
-        raise InternalInvariantError("terminals inside the component are not exactly its leaves")
-    tree.witness.validate(graph)
-    if tree.witness.weight != graph.group.zero():
-        raise InternalInvariantError("stored witness is not zero weight")
-    if not set(tree.witness.vertices) <= tree.vertices:
-        raise InternalInvariantError("stored witness left its component")
 
 
 def _rooted(adj: dict, root) -> tuple[list, dict]:
@@ -130,18 +111,45 @@ def _rooted(adj: dict, root) -> tuple[list, dict]:
     return order, parent
 
 
-def base_zero_path(graph: LabelledGraph, tree_edges: set, v) -> PathWitness:
-    """Zero-weight terminal path inside a subcubic terminal tree, rooted at v.
+def _validate_forest(graph: LabelledGraph, forest: dict, witnesses: list) -> None:
+    """The forest map is a set of subcubic terminal trees, one per stored zero witness."""
+    for x, nbrs in forest.items():
+        if len(set(nbrs)) != len(nbrs):
+            raise InternalInvariantError("an edge is listed twice at one vertex")
+        for eid, y in nbrs:
+            e = graph._by_id.get(eid)
+            if e is None or {e.u, e.v} != {x, y} or (eid, x) not in forest.get(y, ()):
+                raise InternalInvariantError("forest lists an edge that is not a graph edge listed at both ends")
+    zero = graph.group.zero()
+    seen: set = set()
+    for witness in witnesses:
+        witness.validate(graph)
+        if witness.weight != zero:
+            raise InternalInvariantError("stored witness is not zero weight")
+        if witness.vertices[0] not in forest:
+            raise InternalInvariantError("stored witness left the forest")
+        tree = _rooted(forest, witness.vertices[0])[0]
+        if seen.intersection(tree):
+            raise InternalInvariantError("two witnesses share a component")
+        seen.update(tree)
+        if not set(tree).issuperset(witness.vertices):
+            raise InternalInvariantError("stored witness left its component")
+        degrees = [len(forest[v]) for v in tree]
+        if sum(degrees) != 2 * (len(tree) - 1):
+            raise InternalInvariantError("component is not a tree")
+        if max(degrees) > 3:
+            raise InternalInvariantError("component is not subcubic")
+        if {v for v, d in zip(tree, degrees) if d == 1} != graph.terminals.intersection(tree):
+            raise InternalInvariantError("terminals inside the component are not exactly its leaves")
+    if seen != forest.keys():
+        raise InternalInvariantError("forest vertex outside every component")
 
-    Needs at least |group|+1 leaf paths from the internal vertex v, taken in
-    leaf-id order: two of them share a weight by pigeonhole, and their
-    symmetric difference is the witness (the common prefix cancels on the
-    left even when the group is nonabelian).
-    """
+
+def _zero_path_from(graph: LabelledGraph, adj: dict, v) -> PathWitness:
+    """base_zero_path on the tree given by its adjacency map."""
     group = graph.group
     if not group.is_finite:
         raise PreconditionFailed("pigeonhole extraction needs a finite group")
-    adj = _tree_adjacency(graph, tree_edges)
     if v not in adj or len(adj[v]) == 1:
         raise PreconditionFailed("root must be an internal tree vertex")
     order, parent = _rooted(adj, v)
@@ -158,14 +166,7 @@ def base_zero_path(graph: LabelledGraph, tree_edges: set, v) -> PathWitness:
             edges.append(eid)
         chosen.append((tuple(reversed(verts)), tuple(reversed(edges))))
     weights = [walk_weight(graph, vs, es) for vs, es in chosen]
-    pair = None
-    for i in range(need):
-        for j in range(i + 1, need):
-            if weights[i] == weights[j]:
-                pair = (i, j)
-                break
-        if pair:
-            break
+    pair = next(((i, j) for i in range(need) for j in range(i + 1, need) if weights[i] == weights[j]), None)
     if pair is None:
         raise InternalInvariantError("pigeonhole failed over the group order")
     (vi, ei), (vj, ej) = chosen[pair[0]], chosen[pair[1]]
@@ -185,25 +186,38 @@ def base_zero_path(graph: LabelledGraph, tree_edges: set, v) -> PathWitness:
     return witness
 
 
-def _prune_to_terminal_tree(graph: LabelledGraph, edge_ids: set) -> set:
-    """Repeatedly drop non-terminal leaves: the largest sub-tree whose leaves
-    are all terminals.  An edge goes exactly when one of its sides holds no
-    terminal, so the order of the drops does not change the result."""
-    edges = set(edge_ids)
-    terminals = graph.terminals
-    adj = _tree_adjacency(graph, edges)
-    degree = {v: len(nbrs) for v, nbrs in adj.items()}
-    stack = [v for v, d in degree.items() if d == 1 and v not in terminals]
+def base_zero_path(graph: LabelledGraph, tree_edges: set, v) -> PathWitness:
+    """Zero-weight terminal path inside a subcubic terminal tree, rooted at v.
+
+    Needs at least |group|+1 leaf paths from the internal vertex v, taken in
+    leaf-id order: two of them share a weight by pigeonhole, and their
+    symmetric difference is the witness (the common prefix cancels on the
+    left even when the group is nonabelian).
+    """
+    return _zero_path_from(graph, _tree_adjacency(graph, tree_edges), v)
+
+
+def _remove_edge(adj: dict, x, eid, y) -> None:
+    """Drop edge eid between x and y, and any end it leaves without edges."""
+    for a, b in ((x, y), (y, x)):
+        adj[a].remove((eid, b))
+        if not adj[a]:
+            del adj[a]
+
+
+def _prune_to_terminal_tree(adj: dict, terminals) -> None:
+    """Repeatedly drop non-terminal leaves, in place: the largest sub-tree whose
+    leaves are all terminals.  An edge goes exactly when one of its sides holds
+    no terminal, so the order of the drops does not change the result."""
+    stack = [v for v, nbrs in adj.items() if len(nbrs) == 1 and v not in terminals]
     while stack:
-        # v's one remaining edge, if a neighbour's drop has not taken it already
-        for eid, y in adj[stack.pop()]:
-            if eid in edges:
-                edges.discard(eid)
-                degree[y] -= 1
-                if degree[y] == 1 and y not in terminals:
-                    stack.append(y)
-                break
-    return edges
+        v = stack.pop()
+        if v not in adj:
+            continue  # its one edge went with its neighbour's drop
+        ((eid, y),) = adj[v]
+        _remove_edge(adj, v, eid, y)
+        if len(adj.get(y, ())) == 1 and y not in terminals:
+            stack.append(y)
 
 
 def extract_zero_paths(graph: LabelledGraph, tree_edges: set, k: int) -> list[PathWitness]:
@@ -211,17 +225,17 @@ def extract_zero_paths(graph: LabelledGraph, tree_edges: set, k: int) -> list[Pa
 
     While more than one path is due: root the tree at its smallest leaf,
     split at the deepest degree-3 vertex (ties to the smallest id) with more
-    than |group| leaves below it, solve its subtree by pigeonhole, and go on
-    with the rest of the tree, pruned to its terminal leaves, owing one path
-    fewer.  The last path comes from what is left.
+    than |group| leaves below it, cut its subtree off and solve it by
+    pigeonhole, and go on with the rest of the tree, pruned to its terminal
+    leaves, owing one path fewer.  The last path comes from what is left.
+    The tree's adjacency map is built once and cut and pruned in place.
     """
     size = graph.group.order
     if k <= 0:
         return []
-    edges = set(tree_edges)
+    adj = _tree_adjacency(graph, tree_edges)
     far_paths: list[PathWitness] = []
     while True:
-        adj = _tree_adjacency(graph, edges)
         leaves = [v for v, nbrs in adj.items() if len(nbrs) == 1]
         if len(leaves) < (2 * k - 1) * size + 1:
             raise PreconditionFailed(
@@ -243,27 +257,24 @@ def extract_zero_paths(graph: LabelledGraph, tree_edges: set, k: int) -> list[Pa
         if not splits:
             raise InternalInvariantError("no admissible split vertex; contradicts the leaf bound")
         split = min(splits, key=lambda v: (-depth[v], vertex_key(v)))
-        inside = {split}
-        far_edges = set()
-        for v in order[1:]:
-            eid, up = parent[v]
-            if up in inside:
-                inside.add(v)
-                far_edges.add(eid)
-        far_paths += extract_zero_paths(graph, far_edges, 1)
-        edges = _prune_to_terminal_tree(graph, edges - far_edges - {parent[split][0]})
+        eid, up = parent[split]
+        _remove_edge(adj, split, eid, up)
+        far = {v: adj.pop(v) for v in _rooted(adj, split)[0]}
+        far_paths.append(_zero_path_from(graph, far, min((v for v in far if len(far[v]) >= 2), key=vertex_key)))
+        _prune_to_terminal_tree(adj, graph.terminals)
         k -= 1
 
-    if len(edges) == 1:
+    if len(adj) == 2:
         # single-edge tree: only possible demand is over the trivial group
-        e = graph.edge(next(iter(edges)))
+        ((eid, _),) = next(iter(adj.values()))
+        e = graph.edge(eid)
         w = walk_weight(graph, (e.u, e.v), (e.eid,))
         if w != graph.group.zero():
             raise InternalInvariantError("single-edge tree with nonzero weight")
         last = PathWitness((e.u, e.v), (e.eid,), w)
         last.validate(graph)
     else:
-        last = base_zero_path(graph, edges, min((v for v in adj if len(adj[v]) >= 2), key=vertex_key))
+        last = _zero_path_from(graph, adj, min((v for v in adj if len(adj[v]) >= 2), key=vertex_key))
     paths = [last] + far_paths[::-1]
     _verify_packing(paths)
     return paths
@@ -280,9 +291,10 @@ def frame_pack_or_cover(
 ) -> FrameResult:
     """Either k disjoint zero-weight terminal paths or a verified small cover.
 
-    Covers contain the degree-1/3 vertices of the grown forest; their size is
-    checked against six times (k-1) times the group order, and the absence of
-    zero paths after deletion is verified exhaustively.
+    Covers contain the degree-1/3 vertices of the grown forest.  One call of
+    `validate_frame_cover` checks their size against six times (k-1) times
+    the group order and, exhaustively, that no zero path survives their
+    deletion; its report is the result's `checks`.
     """
     if graph.model != DIRECTED:
         raise PreconditionFailed("the frame algorithm runs on the oriented model")
@@ -291,74 +303,47 @@ def frame_pack_or_cover(
     if k < 1:
         raise ValueError("k must be positive")
 
-    trees: list[TerminalTree] = []
-    forest_vertices: set = set()
-    degree: dict = {}
+    forest: dict = {}
+    witnesses: list[PathWitness] = []
     audit: list[dict] = []
-
-    def add_component(witness: PathWitness):
-        for v in witness.vertices:
-            degree[v] = 2
-        degree[witness.vertices[0]] = 1
-        degree[witness.vertices[-1]] = 1
-        trees.append(TerminalTree(set(witness.vertices), set(witness.edge_ids), witness))
-        forest_vertices.update(witness.vertices)
-        audit.append({"move": "new-component", "path": list(witness.vertices)})
-
-    def attach(vertices: tuple, edge_ids: tuple):
-        w = vertices[-1]
-        target = next(t for t in trees if w in t.vertices)
-        target.vertices.update(vertices)
-        target.edge_ids.update(edge_ids)
-        degree[w] += 1
-        degree[vertices[0]] = 1
-        for v in vertices[1:-1]:
-            degree[v] = 2
-        forest_vertices.update(vertices)
-        audit.append({"move": "attach", "path": list(vertices)})
-
     while True:
-        candidate = _first_zero_path_disjoint_from(graph, forest_vertices, limits)
+        candidate = _first_zero_path_disjoint_from(graph, forest.keys(), limits)
         if candidate is not None:
-            add_component(candidate)
+            _add_path(forest, candidate.vertices, candidate.edge_ids)
+            witnesses.append(candidate)
+            audit.append({"move": "new-component", "path": list(candidate.vertices)})
         else:
-            attach_found = _first_attach_path(graph, forest_vertices, degree, limits)
-            if attach_found is None:
+            attach = _first_attach_path(graph, forest, limits)
+            if attach is None:
                 break
-            attach(*attach_found)
+            _add_path(forest, *attach)
+            audit.append({"move": "attach", "path": list(attach[0])})
         if debug:
-            for t in trees:
-                _validate_tree(graph, t, degree)
+            _validate_forest(graph, forest, witnesses)
 
-    if len(trees) >= k:
-        chosen = [t.witness for t in trees[:k]]
-        outcome = PackOrCover("packing", paths=tuple(chosen))
-        _validate_packing(graph, chosen, k)
-        return FrameResult(outcome, tuple(audit))
-
-    per_tree = [largest_extractable(graph, len(t.leaves(degree))) for t in trees]
-    if sum(per_tree) >= k:
-        paths: list[PathWitness] = []
-        for t, cap in zip(trees, per_tree):
-            take = min(cap, k - len(paths))
-            if take > 0:
-                paths.extend(extract_zero_paths(graph, t.edge_ids, take))
-            if len(paths) == k:
-                break
-        outcome = PackOrCover("packing", paths=tuple(paths))
+    paths = witnesses[:k]
+    if len(paths) < k:
+        trees = [_rooted(forest, w.vertices[0])[0] for w in witnesses]
+        per_tree = [largest_extractable(graph, sum(len(forest[v]) == 1 for v in t)) for t in trees]
+        if sum(per_tree) >= k:
+            paths = []
+            for tree, cap in zip(trees, per_tree):
+                take = min(cap, k - len(paths))
+                if take > 0:
+                    paths.extend(extract_zero_paths(graph, {eid for v in tree for eid, _ in forest[v]}, take))
+    if len(paths) == k:
         _validate_packing(graph, paths, k)
-        return FrameResult(outcome, tuple(audit))
+        return FrameResult(PackOrCover("packing", paths=tuple(paths)), tuple(audit))
 
-    cover = frozenset(v for v, d in degree.items() if d in (1, 3))
-    bound = 6 * (k - 1) * graph.group.order
-    if cover and len(cover) >= bound:
-        raise InternalInvariantError(f"cover size {len(cover)} breaks the bound {bound}")
-    leftover = _first_zero_path_disjoint_from(graph, cover, limits)
-    if leftover is not None:
+    cover = frozenset(v for v, nbrs in forest.items() if len(nbrs) in (1, 3))
+    checks = validate_frame_cover(graph, k, cover, limits)
+    if not checks["bound_ok"]:
+        raise InternalInvariantError(f"cover size {len(cover)} breaks the bound {checks['bound']}")
+    if not checks["verified_empty"]:
         raise InternalInvariantError("zero path survives the cover; forest was not maximal")
     outcome = PackOrCover("cover", vertices=cover)
     audit.append({"move": "cover", "vertices": sorted(cover, key=vertex_key)})
-    return FrameResult(outcome, tuple(audit))
+    return FrameResult(outcome, tuple(audit), checks)
 
 
 def _validate_packing(graph: LabelledGraph, paths: list[PathWitness], k: int) -> None:
@@ -373,7 +358,7 @@ def _validate_packing(graph: LabelledGraph, paths: list[PathWitness], k: int) ->
 
 
 def validate_frame_cover(graph: LabelledGraph, k: int, cover: frozenset, limits: Limits = DEFAULT_LIMITS) -> dict:
-    """Re-check both cover conclusions; used by tests and the CLI report."""
+    """Check both cover conclusions: the size bound, and no zero path left after deleting the cover."""
     bound = 6 * (k - 1) * graph.group.order
     leftover = _first_zero_path_disjoint_from(graph, cover, limits)
     return {

@@ -1,6 +1,8 @@
-"""Layer benchmark: zero-path extraction from one subcubic terminal tree.
+"""Layer benchmark: the frame, and zero-path extraction from one subcubic terminal tree.
 
-Times `frame.extract_zero_paths` at k = `largest_extractable`, the most
+Times `frame.frame_pack_or_cover` on 100 random directed graphs over Z/3
+(`harness.random_labelled_graph`, seed 0, 4-14 vertices, k = 1, 2, 3 in
+turn), and `frame.extract_zero_paths` at k = `largest_extractable`, the most
 disjoint zero paths the leaf count guarantees, on:
 
 - caterpillars over Z/3: a spine of n vertices, each with one terminal leaf,
@@ -10,10 +12,10 @@ disjoint zero paths the leaf count guarantees, on:
 - one row of 50 random subcubic terminal trees over Z/3 on 20-200 vertices
   (`util.random_subcubic_tree`, seed 0), each at its own k.
 
-Each result is checked to be k disjoint zero-weight paths, so a wrong
-extraction fails even an untimed run.  The file name matches no `test_*.py`
-pattern, so the Tier-1 run does not collect it.  Run from the root of a
-checkout:
+Each packing is checked to be k disjoint zero-weight paths, and each cover
+to have passed its checks, so a wrong result fails even an untimed run.  The
+file name matches no `test_*.py` pattern, so the Tier-1 run does not collect
+it.  Run from the root of a checkout:
 
     PYTHONPATH=src python -m pytest tests/bench_frame.py --benchmark-json BENCH_frame.json
 """
@@ -24,8 +26,9 @@ import random
 
 import pytest
 
-from gammapath.frame import extract_zero_paths, largest_extractable
+from gammapath.frame import extract_zero_paths, frame_pack_or_cover, largest_extractable
 from gammapath.graphs import DIRECTED, LabelledGraph
+from gammapath.harness import random_labelled_graph
 from gammapath.packing import _verify_packing
 
 from util import Z, random_subcubic_tree
@@ -53,12 +56,35 @@ def _random_trees():
     return out
 
 
+def _frame_cases():
+    """Random directed graphs over Z/3 on at most 14 vertices, each with its k."""
+    rng = random.Random(0)
+    return [(random_labelled_graph(rng, Z(3), DIRECTED, n_max=14), 1 + i % 3) for i in range(100)]
+
+
 def _check(graph, paths, k) -> None:
     assert len(paths) == k
     _verify_packing(paths)
     for p in paths:
         p.validate(graph)
         assert p.weight == graph.group.zero()
+
+
+def test_frame_random_graphs(benchmark):
+    cases = _frame_cases()
+    results = benchmark.pedantic(lambda: [frame_pack_or_cover(g, k) for g, k in cases], rounds=3)
+    kinds = [r.outcome.kind for r in results]
+    benchmark.extra_info.update(
+        graphs=len(cases),
+        packings=kinds.count("packing"),
+        covers=kinds.count("cover"),
+        moves=sum(len(r.audit) for r in results),
+    )
+    for (graph, k), result in zip(cases, results):
+        if result.outcome.kind == "packing":
+            _check(graph, result.outcome.paths, k)
+        else:
+            assert result.checks["bound_ok"] and result.checks["verified_empty"]
 
 
 @pytest.mark.parametrize("n", CATERPILLAR_SIZES)

@@ -9,6 +9,9 @@ as its type name in place of the exit code.  A change that alters any
 certificate, verdict or error payload on these 1,596 instances fails here.
 The `verify-suite` report at both seeds must match the digest of the
 benchmark's expected answers, taken by `benchmarks/run.py`'s `fingerprint`.
+Every `structure` `frame` instance at both seeds (304 a seed) must give the
+same exit code and stdout with `--debug`, which checks the forest's
+invariants after every move, as without it.
 
 The file name matches no `test_*.py` pattern, so the Tier-1 run does not
 collect it.  Run from the root of a checkout:
@@ -82,3 +85,14 @@ def test_verify_suite_report_matches_the_expected_answer(seed):
     assert code == 0
     expected = bench_run.load_expected("suite", seed)["suite"]["sha256"]
     assert bench_run.fingerprint(argv, json.loads(stdout)) == expected
+
+
+@pytest.mark.parametrize("seed", [7, 1013])
+def test_frame_debug_checks_change_no_output(seed, tmp_path):
+    frames = [inst for inst in instances.WORKLOADS["structure"](seed) if inst["argv"][0] == "frame"]
+    assert len(frames) == 304
+    for inst in frames:
+        path = tmp_path / f"{inst['id']}.json"
+        path.write_text(json.dumps(inst["graph"], sort_keys=True))
+        argv = [str(path) if a == instances.GRAPH else a for a in inst["argv"]]
+        assert _run(argv + ["--debug"]) == _run(argv), inst["id"]

@@ -3,14 +3,18 @@ from __future__ import annotations
 import contextlib
 import copy
 import io
+import itertools
 import json
 import os
 import tempfile
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gammapath.frame as frame
+import gammapath.harness as harness
 from gammapath.cli import build_parser, run
 from gammapath.errors import Limits
 from gammapath.frame import frame_pack_or_cover
@@ -97,6 +101,16 @@ def test_frame_cover_on_empty_family(tmp_path, capsys):
     assert payload["outcome"]["kind"] == "cover"
     assert payload["outcome"]["vertices"] == []
     assert payload["checks"]["verified_empty"] is True
+
+
+def test_frame_cover_is_checked_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    check = frame.validate_frame_cover
+    monkeypatch.setattr(frame, "validate_frame_cover", lambda *args: calls.append(args) or check(*args))
+    g = LabelledGraph.build(Z(2), DIRECTED, [("a", "x", 1, "a"), ("x", "b", 0, "x")], ["a", "b"])
+    code, payload, _ = invoke(capsys, "frame", "--graph", graph_file(tmp_path, g), "--k", "2")
+    assert (code, payload["outcome"]["kind"], len(calls)) == (0, "cover", 1)
+    assert payload["checks"] == {"bound": 12, "size": 0, "bound_ok": True, "verified_empty": True}
 
 
 def test_frame_packing_with_audit(tmp_path, capsys):
@@ -252,6 +266,24 @@ def test_gadget_gamma_over_integers(capsys):
     assert all("tail" in e for e in directed_payload["graph"]["edges"])
 
 
+Z8 = '{"type":"cyclic_product","orders":[8]}'
+
+
+@pytest.mark.parametrize(
+    "variant, params, unread",
+    [
+        ("gamma", ["--group", Z8, "--g", "1", "--g1", "1", "--g2", "4"], "--g, --g1, --g2, --group"),
+        ("gamma-prime", ["--group", Z8, "--g1", "1", "--g2", "4", "--model", "directed"], "--model"),
+        ("gamma-prime", ["--group", Z8, "--g1", "1", "--g2", "4", "--ell", "1", "--g", "2"], "--ell, --g"),
+        ("gamma-double-prime", ["--group", Z8, "--ell", "1", "--g", "2", "--g1", "1"], "--g1"),
+        ("gamma-double-prime", ["--group", Z8, "--ell", "1", "--g", "2", "--model", "undirected"], "--model"),
+    ],
+)
+def test_gadget_rejects_the_flags_its_variant_does_not_read(capsys, variant, params, unread):
+    code, payload, _ = invoke(capsys, "gadget", "--variant", variant, "--n", "2", *params)
+    assert (code, payload) == (2, {"error": "usage", "detail": f"{variant} does not read {unread}"})
+
+
 def test_bipartite_verdicts(tmp_path, capsys):
     z2 = Z(2)
     good = LabelledGraph.build(
@@ -338,12 +370,27 @@ def test_verify_suite_deterministic(capsys):
     assert c1["detail"] == c2["detail"]
 
 
-def test_verify_suite_budget_reaches_the_checks(capsys):
-    code, payload, err = invoke(capsys, "verify-suite", "--budget", "-1", "--only", "cauchy-davenport")
+def test_verify_suite_budget_reaches_the_checks(capsys, monkeypatch):
+    ticks = itertools.count(0.0, 10.0)  # a clock that runs 10 s per reading
+    monkeypatch.setattr(harness, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
+    code, payload, err = invoke(capsys, "verify-suite", "--budget", "5", "--only", "cauchy-davenport")
     assert code == 0
-    assert payload["config"]["budget_s"] == -1
+    assert payload["config"]["budget_s"] == 5
     assert [c["status"] for c in payload["checks"]] == ["SKIPPED"]
     assert "cauchy-davenport: SKIPPED" in err
+
+
+@pytest.mark.parametrize("budget", ["-1", "0", "nan"])
+def test_verify_suite_rejects_a_budget_that_is_not_positive(capsys, budget):
+    code, payload, _ = invoke(capsys, "verify-suite", "--budget", budget, "--only", "cauchy-davenport")
+    assert (code, payload) == (1, {"error": "rejected", "detail": "limits must be positive"})
+
+
+@pytest.mark.parametrize("only", [["--only"], ["--only", "nosuchcheck"], ["--only", "gadgets", "nosuchcheck"]])
+def test_verify_suite_without_known_check_ids_is_a_usage_error(capsys, only):
+    code, payload, _ = invoke(capsys, "verify-suite", *only)
+    assert (code, payload["error"]) == (2, "usage")
+    assert payload["detail"].startswith("check ids must be some of cauchy-davenport, ")
 
 
 def test_usage_error_exit_code(capsys):
@@ -447,6 +494,17 @@ def test_malformed_edges_and_files_are_usage_errors(tmp_path, capsys):
     path.write_text(json.dumps({"group": {"type": "cyclic_product", "orders": [3]}, "deltas": [1]}))
     code, payload, _ = invoke(capsys, "chain", "--chain", str(path), "--target", "0")
     assert (code, payload["detail"]) == (2, "chain JSON needs the key 'core_weight'")
+
+
+@pytest.mark.parametrize("argv", [["frame", "--k", "1", "--graph"], ["chain", "--target", "0", "--chain"]])
+def test_a_missing_or_unreadable_file_is_a_usage_error(tmp_path, capsys, argv):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    for path in (tmp_path / "missing.json", tmp_path, binary):
+        code, payload, err = invoke(capsys, *argv, str(path))
+        assert (code, payload["error"]) == (2, "usage"), path
+        assert payload["detail"].startswith(f"cannot read {path}: ")
+        assert err.startswith("usage error: cannot read ")
 
 
 @pytest.mark.parametrize(

@@ -9,15 +9,17 @@ import pytest
 
 from gammapath.errors import InternalInvariantError, LimitExceeded, Limits, PreconditionFailed
 from gammapath.frame import (
+    _add_path,
     _first_attach_path,
     _first_zero_path_disjoint_from,
+    _validate_forest,
     base_zero_path,
     extract_zero_paths,
     frame_pack_or_cover,
     largest_extractable,
     validate_frame_cover,
 )
-from gammapath.graphs import DIRECTED, UNDIRECTED, LabelledGraph, walk_weight
+from gammapath.graphs import DIRECTED, UNDIRECTED, LabelledGraph, PathWitness, walk_weight
 from gammapath.packing import WEIGHT, PathFamilySpec, _verify_packing, max_packing
 
 from util import Z, make_s3, oracle_extract_zero_paths, random_subcubic_tree
@@ -151,6 +153,16 @@ def test_extract_matches_recursive_oracle():
     assert packed and failed
 
 
+def test_extract_over_the_trivial_group_matches_the_oracle():
+    # every leaf pair is a zero path, so splits run down to single-edge trees
+    rng = random.Random(5)
+    for i in range(300):
+        g, tree = random_subcubic_tree(rng, Z(), rng.randint(2, 30))
+        leaves = sum(1 for v in g.vertices if len(g._adj[v]) == 1)
+        for k in range(1, largest_extractable(g, leaves) + 2):
+            assert _outcome(extract_zero_paths, g, tree, k) == _outcome(oracle_extract_zero_paths, g, tree, k), (i, k)
+
+
 def test_extract_many_paths_without_deep_recursion():
     # 399 leaves over Z/2 owe 100 paths; the recursive extraction nested one call per path
     rng = random.Random(17)
@@ -255,6 +267,7 @@ def test_frame_randomized_validation():
         else:
             covers += 1
             checks = validate_frame_cover(g, k, result.outcome.vertices)
+            assert result.checks == checks
             assert checks["bound_ok"], checks
             assert checks["verified_empty"], checks
     assert packings and covers
@@ -311,18 +324,75 @@ def test_first_zero_path_search_contract():
 def test_attachment_search_contract():
     z2 = Z(2)
     limits = Limits(max_len=2)
-    forest = {"a", "m", "b"}
-    degree = {"a": 1, "m": 2, "b": 1}
+    forest = {"a": [(0, "m")], "m": [(0, "a"), (1, "b")], "b": [(1, "m")]}
     spine = [("a", "m", 0, "a"), ("m", "b", 0, "m")]
     long_way = [("c", "d1", 0, "c"), ("d1", "d2", 0, "d1"), ("d2", "m", 0, "d2")]
     # c reaches the forest only through three edges: cut, so no answer
     far = directed(z2, spine + long_way, ["a", "b", "c"])
     with pytest.raises(LimitExceeded) as info:
-        _first_attach_path(far, forest, degree, limits)
+        _first_attach_path(far, forest, limits)
     assert str(info.value) == "path length while searching attachments exceeds limit 2"
     # the branch through d1 is cut before the search meets c-e1-m, which is returned
     near = directed(z2, spine + long_way + [("c", "e1", 0, "c"), ("e1", "m", 0, "e1")], ["a", "b", "c"])
-    assert _first_attach_path(near, forest, degree, limits) == (("c", "e1", "m"), (5, 6))
+    assert _first_attach_path(near, forest, limits) == (("c", "e1", "m"), (5, 6))
+
+
+def _forest_case():
+    """A valid forest over Z/2: the tree a-m-b with c attached at m, and the tree d-e.
+
+    The graph has spare edges for corrupting it: 4 a-b, 5 m-n, 6 b-n2, 7 p-q,
+    8 a-d and 9 g-h, where n, n2, p and q are not terminals.
+    """
+    z2 = Z(2)
+    edges = [
+        ("a", "m", 1, "a"), ("m", "b", 1, "m"), ("c", "m", 0, "c"), ("d", "e", 0, "d"),
+        ("a", "b", 0, "a"), ("m", "n", 0, "m"), ("b", "n2", 0, "b"), ("p", "q", 0, "p"),
+        ("a", "d", 0, "a"), ("g", "h", 0, "g"),
+    ]
+    g = directed(z2, edges, ["a", "b", "c", "d", "e", "g", "h"])
+    witnesses = [PathWitness(("a", "m", "b"), (0, 1), z2.zero()), PathWitness(("d", "e"), (3,), z2.zero())]
+    forest: dict = {}
+    for w in witnesses:
+        _add_path(forest, w.vertices, w.edge_ids)
+    _add_path(forest, ("c", "m"), (2,))
+    return g, forest, witnesses
+
+
+def _witness(g, vertices, edge_ids):
+    return PathWitness(vertices, edge_ids, walk_weight(g, vertices, edge_ids))
+
+
+FOREST_CORRUPTIONS = {
+    "edge joins other vertices": (
+        lambda g, f, w: f["a"].__setitem__(0, (1, "m")), "not a graph edge listed at both ends"),
+    "unknown edge id": (
+        lambda g, f, w: (f["a"].__setitem__(0, (99, "m")), f["m"].__setitem__(0, (99, "a"))),
+        "not a graph edge listed at both ends"),
+    "edge listed at one end only": (lambda g, f, w: f["m"].remove((0, "a")), "not a graph edge listed at both ends"),
+    "edge listed twice": (lambda g, f, w: f["a"].append((0, "m")), "listed twice"),
+    "cycle": (lambda g, f, w: _add_path(f, ("a", "b"), (4,)), "not a tree"),
+    "degree four": (lambda g, f, w: _add_path(f, ("m", "n"), (5,)), "not subcubic"),
+    "terminal inside, non-terminal leaf": (lambda g, f, w: _add_path(f, ("b", "n2"), (6,)), "exactly its leaves"),
+    "vertex in no tree": (lambda g, f, w: _add_path(f, ("p", "q"), (7,)), "outside every component"),
+    "two witnesses in one tree": (lambda g, f, w: w.append(w[0]), "share a component"),
+    "nonzero witness": (lambda g, f, w: w.__setitem__(0, _witness(g, ("a", "m", "c"), (0, 2))), "not zero weight"),
+    "witness across two trees": (
+        lambda g, f, w: w.__setitem__(1, _witness(g, ("d", "a"), (8,))), "left its component"),
+    "witness off the forest": (lambda g, f, w: w.append(_witness(g, ("g", "h"), (9,))), "left the forest"),
+}
+
+
+def test_validate_forest_accepts_a_valid_forest():
+    _validate_forest(*_forest_case())
+
+
+@pytest.mark.parametrize("corruption", sorted(FOREST_CORRUPTIONS))
+def test_validate_forest_rejects_each_corruption(corruption):
+    graph, forest, witnesses = _forest_case()
+    corrupt, message = FOREST_CORRUPTIONS[corruption]
+    corrupt(graph, forest, witnesses)
+    with pytest.raises(InternalInvariantError, match=message):
+        _validate_forest(graph, forest, witnesses)
 
 
 def test_frame_rejects_wrong_model_and_infinite_groups():

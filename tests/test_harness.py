@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import itertools
 import json
+import math
+import types
 
 import pytest
 
 import gammapath.harness as harness
-from gammapath.errors import Limits, LimitExceeded
+from gammapath.errors import Limits, LimitExceeded, UsageError
 from gammapath.graphs import UNDIRECTED, LabelledGraph, three_blocks
 from gammapath.harness import RunConfig, run_suite
 from gammapath.jsonio import dumps, graph_from_json
@@ -30,9 +33,24 @@ def test_failed_check_carries_reproducer_and_seed(monkeypatch):
 
 
 def test_budget_exhaustion_skips(monkeypatch):
-    report = run_suite(RunConfig(seed=1, limits=Limits(budget_s=-1.0)), only=["cauchy-davenport"])
+    ticks = itertools.count(0.0, 10.0)  # a clock that runs 10 s per reading
+    monkeypatch.setattr(harness, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
+    report = run_suite(RunConfig(seed=1, limits=Limits(budget_s=1.0)), only=["cauchy-davenport"])
     assert report["checks"][0]["status"] == "SKIPPED"
     assert report["summary"]["skipped"] == 1
+
+
+@pytest.mark.parametrize("field", ["max_len", "max_paths", "cycle_cap", "budget_s", "max_family"])
+@pytest.mark.parametrize("value", [0, -1, math.nan])
+def test_limits_reject_values_that_are_not_positive(field, value):
+    with pytest.raises(ValueError, match="limits must be positive"):
+        Limits(**{field: value})
+
+
+@pytest.mark.parametrize("only", [[], ["nosuchcheck"], ["gadgets", "nosuchcheck"]])
+def test_only_without_known_check_ids_is_a_usage_error(only):
+    with pytest.raises(UsageError, match="check ids must be some of cauchy-davenport, "):
+        run_suite(RunConfig(seed=0), only=only)
 
 
 def test_internal_error_surfaces_as_fail(monkeypatch):
