@@ -1,7 +1,15 @@
 """Command-line entry point: JSON in, JSON out, diagnostics on stderr.
 
-Exit codes: 0 success or positive verdict, 1 domain-level negative verdict or
-failed check, 2 usage error, 3 exhausted search limits.
+Each subcommand's handler maps its parsed args to (payload, verdict), and `run`
+prints the payload as the one JSON document on stdout: exit 0 for a positive
+verdict, 1 for a negative one or a failed check.  Any failure after argument
+parsing prints {"error": kind, "detail": message} instead, plus one stderr
+line: usage, exit 2 (malformed input, a missing gadget flag, an unreadable
+input or unwritable --out file); limit-exceeded, exit 3; rejected, exit 1 (a
+failed precondition); internal, exit 1 (a failed self-check).  A bad command
+line exits 2 with argparse's message on stderr only.  Gadget variants: gamma
+takes --ell (an int, default 0) and --model; gamma-prime needs --group, --g1
+and --g2; gamma-double-prime needs --group, --ell and --g.
 """
 
 from __future__ import annotations
@@ -56,12 +64,22 @@ EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
 
-# the gadget flags each variant reads; passing any other is a usage error
-_GADGET_PARAMS = {
-    "gamma": {"ell", "model"},
-    "gamma-prime": {"group", "g1", "g2"},
-    "gamma-double-prime": {"group", "ell", "g"},
+# exception type -> (error kind, exit code, stderr prefix); the first matching row wins
+_ERRORS = (
+    (LimitExceeded, "limit-exceeded", EXIT_LIMIT, "limit exceeded"),
+    (UsageError, "usage", EXIT_USAGE, "usage error"),
+    ((PreconditionFailed, ValueError), "rejected", EXIT_NO, "error"),
+    (GammapathError, "internal", EXIT_NO, "internal error"),
+)
+
+# variant -> (builder, flags it needs, flags it may take); the group variants
+# parse their needed flags after --group as elements of that group
+_GADGETS = {
+    "gamma": (build_integer_gadget, (), ("ell", "model")),
+    "gamma-prime": (build_quotient_gadget, ("group", "g1", "g2"), ()),
+    "gamma-double-prime": (build_subgroup_escape_gadget, ("group", "ell", "g"), ()),
 }
+_GADGET_FLAGS = sorted({name for _, needed, optional in _GADGETS.values() for name in needed + optional})
 
 
 def _parse_json(text: str, what: str):
@@ -81,12 +99,8 @@ def _read_json(path: str):
     return _parse_json(text, path)
 
 
-def _emit(payload, out_path: str | None) -> None:
-    text = dumps(payload)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    print(text)
+def _graph(args):
+    return graph_from_json(_read_json(args.graph))
 
 
 def _limits(args) -> Limits:
@@ -107,6 +121,110 @@ def _family_spec(graph, text: str) -> PathFamilySpec:
         vertices = frozenset(int(t) if t.lstrip("-").isdigit() else t for t in tokens)
         return PathFamilySpec(ABA, graph, through=vertices)
     raise UsageError(f"unknown family {text!r}")
+
+
+def _classify(args):
+    group = group_from_json(_parse_json(args.group, "--group"))
+    ell = None if args.ell is None else parse_element(group, args.ell)
+    verdict = has_zero_path_ep(group) if ell is None else has_weight_ep(group, ell)
+    return {"group": group.to_json(), "ell": None if ell is None else ell.to_json(), "ep": verdict}, verdict
+
+
+def _on_family(solve, args):
+    spec = _family_spec(_graph(args), args.family)
+    result = solve(spec, _limits(args))
+    return {"family": spec.to_json(), **result}, True
+
+
+def _pack(spec, limits):
+    nu, paths = max_packing(spec, limits)
+    return {"nu": nu, "packing": [p.to_json() for p in paths], "optimal": True}
+
+
+def _cover(spec, limits):
+    tau, cover = min_cover(spec, limits)
+    return {"tau": tau, "cover": sorted(cover, key=vertex_key), "optimal": True}
+
+
+def _duality(spec, limits):
+    report = duality_report(spec, limits)
+    return {**report, "packing": report["packing"].to_json(), "cover": report["cover"].to_json()}
+
+
+def _frame(args):
+    result = frame_pack_or_cover(_graph(args), args.k, _limits(args), debug=args.debug)
+    return {"k": args.k, **result.to_json()}, True
+
+
+def _chain(args):
+    data = _read_json(args.chain)
+    if isinstance(data, dict) and "graph" in data:
+        require_keys(data, ("core", "detours"), "chain")
+        graph = graph_from_json(data["graph"])
+        with parsing("chain"):
+            core = witness_from_json(graph, data["core"])
+            detours = [witness_from_json(graph, d) for d in data["detours"]]
+        chain = CycleChain.embedded(graph, core, detours)
+    else:
+        require_keys(data, ("group", "core_weight", "deltas"), "chain")
+        group = group_from_json(data["group"])
+        with parsing("chain"):
+            chain = CycleChain.abstract(group, data["core_weight"], data["deltas"])
+    target = parse_element(chain.group, args.target)
+    out = reroute_to_weight(chain, target)
+    if out is None:
+        reach = sorted(reachable_weights(chain), key=chain.group.elem_sort_key)
+        return {"verdict": "NONE", "reachable": [e.to_json() for e in reach]}, False
+    return {
+        "verdict": "FOUND",
+        "target": target.to_json(),
+        "subset": list(out.subset),
+        "path": out.path.to_json() if out.path else None,
+    }, True
+
+
+def _gadget(args):
+    build, needed, optional = _GADGETS[args.variant]
+    given = [name for name in _GADGET_FLAGS if getattr(args, name) is not None]
+    unread = [f"--{name}" for name in given if name not in needed + optional]
+    if unread:
+        raise UsageError(f"{args.variant} does not read {', '.join(unread)}")
+    missing = [f"--{name}" for name in needed if name not in given]
+    if missing:
+        raise UsageError(f"{args.variant} needs {', '.join(missing)}")
+    if needed:
+        group = group_from_json(_parse_json(args.group, "--group"))
+        gadget = build(args.n, group, *(parse_element(group, getattr(args, name)) for name in needed[1:]))
+    else:
+        with parsing("element"):
+            ell = int(args.ell) if args.ell is not None else 0
+        gadget = build(args.n, ell, model=args.model or UNDIRECTED)
+    payload = gadget.to_json()
+    if args.verify:
+        payload["verify"] = verify_gadget(gadget, _limits(args))
+    return payload, True
+
+
+def _bipartite(args):
+    verdict = is_gamma_bipartite(_graph(args), _limits(args).cycle_cap)
+    return {"gamma_bipartite": verdict}, verdict
+
+
+def _normalize(args):
+    shifts, normalized = normalize_to_zero(_graph(args), _limits(args).cycle_cap)
+    return {"shifts": [[v, g.to_json()] for v, g in shifts], "graph": normalized.to_json()}, True
+
+
+def _blocks(args):
+    return {"blocks": [b.to_json() for b in three_blocks(_graph(args), _limits(args))]}, True
+
+
+def _verify_suite(args):
+    config = RunConfig(seed=args.seed, scale=args.scale, limits=Limits(budget_s=args.budget))
+    report = run_suite(config, only=args.only)
+    for check in report["checks"]:
+        print(f"{check['id']}: {check['status']}", file=sys.stderr)
+    return report, report["summary"]["fail"] == 0
 
 
 def _add_common(parser: argparse.ArgumentParser, paths: bool = True, graph: bool = True) -> None:
@@ -133,31 +251,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True, help="group JSON (inline)")
     p.add_argument("--ell", help="element JSON; omitted means the zero-weight family")
     p.add_argument("--out")
+    p.set_defaults(handler=_classify)
 
-    p = sub.add_parser("pack", help="exact maximum disjoint packing")
-    _add_common(p)
-    p.add_argument("--family", required=True, help="weight:<elem>|nonzero|odd|aba:<v,v,...>")
-
-    p = sub.add_parser("cover", help="exact minimum hitting set")
-    _add_common(p)
-    p.add_argument("--family", required=True)
-
-    p = sub.add_parser("duality", help="run both oracles and compare")
-    _add_common(p)
-    p.add_argument("--family", required=True)
+    for name, help_text, solve in (
+        ("pack", "exact maximum disjoint packing", _pack),
+        ("cover", "exact minimum hitting set", _cover),
+        ("duality", "run both oracles and compare", _duality),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p)
+        p.add_argument("--family", required=True, help="weight:<elem>|nonzero|odd|aba:<v,v,...>")
+        p.set_defaults(handler=functools.partial(_on_family, solve))
 
     p = sub.add_parser("frame", help="zero-weight packing or bounded cover (directed model)")
     _add_common(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--debug", action="store_true", help="re-validate the forest after every move")
+    p.set_defaults(handler=_frame)
 
     p = sub.add_parser("chain", help="reroute a chain to a target weight")
     p.add_argument("--chain", required=True, help="chain JSON file, or - for stdin")
     p.add_argument("--target", required=True)
     p.add_argument("--out")
+    p.set_defaults(handler=_chain)
 
     p = sub.add_parser("gadget", help="build a counterexample family instance")
-    p.add_argument("--variant", required=True, choices=["gamma", "gamma-prime", "gamma-double-prime"])
+    p.add_argument("--variant", required=True, choices=list(_GADGETS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--group", help="group JSON (not read by gamma, which is over the integers)")
     p.add_argument("--ell")
@@ -167,15 +286,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=[DIRECTED, UNDIRECTED], help="gamma only; undirected by default")
     p.add_argument("--verify", action="store_true")
     _add_common(p, graph=False)
+    p.set_defaults(handler=_gadget)
 
-    p = sub.add_parser("bipartite", help="is every cycle weight zero?")
-    _add_common(p, paths=False)
-
-    p = sub.add_parser("normalize", help="shift a 3-connected zero-cycle labelling to all-zero")
-    _add_common(p, paths=False)
-
-    p = sub.add_parser("blocks", help="labelled 2-cut-free block decomposition")
-    _add_common(p)
+    for name, help_text, handler, paths in (
+        ("bipartite", "is every cycle weight zero?", _bipartite, False),
+        ("normalize", "shift a 3-connected zero-cycle labelling to all-zero", _normalize, False),
+        ("blocks", "labelled 2-cut-free block decomposition", _blocks, True),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p, paths=paths)
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("verify-suite", help="run the whole verification battery")
     p.add_argument("--seed", type=int, default=0)
@@ -183,194 +303,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=float, default=600.0)
     p.add_argument("--only", nargs="*", help="restrict to these check ids")
     p.add_argument("--out")
+    p.set_defaults(handler=_verify_suite)
 
     return parser
 
 
+def _failure(exc: Exception):
+    """(error payload, exit code, stderr line) of the first _ERRORS row that exc matches."""
+    kind, code, prefix = next(row[1:] for row in _ERRORS if isinstance(exc, row[0]))
+    return {"error": kind, "detail": str(exc)}, code, f"{prefix}: {exc}"
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    note = None
     try:
-        return _dispatch(args)
-    except LimitExceeded as exc:
-        _emit({"error": "limit-exceeded", "detail": str(exc)}, getattr(args, "out", None))
-        print(f"limit exceeded: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
-    except UsageError as exc:
-        _emit({"error": "usage", "detail": str(exc)}, getattr(args, "out", None))
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (PreconditionFailed, ValueError) as exc:
-        _emit({"error": "rejected", "detail": str(exc)}, getattr(args, "out", None))
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO
-    except GammapathError as exc:
-        _emit({"error": "internal", "detail": str(exc)}, getattr(args, "out", None))
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_NO
-
-
-def _dispatch(args) -> int:
-    if args.command == "classify":
-        group = group_from_json(_parse_json(args.group, "--group"))
-        if args.ell is None:
-            verdict = has_zero_path_ep(group)
-            payload = {"group": group.to_json(), "ell": None, "ep": verdict}
-        else:
-            ell = parse_element(group, args.ell)
-            verdict = has_weight_ep(group, ell)
-            payload = {"group": group.to_json(), "ell": ell.to_json(), "ep": verdict}
-        _emit(payload, args.out)
-        return EXIT_OK if verdict else EXIT_NO
-
-    if args.command in ("pack", "cover", "duality"):
-        graph = graph_from_json(_read_json(args.graph))
-        spec = _family_spec(graph, args.family)
-        limits = _limits(args)
-        if args.command == "pack":
-            nu, paths = max_packing(spec, limits)
-            _emit(
-                {
-                    "family": spec.to_json(),
-                    "nu": nu,
-                    "packing": [p.to_json() for p in paths],
-                    "optimal": True,
-                },
-                args.out,
-            )
-            return EXIT_OK
-        if args.command == "cover":
-            tau, cover = min_cover(spec, limits)
-            _emit(
-                {
-                    "family": spec.to_json(),
-                    "tau": tau,
-                    "cover": sorted(cover, key=vertex_key),
-                    "optimal": True,
-                },
-                args.out,
-            )
-            return EXIT_OK
-        report = duality_report(spec, limits)
-        _emit(
-            {
-                "family": spec.to_json(),
-                "nu": report["nu"],
-                "tau": report["tau"],
-                "ratio": report["ratio"],
-                "bound_ok": report["bound_ok"],
-                "theorem_backed": report["theorem_backed"],
-                "packing": report["packing"].to_json(),
-                "cover": report["cover"].to_json(),
-            },
-            args.out,
-        )
-        return EXIT_OK
-
-    if args.command == "frame":
-        graph = graph_from_json(_read_json(args.graph))
-        result = frame_pack_or_cover(graph, args.k, _limits(args), debug=args.debug)
-        _emit({"k": args.k, **result.to_json()}, args.out)
-        return EXIT_OK
-
-    if args.command == "chain":
-        data = _read_json(args.chain)
-        if isinstance(data, dict) and "graph" in data:
-            require_keys(data, ("core", "detours"), "chain")
-            graph = graph_from_json(data["graph"])
-            with parsing("chain"):
-                core = witness_from_json(graph, data["core"])
-                detours = [witness_from_json(graph, d) for d in data["detours"]]
-            chain = CycleChain.embedded(graph, core, detours)
-        else:
-            require_keys(data, ("group", "core_weight", "deltas"), "chain")
-            group = group_from_json(data["group"])
-            with parsing("chain"):
-                chain = CycleChain.abstract(group, data["core_weight"], data["deltas"])
-        target = parse_element(chain.group, args.target)
-        out = reroute_to_weight(chain, target)
-        if out is None:
-            reach = sorted(reachable_weights(chain), key=chain.group.elem_sort_key)
-            _emit(
-                {"verdict": "NONE", "reachable": [e.to_json() for e in reach]},
-                args.out,
-            )
-            return EXIT_NO
-        payload = {
-            "verdict": "FOUND",
-            "target": target.to_json(),
-            "subset": list(out.subset),
-            "path": out.path.to_json() if out.path else None,
-        }
-        _emit(payload, args.out)
-        return EXIT_OK
-
-    if args.command == "gadget":
-        unread = [f"--{name}" for name in sorted(set().union(*_GADGET_PARAMS.values()))
-                  if getattr(args, name) is not None and name not in _GADGET_PARAMS[args.variant]]
-        if unread:
-            raise UsageError(f"{args.variant} does not read {', '.join(unread)}")
-        if args.variant == "gamma":
-            ell = int(args.ell) if args.ell is not None else 0
-            gadget = build_integer_gadget(args.n, ell, model=args.model or UNDIRECTED)
-        else:
-            if not args.group:
-                raise ValueError("this variant needs --group")
-            group = group_from_json(_parse_json(args.group, "--group"))
-            if args.variant == "gamma-prime":
-                if args.g1 is None or args.g2 is None:
-                    raise ValueError("gamma-prime needs --g1 and --g2")
-                gadget = build_quotient_gadget(
-                    args.n, group, parse_element(group, args.g1), parse_element(group, args.g2)
-                )
-            else:
-                if args.ell is None or args.g is None:
-                    raise ValueError("gamma-double-prime needs --ell and --g")
-                gadget = build_subgroup_escape_gadget(
-                    args.n, group, parse_element(group, args.ell), parse_element(group, args.g)
-                )
-        payload = gadget.to_json()
-        if args.verify:
-            payload["verify"] = verify_gadget(gadget, _limits(args))
-        _emit(payload, args.out)
-        return EXIT_OK
-
-    if args.command == "bipartite":
-        graph = graph_from_json(_read_json(args.graph))
-        verdict = is_gamma_bipartite(graph, _limits(args).cycle_cap)
-        _emit({"gamma_bipartite": verdict}, args.out)
-        return EXIT_OK if verdict else EXIT_NO
-
-    if args.command == "normalize":
-        graph = graph_from_json(_read_json(args.graph))
-        shifts, normalized = normalize_to_zero(graph, _limits(args).cycle_cap)
-        _emit(
-            {
-                "shifts": [[v, g.to_json()] for v, g in shifts],
-                "graph": normalized.to_json(),
-            },
-            args.out,
-        )
-        return EXIT_OK
-
-    if args.command == "blocks":
-        graph = graph_from_json(_read_json(args.graph))
-        result = three_blocks(graph, _limits(args))
-        _emit({"blocks": [b.to_json() for b in result]}, args.out)
-        return EXIT_OK
-
-    if args.command == "verify-suite":
-        config = RunConfig(seed=args.seed, scale=args.scale, limits=Limits(budget_s=args.budget))
-        report = run_suite(config, only=args.only)
-        _emit(report, args.out)
-        for check in report["checks"]:
-            print(f"{check['id']}: {check['status']}", file=sys.stderr)
-        return EXIT_OK if report["summary"]["fail"] == 0 else EXIT_NO
-
-    raise ValueError(f"unknown command {args.command!r}")
+        payload, verdict = args.handler(args)
+        code = EXIT_OK if verdict else EXIT_NO
+    except (GammapathError, ValueError) as exc:
+        payload, code, note = _failure(exc)
+    text = dumps(payload)
+    if args.out:
+        # written before stdout, so that a failed write still prints one document
+        try:
+            pathlib.Path(args.out).write_text(text + "\n", encoding="utf-8")
+        except OSError as exc:
+            payload, code, note = _failure(UsageError(f"cannot write {args.out}: {exc}"))
+            text = dumps(payload)
+    print(text)
+    if note:
+        print(note, file=sys.stderr)
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:

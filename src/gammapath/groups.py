@@ -580,28 +580,10 @@ def has_zero_path_ep(group: GroupSpec) -> bool:
     """Whether zero-weight terminal-linking paths admit a bounded dual cover.
 
     True exactly for elementary abelian 2-groups and cyclic groups of order 4
-    or prime order.  The result is computed twice, from the invariant-factor
-    decomposition and from the bad-pair search, and the two must agree.
+    or prime order.  This is has_weight_ep at ell = 0, which computes the
+    verdict from the invariant factors and from the bad-pair search.
     """
-    _require_classifiable(group)
-    if not group.is_finite:
-        return False
-    listed = _zero_ep_from_factors(group.invariant_factors())
-    replayed = find_bad_pair(group) is None
-    if listed != replayed:
-        raise InternalInvariantError(
-            f"zero-weight classification disagrees on {group.name}: "
-            f"factor list says {listed}, bad-pair search says {replayed}"
-        )
-    return listed
-
-
-def _zero_ep_from_factors(factors: tuple[int, ...]) -> bool:
-    if all(f == 2 for f in factors):
-        return True
-    if len(factors) == 1 and (factors[0] == 4 or _is_prime(factors[0])):
-        return True
-    return False
+    return has_weight_ep(group, group.zero())
 
 
 def _ell_ep_from_list(group: GroupSpec, ell: GroupElem) -> bool:

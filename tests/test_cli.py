@@ -6,6 +6,8 @@ import io
 import itertools
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import types
 
@@ -282,6 +284,45 @@ Z8 = '{"type":"cyclic_product","orders":[8]}'
 def test_gadget_rejects_the_flags_its_variant_does_not_read(capsys, variant, params, unread):
     code, payload, _ = invoke(capsys, "gadget", "--variant", variant, "--n", "2", *params)
     assert (code, payload) == (2, {"error": "usage", "detail": f"{variant} does not read {unread}"})
+
+
+@pytest.mark.parametrize(
+    "params, detail",
+    [
+        (["--variant", "gamma-prime"], "gamma-prime needs --group, --g1, --g2"),
+        (["--variant", "gamma-prime", "--group", Z8, "--g1", "1"], "gamma-prime needs --g2"),
+        (["--variant", "gamma-double-prime", "--group", Z8], "gamma-double-prime needs --ell, --g"),
+        (["--variant", "gamma-double-prime", "--group", Z8, "--g", "2"], "gamma-double-prime needs --ell"),
+        (["--variant", "gamma", "--ell", "x"], "bad element JSON: invalid literal for int() with base 10: 'x'"),
+        (["--variant", "gamma", "--ell", "1.5"], "bad element JSON: invalid literal for int() with base 10: '1.5'"),
+    ],
+)
+def test_a_missing_or_malformed_gadget_flag_is_a_usage_error(capsys, params, detail):
+    code, payload, err = invoke(capsys, "gadget", "--n", "2", *params)
+    assert (code, payload) == (2, {"error": "usage", "detail": detail})
+    assert err == f"usage error: {detail}\n"
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_an_unwritable_out_file_is_a_usage_error(tmp_path, capsys, where):
+    out = tmp_path / "missing" / "x.json" if where == "missing directory" else tmp_path
+    code, payload, err = invoke(capsys, "classify", "--group", Z8, "--out", str(out))
+    assert code == 2
+    assert payload["error"] == "usage" and payload["detail"].startswith(f"cannot write {out}: ")
+    assert err == f"usage error: {payload['detail']}\n"
+
+
+def test_the_module_entry_point_exits_with_the_run_code():
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(frame.__file__))}
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "gammapath.cli", *argv], capture_output=True, text=True, env=env)
+
+    done = cli("classify", "--group", '{"type":"cyclic_product","orders":[4]}', "--ell", "2")
+    assert (done.returncode, json.loads(done.stdout)["ep"]) == (0, True)
+    done = cli("gadget", "--variant", "gamma-prime", "--n", "2")
+    assert done.returncode == 2
+    assert json.loads(done.stdout) == {"error": "usage", "detail": "gamma-prime needs --group, --g1, --g2"}
 
 
 def test_bipartite_verdicts(tmp_path, capsys):
