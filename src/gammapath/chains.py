@@ -11,6 +11,7 @@ sharp.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import InternalInvariantError, PreconditionFailed
 from .graphs import UNDIRECTED, LabelledGraph, PathWitness, walk_weight
@@ -148,6 +149,25 @@ def reachable_mask(group: GroupSpec, core: int, deltas) -> int:
     if not group.is_finite:
         raise PreconditionFailed("reachability needs a finite group")
     return group.translate(core, _suffix_sums(group, deltas)[0])
+
+
+def multiset_masks(group: GroupSpec, values, length: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(multiset, reachable mask from zero) for each sorted `length`-tuple of values, in order.
+
+    Over an abelian group the mask depends on the multiset of deltas only, so the
+    sorted tuples are walked as a tree of shared prefixes, one `optional_sum` per node.
+    """
+    if not (group.is_finite and group.is_abelian):
+        raise PreconditionFailed("the multiset walk needs a finite abelian group")
+    values, step = sorted(values), group.optional_sum
+    stack = [((), 0, 1 << group._zero)]  # (prefix, index of its last value, mask)
+    while stack:
+        prefix, start, mask = stack.pop()
+        if len(prefix) == length:
+            yield prefix, mask
+            continue
+        for k in range(len(values) - 1, start - 1, -1):
+            stack.append((prefix + (values[k],), k, step(values[k], mask)))
 
 
 def reachable_weights(chain: CycleChain) -> frozenset[GroupElem]:

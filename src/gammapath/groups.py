@@ -213,6 +213,7 @@ class FiniteGroup(GroupSpec):
         # the shared element of each value, made on first use (see from_mask)
         self._zero_elem = GroupElem(self, zero)
         self._elements = {zero: self._zero_elem}
+        self._subgroups: dict[int, int] = {}  # value -> its cyclic subgroup mask, walked on first use
         # with a single cyclic factor, d + x is (d + x) mod n: a rotation of the bits
         self._rotates = rotates
         # a group of prime order p is cyclic, and no other group has invariant factors (p,)
@@ -268,12 +269,15 @@ class FiniteGroup(GroupSpec):
 
     def cyclic(self, g: int) -> int:
         """Bitmask of the cyclic subgroup generated by the element with value g."""
+        if g in self._subgroups:
+            return self._subgroups[g]
         zero, add = self._zero, self._add
         mask = 1 << zero
         acc = g
         while acc != zero:
             mask |= 1 << acc
             acc = add(acc, g)
+        self._subgroups[g] = mask
         return mask
 
     def coset_order_above_two(self, g1: int, sub: int) -> bool:

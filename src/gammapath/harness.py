@@ -8,11 +8,12 @@ report is deterministic for a fixed seed and scale.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from dataclasses import dataclass
 
-from .chains import CycleChain, reachable_mask, reroute_to_weight, sharpness_witness
+from .chains import CycleChain, multiset_masks, reroute_to_weight, sharpness_witness
 from .errors import DEFAULT_LIMITS, Limits, GammapathError, UsageError
 from .frame import frame_pack_or_cover
 from .gadgets import (
@@ -38,7 +39,6 @@ from .groups import (
     has_weight_ep,
     has_zero_path_ep,
     iter_abelian_groups,
-    sumset,
 )
 from .packing import (
     ABA,
@@ -190,21 +190,22 @@ def check_duality_random(config: RunConfig) -> dict:
     return _pass("duality-random", {"instances": total, **{f"kind_{k}": v for k, v in per_kind.items()}})
 
 
+def _arrangements(multiset: tuple[int, ...]) -> int:
+    """The number of distinct orderings of multiset: its multinomial coefficient."""
+    return math.factorial(len(multiset)) // math.prod(math.factorial(multiset.count(d)) for d in set(multiset))
+
+
 def check_chain_exhaustive(config: RunConfig) -> dict:
     detail = {}
     for p in (3, 5, 7):
         group = CyclicProduct((p,))
         full = (1 << p) - 1
         vectors = 0
-        # over Z/p the value of k is k itself: every nonzero delta vector, in order
-        for deltas in itertools.product(range(1, p), repeat=p - 1):
-            if reachable_mask(group, 0, deltas) != full:
-                return _fail(
-                    "chain-exhaustive",
-                    None,
-                    {"p": p, "deltas": list(deltas), "reason": "missed weight"},
-                )
-            vectors += 1
+        # over Z/p the value of k is k itself: each sorted nonzero delta multiset, for all its orders
+        for deltas, mask in multiset_masks(group, range(1, p), p - 1):
+            if mask != full:
+                return _fail("chain-exhaustive", None, {"p": p, "deltas": list(deltas), "reason": "missed weight"})
+            vectors += _arrangements(deltas)
         detail[f"p{p}_vectors"] = vectors
         # witness-level spot checks along the diagonal of the vector space
         rng = random.Random(config.seed * 1009 + 3 + p)
@@ -232,14 +233,11 @@ def check_cauchy_davenport(config: RunConfig) -> dict:
     pairs = 0
     # every nonempty subset of Z/5, and the subsets of Z/7 with at most 4 elements
     for p, max_size in ((5, 5), (7, 4)):
-        elems = CyclicProduct((p,)).elements()
-        subsets = [
-            frozenset(c) for r in range(1, max_size + 1) for c in itertools.combinations(elems, r)
-        ]
+        group = CyclicProduct((p,))
+        subsets = [xs for xs in range(1, 1 << p) if xs.bit_count() <= max_size]
         for xs in subsets:
             for ys in subsets:
-                out = sumset(xs, ys)
-                if len(out) < min(len(xs) + len(ys) - 1, p):
+                if group.sumset(xs, ys).bit_count() < min(xs.bit_count() + ys.bit_count() - 1, p):
                     return _fail("cauchy-davenport", None, {"p": p})
                 pairs += 1
     return _pass("cauchy-davenport", {"pairs": pairs})

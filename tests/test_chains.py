@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import collections
 import itertools
 
 import pytest
 
+from gammapath import harness
 from gammapath.chains import (
     CycleChain,
+    multiset_masks,
+    reachable_mask,
     reachable_weights,
     reroute_to_weight,
     sharpness_witness,
@@ -14,7 +18,7 @@ from gammapath.chains import (
 from gammapath.errors import PreconditionFailed
 from gammapath.graphs import UNDIRECTED, LabelledGraph, PathWitness, walk_weight
 
-from util import Z
+from util import Z, make_s3
 
 
 def test_reroute_identity_target():
@@ -69,6 +73,35 @@ def test_zero_path_exhaustive_p3():
             for i in out.subset:
                 total = total + z3.element(deltas[i])
             assert total == z3.zero()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_multiset_walk_matches_the_ordered_dp(p):
+    group = Z(p)
+    walked = list(multiset_masks(group, range(1, p), p - 1))
+    leaves = dict(walked)
+    assert len(leaves) == len(walked)
+    # each ordered vector reaches what its multiset's leaf reaches, one DP per vector
+    arranged = collections.Counter()
+    for deltas in itertools.product(range(1, p), repeat=p - 1):
+        key = tuple(sorted(deltas))
+        assert leaves[key] == reachable_mask(group, 0, deltas)
+        arranged[key] += 1
+    assert arranged.keys() == leaves.keys()
+    assert all(harness._arrangements(key) == n for key, n in arranged.items())
+    assert sum(map(harness._arrangements, leaves)) == (p - 1) ** (p - 1)
+    assert list(leaves) == sorted(leaves)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_multiset_walk_one_delta_short_misses_a_weight(p):
+    full = (1 << p) - 1
+    assert any(mask != full for _, mask in multiset_masks(Z(p), range(1, p), p - 2))
+
+
+def test_multiset_walk_needs_a_finite_abelian_group():
+    with pytest.raises(PreconditionFailed, match="finite abelian"):
+        next(multiset_masks(make_s3(), range(1, 6), 2))
 
 
 def test_zero_path_requires_nonzero_chain():

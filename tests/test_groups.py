@@ -91,6 +91,37 @@ def test_cyclic_subgroup():
         cyclic_subgroup(INTS.element(2))
 
 
+def _walked_subgroup(group, g: int) -> int:
+    """The cyclic subgroup of value g as a mask, from the group's own _add."""
+    mask, acc = 1 << group._zero, g
+    while not mask >> acc & 1:
+        mask |= 1 << acc
+        acc = group._add(acc, g)
+    return mask
+
+
+def test_memoised_cyclic_subgroups_match_a_fresh_walk():
+    for group in [*iter_abelian_groups(32), make_s3()]:
+        for g in range(group.order):
+            assert group.cyclic(g) == _walked_subgroup(group, g)
+            assert group.cyclic(g) == _walked_subgroup(group, g)  # now read from the memo
+        assert group._subgroups.keys() == set(range(group.order))
+
+
+def test_cyclic_memo_belongs_to_one_group_instance():
+    first, second = Z(4), Z(4)
+    assert first == second
+    first.cyclic(1)
+    assert first._subgroups == {1: 0b1111}
+    assert second._subgroups == {}
+
+
+def test_element_order_walks_one_subgroup():
+    group = Z(10007)
+    assert element_order(group.element(5)) == 10007
+    assert list(group._subgroups) == [5]
+
+
 def test_elements_of_order_at_most_2():
     g = Z(4)
     assert elements_of_order_at_most_2(g) == {g.element(0), g.element(2)}

@@ -95,3 +95,24 @@ def test_gadget_check_binds_the_proven_tau(monkeypatch, variant):
     report = harness.check_gadgets(RunConfig(limits=Limits(budget_s=1.0)))
     assert report["status"] == "FAIL"
     assert report["reproducer"]["variant"] == variant
+
+
+def test_chain_check_fails_on_a_leaf_that_misses_a_weight(monkeypatch):
+    walk = harness.multiset_masks
+
+    def lossy(group, values, length):
+        # the real walk, except that the leaf (1, 2, 2, 4) over Z/5 loses weight 3
+        for deltas, mask in walk(group, values, length):
+            yield deltas, mask & ~(1 << 3) if deltas == (1, 2, 2, 4) else mask
+
+    monkeypatch.setattr(harness, "multiset_masks", lossy)
+    report = run_suite(RunConfig(seed=7), only=["chain-exhaustive"])
+    check = report["checks"][0]
+    assert check["status"] == "FAIL"
+    assert check["reproducer"] == {"p": 5, "deltas": [1, 2, 2, 4], "reason": "missed weight", "seed": 7}
+
+
+def test_chain_check_counts_every_ordered_vector():
+    report = harness.check_chain_exhaustive(RunConfig(seed=7))
+    assert report["status"] == "PASS"
+    assert [report["detail"][f"p{p}_vectors"] for p in (3, 5, 7)] == [2**2, 4**4, 6**6]
