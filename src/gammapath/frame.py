@@ -306,18 +306,16 @@ def frame_pack_or_cover(
     forest: dict = {}
     witnesses: list[PathWitness] = []
     audit: list[dict] = []
-    while True:
-        candidate = _first_zero_path_disjoint_from(graph, forest.keys(), limits)
-        if candidate is not None:
-            _add_path(forest, candidate.vertices, candidate.edge_ids)
-            witnesses.append(candidate)
-            audit.append({"move": "new-component", "path": list(candidate.vertices)})
-        else:
-            attach = _first_attach_path(graph, forest, limits)
-            if attach is None:
-                break
-            _add_path(forest, *attach)
-            audit.append({"move": "attach", "path": list(attach[0])})
+    while (candidate := _first_zero_path_disjoint_from(graph, forest.keys(), limits)) is not None:
+        _add_path(forest, candidate.vertices, candidate.edge_ids)
+        witnesses.append(candidate)
+        audit.append({"move": "new-component", "path": list(candidate.vertices)})
+        if debug:
+            _validate_forest(graph, forest, witnesses)
+    # the forest only grows, so no zero path avoids it again: only attach moves are left
+    while (attach := _first_attach_path(graph, forest, limits)) is not None:
+        _add_path(forest, *attach)
+        audit.append({"move": "attach", "path": list(attach[0])})
         if debug:
             _validate_forest(graph, forest, witnesses)
 

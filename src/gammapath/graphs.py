@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import (
@@ -93,7 +94,8 @@ class LabelledGraph:
 
     def _link(self) -> None:
         """`_adj[v]`: (edge, neighbour) by neighbour rank, then edge order; `_steps[v]`, the path
-        kernel's table: (edge id, neighbour, step value) in that order, the step negated into a tail."""
+        kernel's table: (edge id, neighbour, step value) in that order, the step negated into a tail;
+        `_parallel`: whether two edges join the same two vertices (their half-edges are adjacent)."""
         rank, vertices, edges = self._rank, self.vertices, self.edges
         # one sort of all half-edges: (vertex rank, neighbour rank, edge index) is unique
         half = []
@@ -102,6 +104,7 @@ class LabelledGraph:
             half.append((ru, rv, i))
             half.append((rv, ru, i))
         half.sort()
+        self._parallel = any(x == a and y == b for (x, y, _), (a, b, _) in pairwise(half))
         adj = [[] for _ in vertices]
         steps = [[] for _ in vertices]
         neg = self.group._neg
@@ -405,8 +408,11 @@ def enumerate_terminal_paths(
     weight selects paths of one weight (in the directed model a path matches
     when either traversal direction attains it); nonzero selects paths of
     nonzero weight; keep(vertices, edge ids), when given, must also hold.
-    The filters run before a witness is built.  Results come in a
-    deterministic order.
+    The filters run before a witness is built; members of one weight share
+    one element.  Results come in key order (vertex ranks, then edge ranks),
+    the order the kernel meets them in: sources and neighbours run by rank,
+    and two paths of a simple graph differ in their vertices.  Only parallel
+    edges and a weight member kept reversed make a sort necessary.
     """
     if weight is not None and nonzero:
         raise ValueError("choose at most one filter")
@@ -416,6 +422,8 @@ def enumerate_terminal_paths(
     if weight is not None:
         weight = group.element(weight)
     directed = graph.model == DIRECTED
+    elems: dict = {}
+    unordered = graph._parallel
     out = []
     for vertices, edge_ids, w in search_terminal_paths(
         graph, tset, limits=limits, cut="path length during exhaustive enumeration"
@@ -429,12 +437,16 @@ def enumerate_terminal_paths(
                 out.append(
                     PathWitness(tuple(reversed(vertices)), tuple(reversed(edge_ids)), weight)
                 )
+                unordered = True
             continue
         if nonzero and w == zero:
             continue
-        out.append(PathWitness(vertices, edge_ids, GroupElem(group, w)))
-    rank, erank = graph._rank, graph._erank
-    out.sort(key=lambda p: ([rank[v] for v in p.vertices], [erank[e] for e in p.edge_ids]))
+        if w not in elems:
+            elems[w] = GroupElem(group, w)
+        out.append(PathWitness(vertices, edge_ids, elems[w]))
+    if unordered:
+        rank, erank = graph._rank, graph._erank
+        out.sort(key=lambda p: ([rank[v] for v in p.vertices], [erank[e] for e in p.edge_ids]))
     return tuple(out)
 
 

@@ -118,9 +118,6 @@ class GroupElem:
         # the value alone: equality still compares the group, so equal elements hash alike
         return hash(self.value)
 
-    def sort_key(self):
-        return self.group.elem_sort_key(self)
-
     def to_json(self):
         return self.group.elem_to_json(self)
 
@@ -170,9 +167,6 @@ class GroupSpec:
     def elem_to_json(self, e: GroupElem):
         raise NotImplementedError
 
-    def elem_from_json(self, data) -> GroupElem:
-        return self.element(data)
-
     def invariant_factors(self) -> tuple[int, ...]:
         """Invariant-factor decomposition; only for finite abelian groups."""
         raise NotImplementedError
@@ -214,6 +208,7 @@ class FiniteGroup(GroupSpec):
         self._zero_elem = GroupElem(self, zero)
         self._elements = {zero: self._zero_elem}
         self._subgroups: dict[int, int] = {}  # value -> its cyclic subgroup mask, walked on first use
+        self._bad_pair = ...  # find_bad_pair's answer, searched on first use
         # with a single cyclic factor, d + x is (d + x) mod n: a rotation of the bits
         self._rotates = rotates
         # a group of prime order p is cyclic, and no other group has invariant factors (p,)
@@ -565,6 +560,12 @@ def find_bad_pair(group: GroupSpec) -> tuple[GroupElem, GroupElem] | None:
     """
     if not group.is_finite or not group.is_abelian:
         raise ValueError("bad-pair search requires a finite abelian group")
+    if group._bad_pair is ...:
+        group._bad_pair = _search_bad_pair(group)
+    return group._bad_pair
+
+
+def _search_bad_pair(group: FiniteGroup) -> tuple[GroupElem, GroupElem] | None:
     zero = group.zero().value
     nonzero = [g for g in range(group.order) if g != zero]
     subgroups = [group.cyclic(g) for g in range(group.order)]

@@ -199,7 +199,7 @@ def min_cover(
     # each vertex's sort key, computed once; members renumbered shortest first,
     # so the lowest uncovered bit is a shortest uncovered member
     keys = {v: vertex_key(v) for v in set().union(*(m.vertices for m in members))}
-    vsets = sorted((tuple(set(m.vertices)) for m in members), key=len)
+    vsets = sorted((m.vertices for m in members), key=len)
     through, conflict = _masks(vsets)
     everyone = (1 << len(vsets)) - 1
 

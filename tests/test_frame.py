@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from gammapath import frame
 from gammapath.errors import InternalInvariantError, LimitExceeded, Limits, PreconditionFailed
 from gammapath.frame import (
     _add_path,
@@ -300,6 +301,44 @@ def test_frame_against_exact_oracle():
                 assert result.outcome.kind == "cover"
     # the greedy trap is rare but real; make sure this test keeps witnessing it
     assert 0 < cover_despite_nu < total // 10
+
+
+def test_frame_searches_for_a_new_component_until_the_first_miss(monkeypatch):
+    """The forest only grows, so after the first failed search for a zero path
+    avoiding it every later one fails too.  The frame skips them; a replay of
+    each skipped search before its attach move finds nothing, so the moves,
+    the outcome and the checks are those of the frame that searched each time."""
+    rng = random.Random(303)
+    groups = [Z(2), Z(3), Z(5), make_s3()]
+    searches, replays = [], []
+
+    def search(graph, blocked, limits):
+        searches.append(len(blocked))
+        return _first_zero_path_disjoint_from(graph, blocked, limits)
+
+    def replayed_attach(graph, forest, limits):
+        replays.append(_first_zero_path_disjoint_from(graph, forest.keys(), limits))
+        return _first_attach_path(graph, forest, limits)
+
+    skipped = 0
+    for i in range(80):
+        g = _random_directed(rng, groups[i % len(groups)])
+        k = rng.randint(1, 3)
+        with monkeypatch.context() as m:
+            m.setattr(frame, "_first_zero_path_disjoint_from", search)
+            ours = frame_pack_or_cover(g, k)
+        with monkeypatch.context() as m:
+            m.setattr(frame, "_first_attach_path", replayed_attach)
+            assert frame_pack_or_cover(g, k).to_json() == ours.to_json()
+        moves = [step["move"] for step in ours.audit]
+        # one search per new component, the miss, and the cover's check
+        assert len(searches) == moves.count("new-component") + 1 + (ours.outcome.kind == "cover")
+        # one replay per attach search: the miss, then each one skipped
+        assert replays == [None] * (moves.count("attach") + 1)
+        skipped += len(replays) - 1
+        searches.clear()
+        replays.clear()
+    assert skipped > 0
 
 
 def test_first_zero_path_search_contract():

@@ -122,6 +122,31 @@ def test_element_order_walks_one_subgroup():
     assert list(group._subgroups) == [5]
 
 
+def _count_coset_tests(monkeypatch, group) -> list:
+    """The g1 of each coset_order_above_two call on this instance, as they happen."""
+    calls = []
+    test = group.coset_order_above_two
+    monkeypatch.setattr(group, "coset_order_above_two", lambda g1, sub: calls.append(g1) or test(g1, sub))
+    return calls
+
+
+def test_find_bad_pair_searches_once_per_group_instance(monkeypatch):
+    first, second, prime = CyclicProduct((8,)), CyclicProduct((8,)), CyclicProduct((5,))
+    assert first == second
+    calls = [_count_coset_tests(monkeypatch, g) for g in (first, second, prime)]
+    pair = find_bad_pair(first)
+    searched = len(calls[0])
+    assert pair is not None and searched > 0
+    assert find_bad_pair(first) is pair and len(calls[0]) == searched
+    # an equal instance keeps its own memo, so it searches for itself
+    assert not calls[1]
+    assert find_bad_pair(second) == pair and len(calls[1]) == searched
+    # an answer of None is remembered too
+    assert find_bad_pair(prime) is None
+    searched = len(calls[2])
+    assert searched > 0 and find_bad_pair(prime) is None and len(calls[2]) == searched
+
+
 def test_elements_of_order_at_most_2():
     g = Z(4)
     assert elements_of_order_at_most_2(g) == {g.element(0), g.element(2)}
@@ -291,8 +316,8 @@ def test_group_json_round_trip():
         again = group_from_json(spec.to_json())
         assert again == spec
     e = Z(2, 4).element((1, 3))
-    assert Z(2, 4).elem_from_json(e.to_json()) == e
-    assert INTS.elem_from_json("12") == INTS.element(12)
+    assert Z(2, 4).element(e.to_json()) == e
+    assert INTS.element("12") == INTS.element(12)
 
 
 @settings(max_examples=60, deadline=None)

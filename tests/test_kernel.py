@@ -18,6 +18,7 @@ from gammapath.graphs import (
     LabelledGraph,
     enumerate_terminal_paths,
     search_paths,
+    search_terminal_paths,
     vertex_key,
 )
 
@@ -44,13 +45,14 @@ def _labels(group):
     return [INTS.element(k) for k in range(-3, 4)] if group == INTS else group.elements()
 
 
-def _random_graph(rng, group, model):
-    """Mixed int/str vertex and edge ids, some parallel edges."""
+def _random_graph(rng, group, model, parallel=True):
+    """Mixed int/str vertex and edge ids, some parallel edges unless parallel is false."""
     n = rng.randint(4, 8)
     vertices = [i if rng.random() < 0.5 else f"v{i}" for i in range(n)]
     possible = list(itertools.combinations(vertices, 2))
     pairs = rng.sample(possible, rng.randint(n - 1, min(len(possible), 2 * n)))
-    pairs += rng.sample(pairs, rng.randint(0, 2))
+    if parallel:
+        pairs += rng.sample(pairs, rng.randint(0, 2))
     labels = _labels(group)
     edges = [
         Edge(k if rng.random() < 0.5 else f"e{k}", u, v, rng.choice(labels),
@@ -110,6 +112,52 @@ def test_terminal_paths_keep_the_key_order(group, model):
                 assert target is None or p.weight == target
             matched += bool(target is not None and ours)
     assert matched > 0
+
+
+@pytest.mark.parametrize("group,model", CASES, ids=lambda c: getattr(c, "name", c))
+def test_terminal_paths_of_a_simple_graph_leave_the_kernel_in_key_order(group, model):
+    rng = random.Random(f"simple-{group.name}-{model}")
+    zero = group.zero().value
+    for _ in range(30):
+        g = _random_graph(rng, group, model, parallel=False)
+        assert not g._parallel
+        raw = list(search_terminal_paths(g, g.terminals, limits=DEFAULT_LIMITS, cut="path length"))
+        queries = [({}, raw), ({"nonzero": True}, [r for r in raw if r[2] != zero]),
+                   ({"keep": lambda vs, es: len(es) % 2}, [r for r in raw if len(r[1]) % 2])]
+        if model == UNDIRECTED:  # no member is kept reversed
+            weight = rng.choice(_labels(group))
+            queries.append(({"weight": weight}, [r for r in raw if r[2] == weight.value]))
+        for kw, kept in queries:
+            ours = enumerate_terminal_paths(g, **kw)
+            assert [(p.vertices, p.edge_ids, p.weight.value) for p in ours] == kept
+            if "keep" not in kw:
+                assert ours == oracle_enumerate_terminal_paths(g, limits=DEFAULT_LIMITS, **kw)
+            # the members of one weight share one element
+            assert len({id(p.weight) for p in ours}) == len({p.weight for p in ours})
+
+
+def test_parallel_edges_put_the_terminal_paths_in_key_order():
+    # the kernel meets a-0-x-b, a-0-x-c, a-1-x-b, a-1-x-c; key order puts b before c
+    edges = [("a", "x", 1), ("a", "x", 2), ("x", "b", 0), ("x", "c", 0)]
+    g = LabelledGraph.build(Z(3), UNDIRECTED, edges, ["a", "b", "c"])
+    assert g._parallel
+    ours = enumerate_terminal_paths(g)
+    assert [(p.vertices, p.edge_ids) for p in ours] == [
+        (("a", "x", "b"), (0, 2)), (("a", "x", "b"), (1, 2)),
+        (("a", "x", "c"), (0, 3)), (("a", "x", "c"), (1, 3)),
+        (("b", "x", "c"), (2, 3)),
+    ]
+    assert ours == oracle_enumerate_terminal_paths(g, limits=DEFAULT_LIMITS)
+
+
+def test_a_reversed_weight_member_is_put_in_key_order():
+    # weight 2 over Z/3: a-b weighs 1 from a and is kept as b-a; a-c weighs 2 as met
+    z3 = Z(3)
+    g = LabelledGraph.build(z3, DIRECTED, [("a", "b", 1, "a"), ("a", "c", 2, "a")], ["a", "b", "c"])
+    assert not g._parallel
+    ours = enumerate_terminal_paths(g, weight=z3.element(2))
+    assert [p.vertices for p in ours] == [("a", "c"), ("b", "a")]
+    assert ours == oracle_enumerate_terminal_paths(g, weight=z3.element(2), limits=DEFAULT_LIMITS)
 
 
 def _result(call):

@@ -517,6 +517,7 @@ class OracleLabelledGraph(LabelledGraph):
             v: tuple((e.eid, y, neg(e.label.value) if y == e.tail else e.label.value) for e, y in pairs)
             for v, pairs in adj.items()
         }
+        self._parallel = len({frozenset((e.u, e.v)) for e in self.edges}) < len(self.edges)
 
 
 def oracle_graph_from_json(data: dict) -> OracleLabelledGraph:
@@ -550,6 +551,7 @@ def graph_tables(graph: LabelledGraph) -> tuple:
         list(graph._steps.items()),
         list(graph._rank.items()),
         list(graph._erank.items()),
+        graph._parallel,
         sorted(graph._by_id.items(), key=lambda item: _eid_key(item[0])),
     )
 
