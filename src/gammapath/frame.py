@@ -54,7 +54,7 @@ def _first_zero_path_disjoint_from(graph: LabelledGraph, blocked, limits: Limits
     """
     zero = graph.group.zero()
     for vertices, edge_ids, w in search_terminal_paths(
-        graph, graph.terminals, blocked=blocked, limits=limits,
+        graph, blocked=blocked, limits=limits,
         cut="path length while certifying zero-path absence",
     ):
         if w == zero.value:

@@ -42,10 +42,6 @@ class Edge(NamedTuple):
     label: GroupElem
     tail: int | str | None = None
 
-    def sign_into(self, endpoint) -> int:
-        """+1 when traversal ends at the head, -1 when it ends at the tail."""
-        return 1 if endpoint != self.tail else -1
-
 
 class LabelledGraph:
     """Multigraph with a group label per edge and a distinguished terminal set."""
@@ -93,8 +89,8 @@ class LabelledGraph:
         self._link()
 
     def _link(self) -> None:
-        """`_adj[v]`: (edge, neighbour) by neighbour rank, then edge order; `_steps[v]`, the path
-        kernel's table: (edge id, neighbour, step value) in that order, the step negated into a tail;
+        """`_steps[v]`, the graph's one adjacency table: (edge id, neighbour, step value) by
+        neighbour rank, then edge order, the step being the label's value, negated into a tail;
         `_parallel`: whether two edges join the same two vertices (their half-edges are adjacent)."""
         rank, vertices, edges = self._rank, self.vertices, self.edges
         # one sort of all half-edges: (vertex rank, neighbour rank, edge index) is unique
@@ -105,16 +101,12 @@ class LabelledGraph:
             half.append((rv, ru, i))
         half.sort()
         self._parallel = any(x == a and y == b for (x, y, _), (a, b, _) in pairwise(half))
-        adj = [[] for _ in vertices]
         steps = [[] for _ in vertices]
         neg = self.group._neg
         for x, y, i in half:
-            e = edges[i]
-            eid, _, _, label, tail = e
+            eid, _, _, label, tail = edges[i]
             w = vertices[y]
-            adj[x].append((e, w))
             steps[x].append((eid, w, neg(label.value) if w == tail else label.value))
-        self._adj = dict(zip(vertices, adj))
         self._steps = dict(zip(vertices, map(tuple, steps)))
 
     @classmethod
@@ -135,10 +127,10 @@ class LabelledGraph:
         return self._by_id[eid]
 
     def incident(self, v):
-        return self._adj[v]
+        return [(self._by_id[eid], y) for eid, y, _ in self._steps[v]]
 
     def __contains__(self, v) -> bool:
-        return v in self._adj
+        return v in self._rank
 
     # --- derived graphs ---------------------------------------------------
 
@@ -164,7 +156,7 @@ class LabelledGraph:
         stack = [start]
         while stack:
             x = stack.pop()
-            for _, y in self._adj[x]:
+            for _, y, _ in self._steps[x]:
                 if y not in seen and y not in forbidden:
                     seen.add(y)
                     stack.append(y)
@@ -277,31 +269,29 @@ class PathWitness:
 def walk_weight(graph: LabelledGraph, vertices, edge_ids) -> GroupElem:
     """Weight of a walk given as alternating vertex and edge-id sequences.
 
-    Accumulates left to right (meaningful for nonabelian groups); in the
-    directed model each label is negated when the edge is traversed against
-    its orientation.
+    Label values are summed left to right with `group._add` (meaningful for
+    nonabelian groups); a label is negated when the walk enters the edge's
+    tail, which only directed edges have, as in the graph's step table.
     """
     vertices = tuple(vertices)
     edge_ids = tuple(edge_ids)
     if len(vertices) != len(edge_ids) + 1 or not vertices:
         raise ValueError("walk must alternate vertices and edges")
     group = graph.group
-    acc = group.zero()
+    add, neg, by_id = group._add, group._neg, graph._by_id
+    acc = group.zero().value
     at = vertices[0]
     if at not in graph:
         raise ValueError(f"unknown vertex {at!r}")
     for eid, nxt in zip(edge_ids, vertices[1:]):
-        if eid not in graph._by_id:
+        if eid not in by_id:
             raise ValueError(f"unknown edge {eid!r}")
-        e = graph.edge(eid)
-        if {at, nxt} != {e.u, e.v}:
+        _, u, v, label, tail = by_id[eid]
+        if {at, nxt} != {u, v}:
             raise ValueError(f"edge {eid!r} does not join {at!r} and {nxt!r}")
-        if graph.model == DIRECTED and e.sign_into(nxt) < 0:
-            acc = acc + (-e.label)
-        else:
-            acc = acc + e.label
+        acc = add(acc, neg(label.value) if nxt == tail else label.value)
         at = nxt
-    return acc
+    return GroupElem(group, acc)
 
 
 def search_paths(
@@ -380,14 +370,15 @@ def search_paths(
         raise LimitExceeded(cut, max_len)
 
 
-def search_terminal_paths(graph: LabelledGraph, terminals, *, blocked=frozenset(), limits: Limits, cut: str):
+def search_terminal_paths(graph: LabelledGraph, *, blocked=frozenset(), limits: Limits, cut: str):
     """Each terminal path that avoids blocked, once, from its smaller end, as search_paths yields it.
 
     The terminals start their searches in vertex order and the largest starts
     none, so a cut at max_len raises only on a path that leaves a smaller
     terminal, which every terminal path does.
     """
-    sources = [a for a in sorted(terminals, key=vertex_key) if a in graph and a not in blocked]
+    terminals = graph.terminals
+    sources = [a for a in sorted(terminals, key=vertex_key) if a not in blocked]
     return search_paths(
         graph, sources[:-1], terminals, lambda path, edges, end, eid: end != path[0],
         forbidden=blocked, max_len=limits.max_len, max_count=limits.max_paths, cut=cut,
@@ -399,7 +390,6 @@ def enumerate_terminal_paths(
     *,
     weight: GroupElem | None = None,
     nonzero: bool = False,
-    terminals=None,
     keep: Callable[[tuple, tuple], bool] | None = None,
     limits: Limits = DEFAULT_LIMITS,
 ) -> tuple[PathWitness, ...]:
@@ -416,7 +406,6 @@ def enumerate_terminal_paths(
     """
     if weight is not None and nonzero:
         raise ValueError("choose at most one filter")
-    tset = graph.terminals if terminals is None else frozenset(terminals)
     group = graph.group
     zero = group.zero().value
     if weight is not None:
@@ -426,7 +415,7 @@ def enumerate_terminal_paths(
     unordered = graph._parallel
     out = []
     for vertices, edge_ids, w in search_terminal_paths(
-        graph, tset, limits=limits, cut="path length during exhaustive enumeration"
+        graph, limits=limits, cut="path length during exhaustive enumeration"
     ):
         if keep is not None and not keep(vertices, edge_ids):
             continue
@@ -489,10 +478,12 @@ def _potential_certificate(graph: LabelledGraph) -> dict | None:
     """Per-vertex involutions phi with label(uv) = phi(u)+phi(v), if they exist.
 
     Such a certificate exhibits the labelling as a shift of the all-zero one,
-    which forces every cycle weight to vanish.
+    which forces every cycle weight to vanish.  It runs on element values: in
+    the orientation-free model of its callers a step is the label's value.
     """
     group = graph.group
-    zero = group.zero()
+    add, neg, steps = group._add, group._neg, graph._steps
+    zero = group.zero().value
     phi: dict = {}
     # vertices are sorted, so each root is the smallest vertex of its component
     for root in graph.vertices:
@@ -502,18 +493,18 @@ def _potential_certificate(graph: LabelledGraph) -> dict | None:
         stack = [root]
         while stack:
             x = stack.pop()
-            for e, y in graph.incident(x):
+            for _, y, step in steps[x]:
                 if y in phi:
                     continue
-                val = e.label - phi[x]
-                if val + val != zero:
+                val = add(step, neg(phi[x]))
+                if add(val, val) != zero:
                     return None
                 phi[y] = val
                 stack.append(y)
-    for e in graph.edges:
-        if phi[e.u] + phi[e.v] != e.label:
+    for _, u, v, label, _ in graph.edges:
+        if add(phi[u], phi[v]) != label.value:
             return None
-    return phi
+    return {v: GroupElem(group, val) for v, val in phi.items()}
 
 
 def is_gamma_bipartite(graph: LabelledGraph, cycle_cap: int | None = None) -> bool:
@@ -622,7 +613,7 @@ def _inseparable_masks(graph: LabelledGraph) -> list[int]:
     pass, and of G itself, which decides pairs with no third vertex.
     """
     rank = graph._rank
-    nbrs = [[rank[y] for _, y in graph._adj[v]] for v in graph.vertices]
+    nbrs = [[rank[y] for _, y, _ in graph._steps[v]] for v in graph.vertices]
     masks = _block_mates(nbrs)
     for v in range(len(nbrs)):
         masks = [m & (k | 1 << v) for m, k in zip(masks, _block_mates(nbrs, v))]
@@ -764,8 +755,8 @@ def _bridges(graph: LabelledGraph, bset: set) -> tuple[Bridge, ...]:
         attach = set()
         edge_ids = set()
         for x in comp:
-            for e, y in graph.incident(x):
-                edge_ids.add(e.eid)
+            for eid, y, _ in graph._steps[x]:
+                edge_ids.add(eid)
                 if y in bset:
                     attach.add(y)
         if len(attach) > 2:
@@ -801,11 +792,12 @@ def nonzero_terminal_path_from_fans(
     cycle_edges = tuple(cycle_edges)
     if cycle_vertices[0] != cycle_vertices[-1] or len(set(cycle_vertices[:-1])) != len(cycle_vertices) - 1:
         raise PreconditionFailed("cycle must be a closed simple walk")
-    zero = graph.group.zero()
-    cw = graph.group.zero()
+    group = graph.group
+    zero = group.zero()
+    cw = zero.value
     for eid in cycle_edges:
-        cw = cw + graph.edge(eid).label
-    if cw == zero:
+        cw = group._add(cw, graph.edge(eid).label.value)
+    if cw == zero.value:
         raise PreconditionFailed("cycle weight must be nonzero")
     if len(fans) != 3:
         raise PreconditionFailed("exactly three fans are required")

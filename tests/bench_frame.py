@@ -50,7 +50,7 @@ def _random_trees():
     out = []
     while len(out) < 50:
         graph, tree = random_subcubic_tree(rng, Z(3), rng.randint(20, 200))
-        leaves = {v for v in graph.vertices if len(graph._adj[v]) == 1}
+        leaves = {v for v in graph.vertices if len(graph._steps[v]) == 1}
         if graph.terminals == leaves:
             out.append((graph, tree, largest_extractable(graph, len(leaves))))
     return out

@@ -145,7 +145,7 @@ def test_extract_matches_recursive_oracle():
     packed = failed = 0
     for i in range(600):
         g, tree = random_subcubic_tree(rng, groups[i % len(groups)], rng.randint(2, 60))
-        leaves = sum(1 for v in g.vertices if len(g._adj[v]) == 1)
+        leaves = sum(1 for v in g.vertices if len(g._steps[v]) == 1)
         for k in range(1, largest_extractable(g, leaves) + 2):
             got = _outcome(extract_zero_paths, g, tree, k)
             assert got == _outcome(oracle_extract_zero_paths, g, tree, k), (i, k)
@@ -159,7 +159,7 @@ def test_extract_over_the_trivial_group_matches_the_oracle():
     rng = random.Random(5)
     for i in range(300):
         g, tree = random_subcubic_tree(rng, Z(), rng.randint(2, 30))
-        leaves = sum(1 for v in g.vertices if len(g._adj[v]) == 1)
+        leaves = sum(1 for v in g.vertices if len(g._steps[v]) == 1)
         for k in range(1, largest_extractable(g, leaves) + 2):
             assert _outcome(extract_zero_paths, g, tree, k) == _outcome(oracle_extract_zero_paths, g, tree, k), (i, k)
 

@@ -1,5 +1,6 @@
-"""The int path kernel against the GroupElem kernel it replaced, and one
-search per terminal path against the search from both ends."""
+"""The int path kernel, walk weight and potential certificate against the
+GroupElem versions they replaced, and one search per terminal path against
+the search from both ends."""
 
 from __future__ import annotations
 
@@ -16,10 +17,12 @@ from gammapath.graphs import (
     UNDIRECTED,
     Edge,
     LabelledGraph,
+    _potential_certificate,
     enumerate_terminal_paths,
     search_paths,
     search_terminal_paths,
     vertex_key,
+    walk_weight,
 )
 
 from util import (
@@ -29,7 +32,9 @@ from util import (
     oracle_enumerate_terminal_paths,
     oracle_first_zero_path_disjoint_from,
     oracle_from_smaller_end,
+    oracle_potential_certificate,
     oracle_search_paths,
+    oracle_walk_weight,
 )
 
 # S3 is nonabelian, so it lives in the directed model only
@@ -121,7 +126,7 @@ def test_terminal_paths_of_a_simple_graph_leave_the_kernel_in_key_order(group, m
     for _ in range(30):
         g = _random_graph(rng, group, model, parallel=False)
         assert not g._parallel
-        raw = list(search_terminal_paths(g, g.terminals, limits=DEFAULT_LIMITS, cut="path length"))
+        raw = list(search_terminal_paths(g, limits=DEFAULT_LIMITS, cut="path length"))
         queries = [({}, raw), ({"nonzero": True}, [r for r in raw if r[2] != zero]),
                    ({"keep": lambda vs, es: len(es) % 2}, [r for r in raw if len(r[1]) % 2])]
         if model == UNDIRECTED:  # no member is kept reversed
@@ -189,7 +194,7 @@ def test_one_search_per_terminal_path_matches_the_search_from_both_ends():
             n = len(g.vertices)
             subset = rng.sample(g.vertices, rng.randint(2, n))
             blocked = frozenset(rng.sample(g.vertices, rng.randint(0, 2)))
-            queries = ({}, {"weight": rng.choice(_labels(group))}, {"nonzero": True}, {"terminals": subset})
+            queries = ({}, {"weight": rng.choice(_labels(group))}, {"nonzero": True})
             complete = Limits(max_len=n, max_paths=10**6)
             for limits in (complete, Limits(max_len=2, max_paths=10**6), Limits(max_len=n, max_paths=2)):
                 for kw in queries:
@@ -249,3 +254,105 @@ def test_a_source_is_forbidden_to_the_searches_after_its_own():
     # a may close a cycle in its own search; b's search no longer meets a
     assert found == [("a", "b"), ("a", "c", "a"), ("a", "c", "b"), ("b", "c", "b")]
     assert blocked == set()  # the caller's set is left as it was
+
+
+# S3 is nonabelian, so it lives in the directed model only
+WALK_CASES = [
+    (group, model)
+    for group in (Z(2), Z(5), Z(2, 2), make_s3(), INTS)
+    for model in (DIRECTED, UNDIRECTED)
+    if group.is_abelian or model == DIRECTED
+]
+
+
+def _random_walk(rng, g):
+    """A walk along g's edges, vertices and edges possibly repeated, maybe broken in one place."""
+    incident = {v: [] for v in g.vertices}
+    for e in g.edges:
+        incident[e.u].append((e.eid, e.v))
+        incident[e.v].append((e.eid, e.u))
+    vertices = [rng.choice(g.vertices)]
+    edge_ids = []
+    for _ in range(rng.randint(0, 6)):
+        if not incident[vertices[-1]]:
+            break
+        eid, nxt = rng.choice(incident[vertices[-1]])
+        vertices.append(nxt)
+        edge_ids.append(eid)
+    fault = rng.choice(("none", "none", "vertex", "edge", "join", "length"))
+    i = rng.randrange(len(vertices))
+    if fault == "vertex":
+        vertices[0] = "nowhere"
+    elif fault == "edge" and edge_ids:
+        edge_ids[i % len(edge_ids)] = "no-edge"
+    elif fault == "join" and edge_ids:
+        e = g.edge(edge_ids[i % len(edge_ids)])
+        others = [v for v in g.vertices if v not in (e.u, e.v)]
+        vertices[i % len(edge_ids) + 1] = rng.choice(others)
+    elif fault == "length":
+        del vertices[i:]
+    return vertices, edge_ids
+
+
+def _weight_or_error(fold, g, vertices, edge_ids):
+    try:
+        return fold(g, vertices, edge_ids)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("group,model", WALK_CASES, ids=lambda c: getattr(c, "name", c))
+def test_walk_weight_folds_values_as_the_groupelem_oracle_does(group, model):
+    rng = random.Random(f"walk-{group.name}-{model}")
+    seen = Counter()
+    for _ in range(40):
+        g = _random_graph(rng, group, model)
+        for _ in range(10):
+            vertices, edge_ids = _random_walk(rng, g)
+            ours = _weight_or_error(walk_weight, g, vertices, edge_ids)
+            assert ours == _weight_or_error(oracle_walk_weight, g, vertices, edge_ids)
+            seen[" ".join(ours[1].split()[:2]) if isinstance(ours, tuple) else "weight"] += 1
+            # against the orientation: a step that enters its edge's tail
+            seen["tail"] += any(g.edge(eid).tail == v for eid, v in zip(edge_ids, vertices[1:]) if eid in g._by_id)
+    # weights, each error message and tail entries all occur
+    assert min(seen[k] for k in ("weight", "unknown vertex", "unknown edge", "walk must")) > 0
+    assert sum(seen[k] for k in seen if k.startswith("edge ")) > 0
+    assert (seen["tail"] > 0) == (model == DIRECTED)
+
+
+def _potential_graph(rng, group):
+    """An undirected graph, often a forest, labelled by a random involution
+    potential or at random, maybe with one label changed afterwards."""
+    n = rng.randint(1, 7)
+    vertices = [i if rng.random() < 0.5 else f"v{i}" for i in range(n)]
+    possible = list(itertools.combinations(vertices, 2))
+    pairs = rng.sample(possible, rng.randint(0, min(len(possible), 2 * n)))
+    pairs += rng.sample(pairs, min(len(pairs), rng.randint(0, 2)))
+    labels = _labels(group)
+    involutions = [x for x in labels if x + x == group.zero()]
+    phi = {v: rng.choice(involutions) for v in vertices}
+    by_potential = rng.random() < 0.5
+    edges = [
+        Edge(k, u, v, phi[u] + phi[v] if by_potential else rng.choice(labels))
+        for k, (u, v) in enumerate(pairs)
+    ]
+    if edges and rng.random() < 0.3:
+        k = rng.randrange(len(edges))
+        edges[k] = edges[k]._replace(label=rng.choice(labels))
+    return LabelledGraph(group, UNDIRECTED, vertices, edges)
+
+
+@pytest.mark.parametrize("group", [Z(2), Z(2, 2), Z(3), Z(4), INTS], ids=lambda c: c.name)
+def test_potential_certificate_folds_values_as_the_groupelem_oracle_does(group):
+    rng = random.Random(f"potential-{group.name}")
+    seen = Counter()
+    for _ in range(200):
+        g = _potential_graph(rng, group)
+        ours = _potential_certificate(g)
+        theirs = oracle_potential_certificate(g)
+        assert ours == theirs
+        if ours is not None:
+            assert list(ours.items()) == list(theirs.items())
+            assert all(p.group is group for p in ours.values())
+        seen[ours is None] += 1
+    assert seen[True] > 0 and seen[False] > 0

@@ -185,7 +185,7 @@ def oracle_search_paths(graph, sources, stop, accept, *, forbidden=frozenset(), 
                         found += 1
                         if found > max_count:
                             raise LimitExceeded("enumerated paths", max_count)
-                        step = -e.label if directed and e.sign_into(nxt) < 0 else e.label
+                        step = -e.label if directed and nxt == e.tail else e.label
                         yield tuple(path) + (nxt,), tuple(edges) + (e.eid,), weights[-1] + step
                     continue
                 if nxt in used:
@@ -193,7 +193,7 @@ def oracle_search_paths(graph, sources, stop, accept, *, forbidden=frozenset(), 
                 if budget < 2:
                     truncated = True
                     continue
-                step = -e.label if directed and e.sign_into(nxt) < 0 else e.label
+                step = -e.label if directed and nxt == e.tail else e.label
                 path.append(nxt)
                 edges.append(e.eid)
                 weights.append(weights[-1] + step)
@@ -214,20 +214,72 @@ def oracle_path_sort_key(p):
     return (tuple(vertex_key(v) for v in p.vertices), tuple(_eid_key(e) for e in p.edge_ids))
 
 
+# --- GroupElem folds: the oracles for walk_weight and the potential certificate ---
+
+
+def oracle_walk_weight(graph, vertices, edge_ids) -> GroupElem:
+    """walk_weight summing GroupElem labels, as it was before it folded element values."""
+    vertices = tuple(vertices)
+    edge_ids = tuple(edge_ids)
+    if len(vertices) != len(edge_ids) + 1 or not vertices:
+        raise ValueError("walk must alternate vertices and edges")
+    acc = graph.group.zero()
+    at = vertices[0]
+    if at not in graph:
+        raise ValueError(f"unknown vertex {at!r}")
+    for eid, nxt in zip(edge_ids, vertices[1:]):
+        if eid not in graph._by_id:
+            raise ValueError(f"unknown edge {eid!r}")
+        e = graph.edge(eid)
+        if {at, nxt} != {e.u, e.v}:
+            raise ValueError(f"edge {eid!r} does not join {at!r} and {nxt!r}")
+        if graph.model == DIRECTED and nxt == e.tail:
+            acc = acc + (-e.label)
+        else:
+            acc = acc + e.label
+        at = nxt
+    return acc
+
+
+def oracle_potential_certificate(graph) -> dict | None:
+    """_potential_certificate on GroupElem labels over graph.incident, as it was before it ran on values."""
+    zero = graph.group.zero()
+    phi: dict = {}
+    for root in graph.vertices:
+        if root in phi:
+            continue
+        phi[root] = zero
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for e, y in graph.incident(x):
+                if y in phi:
+                    continue
+                val = e.label - phi[x]
+                if val + val != zero:
+                    return None
+                phi[y] = val
+                stack.append(y)
+    for e in graph.edges:
+        if phi[e.u] + phi[e.v] != e.label:
+            return None
+    return phi
+
+
 # --- terminal paths searched from both ends: the oracles for one search per path ---
 
 
-def oracle_enumerate_terminal_paths(graph, *, weight=None, nonzero=False, terminals=None, limits):
+def oracle_enumerate_terminal_paths(graph, *, weight=None, nonzero=False, limits):
     """enumerate_terminal_paths as it was before each path was searched once.
 
     Every terminal starts a search, the largest included, and a path is
     kept only from its smaller end, so a cut anywhere raises.
     """
-    tset = graph.terminals if terminals is None else frozenset(terminals)
+    tset = graph.terminals
     zero = graph.group.zero()
     out = []
     for vertices, edge_ids, w in oracle_search_paths(
-        graph, [a for a in sorted(tset, key=vertex_key) if a in graph], tset, oracle_from_smaller_end,
+        graph, sorted(tset, key=vertex_key), tset, oracle_from_smaller_end,
         max_len=limits.max_len, max_count=limits.max_paths, cut="path length during exhaustive enumeration",
     ):
         if weight is not None:
@@ -509,7 +561,6 @@ class OracleLabelledGraph(LabelledGraph):
         # edges went in by id and the sort is stable: neighbour order, then edge id
         for v in adj:
             adj[v].sort(key=lambda pair: rank[pair[1]])
-        self._adj = adj
         # the path kernel's step table: (edge id, next vertex, step value); the step
         # is negated when it enters the edge's tail, which only directed edges have
         neg = group._neg
@@ -547,7 +598,7 @@ def graph_tables(graph: LabelledGraph) -> tuple:
         graph.vertices,
         graph.edges,
         graph.terminals,
-        list(graph._adj.items()),
+        [graph.incident(v) for v in graph.vertices],
         list(graph._steps.items()),
         list(graph._rank.items()),
         list(graph._erank.items()),
