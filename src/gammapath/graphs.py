@@ -44,7 +44,11 @@ class Edge(NamedTuple):
 
 
 class LabelledGraph:
-    """Multigraph with a group label per edge and a distinguished terminal set."""
+    """Multigraph with a group label per edge and a distinguished terminal set.
+
+    A relabelled graph (`with_labels`, `apply_shifts`, `reduce_weight_to_zero`) keeps its
+    parent's vertex, edge and half-edge order and shares its rank tables.
+    """
 
     def __init__(self, group: GroupSpec, model: str, vertices, edges, terminals=()):
         if model not in (DIRECTED, UNDIRECTED):
@@ -141,12 +145,35 @@ class LabelledGraph:
         return LabelledGraph(self.group, self.model, keep, edges, self.terminals - removed)
 
     def with_labels(self, relabel: Callable[[Edge], GroupElem]) -> "LabelledGraph":
-        """The same graph with each edge's label replaced by relabel(edge), checked on the group."""
-        out = copy.copy(self)
+        """The same graph with each edge's label replaced by relabel(edge), checked on the group.
+
+        The relabelled graph keeps this graph's vertex, edge and half-edge order and shares
+        its rank tables; only the edges and the step values are new.
+        """
         element = self.group.element
-        out.edges = tuple(Edge(e.eid, e.u, e.v, element(relabel(e)), e.tail) for e in self.edges)
-        out._by_id = {e.eid: e for e in out.edges}
-        out._link()
+        return self._revalued([element(relabel(e)).value for e in self.edges])
+
+    def _revalued(self, values) -> "LabelledGraph":
+        """This graph with edge i's label value replaced by values[i], a valid element value.
+
+        Everything but the edges and the step values is shared, `_steps` keeps its half-edge
+        order; equal values share one element (the group's `_elements` when it is finite).
+        """
+        group = self.group
+        neg = group._neg
+        cache = group._elements if group.is_finite else {}
+        edges = []
+        step_into = {}  # edge id -> {end: the step value into that end}
+        for (eid, u, v, _, tail), x in zip(self.edges, values):
+            label = cache[x] if x in cache else cache.setdefault(x, GroupElem(group, x))
+            edges.append(Edge(eid, u, v, label, tail))
+            step_into[eid] = {u: neg(x) if u == tail else x, v: neg(x) if v == tail else x}
+        out = copy.copy(self)
+        out.edges = tuple(edges)
+        out._by_id = {e.eid: e for e in edges}
+        out._steps = {
+            w: tuple((eid, y, step_into[eid][y]) for eid, y, _ in row) for w, row in self._steps.items()
+        }
         return out
 
     # --- connectivity helpers --------------------------------------------
@@ -564,8 +591,8 @@ def apply_shifts(graph: LabelledGraph, shifts) -> LabelledGraph:
         if v not in graph:
             raise ValueError(f"unknown vertex {v!r}")
         total[v] = add(total.get(v, zero), g.value)
-    return graph.with_labels(
-        lambda e: GroupElem(group, add(add(e.label.value, total.get(e.u, zero)), total.get(e.v, zero)))
+    return graph._revalued(
+        [add(add(label.value, total.get(u, zero)), total.get(v, zero)) for _, u, v, label, _ in graph.edges]
     )
 
 

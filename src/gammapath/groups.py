@@ -11,6 +11,7 @@ function.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import operator
 from dataclasses import dataclass
@@ -496,7 +497,28 @@ class IntegerGroup(GroupSpec):
         return {"type": "integers"}
 
 
+# group_from_json's groups by their canonical JSON, emptied when full; callers racing on one
+# key at worst build an equal group twice
+_GROUP_MEMO_SIZE = 32
+_groups_by_json: dict[str, GroupSpec] = {}
+
+
 def group_from_json(data: dict) -> GroupSpec:
+    """The group that data describes: equal JSON gives the same object, built and checked once."""
+    try:
+        key = json.dumps(data, sort_keys=True)
+    except (TypeError, ValueError):
+        return _build_group(data)
+    group = _groups_by_json.get(key)
+    if group is None:
+        group = _build_group(data)
+        if len(_groups_by_json) >= _GROUP_MEMO_SIZE:
+            _groups_by_json.clear()
+        _groups_by_json[key] = group
+    return group
+
+
+def _build_group(data: dict) -> GroupSpec:
     require_keys(data, ("type",), "group")
     kind = data["type"]
     with parsing("group"):

@@ -33,6 +33,7 @@ from .graphs import (
 from .groups import (
     CayleyGroup,
     CyclicProduct,
+    GroupElem,
     _is_prime,
     elements_of_order_at_most_2,
     find_halving,
@@ -99,7 +100,8 @@ def random_three_connected(rng: random.Random, group, n: int):
             pairs.add((u, v))
     flips = sorted(elements_of_order_at_most_2(group), key=group.elem_sort_key)
     phi = {v: rng.choice(flips) for v in vertices}
-    edges = [(u, v, phi[u] + phi[v]) for u, v in sorted(pairs)]
+    add = group._add
+    edges = [(u, v, GroupElem(group, add(phi[u].value, phi[v].value))) for u, v in sorted(pairs)]
     return LabelledGraph.build(group, UNDIRECTED, edges, (), extra_vertices=vertices), phi
 
 
@@ -168,14 +170,15 @@ def check_duality_random(config: RunConfig) -> dict:
     rng = random.Random(config.seed * 1009 + 2)
     total = config.counts(500)
     per_kind = {NONZERO: 0, ODD: 0, ABA: 0}
+    groups = [CyclicProduct((2,)), CyclicProduct((3,)), CyclicProduct((5,))]
     for i in range(total):
         kind = (NONZERO, ODD, ABA)[i % 3]
         if kind == NONZERO:
-            group = rng.choice([CyclicProduct((2,)), CyclicProduct((3,)), CyclicProduct((5,))])
+            group = rng.choice(groups)
             g = random_labelled_graph(rng, group, DIRECTED, n_max=12)
             spec = PathFamilySpec(NONZERO, g)
         else:
-            group = CyclicProduct((2,))
+            group = groups[0]
             g = random_labelled_graph(rng, group, UNDIRECTED, n_max=12)
             if kind == ODD:
                 spec = PathFamilySpec(ODD, g)
@@ -352,9 +355,10 @@ def check_oracle_soundness(config: RunConfig) -> dict:
     rng = random.Random(config.seed * 1009 + 9)
     corpus = 0
     attempts = 0
+    groups = [CyclicProduct((2,)), CyclicProduct((3,)), CyclicProduct((4,))]
     while corpus < 40 and attempts < 400:
         attempts += 1
-        group = rng.choice([CyclicProduct((2,)), CyclicProduct((3,)), CyclicProduct((4,))])
+        group = rng.choice(groups)
         model = rng.choice([DIRECTED, UNDIRECTED])
         g = random_labelled_graph(rng, group, model, n_max=9)
         kind = rng.choice([WEIGHT, NONZERO, ODD])

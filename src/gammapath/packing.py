@@ -315,11 +315,11 @@ def reduce_weight_to_zero(
             stacklevel=2,
         )
 
-    def relabel(e):
-        ends = (e.u in terminals) + (e.v in terminals)
-        out = e.label
-        for _ in range(ends):
-            out = out - g
-        return out
-
-    return graph.with_labels(relabel)
+    add, minus_g = group._add, group._neg(g.value)
+    values = []
+    for _, u, v, label, _ in graph.edges:
+        x = label.value
+        for _ in range((u in terminals) + (v in terminals)):
+            x = add(x, minus_g)
+        values.append(x)
+    return graph._revalued(values)

@@ -3,11 +3,13 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+import warnings
 
 import networkx as nx
 import pytest
 
 from gammapath.errors import (
+    GroupMismatchError,
     InternalInvariantError,
     Limits,
     LimitExceeded,
@@ -29,10 +31,14 @@ from gammapath.graphs import (
     three_blocks,
     walk_weight,
 )
+from gammapath.groups import elements_of_order_at_most_2
+from gammapath.packing import TerminalEdgeWarning, reduce_weight_to_zero
 
 from util import (
     INTS,
     Z,
+    graph_tables,
+    make_s3,
     oracle_block_path_weights,
     oracle_bridges,
     random_label,
@@ -271,6 +277,102 @@ def test_shift_preserves_cycles_and_interior_paths():
                 if v not in p.endpoints:
                     assert walk_weight(shifted, p.vertices, p.edge_ids) == p.weight
             assert is_gamma_bipartite(g) == is_gamma_bipartite(shifted)
+
+
+# --- relabelling: the step table re-valued against a fresh construction ------------
+
+_RELABEL_GROUPS = [Z(2), Z(3), Z(2, 2), Z(4), INTS, make_s3()]
+_RELABEL_IDS = [0, 1, 2, 10, -1, "a", "b", "10", "z"]
+
+
+def _seeded_relabel_graph(rng, group) -> LabelledGraph:
+    """Mixed int/str vertex and edge ids, parallel edges, and directed tails where drawn."""
+    model = DIRECTED if not group.is_abelian or rng.random() < 0.5 else UNDIRECTED
+    vertices = rng.sample(_RELABEL_IDS, rng.randint(2, 8))
+    pairs = [tuple(rng.sample(vertices, 2)) for _ in range(rng.randint(1, 12))]
+    pairs += [rng.choice(pairs) for _ in range(rng.randint(0, 3))]
+    ids = rng.sample([*range(13, 40), *"efghijklmnop"], len(pairs))
+    edges = [
+        Edge(eid, u, v, random_label(rng, group), rng.choice((u, v)) if model == DIRECTED else None)
+        for eid, (u, v) in zip(ids, pairs)
+    ]
+    terminals = rng.sample(vertices, rng.randint(0, min(3, len(vertices))))
+    return LabelledGraph(group, model, vertices, edges, terminals)
+
+
+def _fresh(graph, labels) -> LabelledGraph:
+    """The graph constructed anew with edge i labelled labels[i]."""
+    edges = [Edge(e.eid, e.u, e.v, label, e.tail) for e, label in zip(graph.edges, labels)]
+    return LabelledGraph(graph.group, graph.model, graph.vertices, edges, graph.terminals)
+
+
+def _relabel_cases(group, count=40):
+    rng = random.Random(f"relabel {group.name}")
+    for _ in range(count):
+        graph = _seeded_relabel_graph(rng, group)
+        yield rng, graph, graph_tables(graph)
+
+
+@pytest.mark.parametrize("group", _RELABEL_GROUPS, ids=lambda g: g.name)
+def test_with_labels_sets_the_tables_of_a_fresh_construction(group):
+    for rng, graph, before in _relabel_cases(group):
+        labels = [random_label(rng, group) for _ in graph.edges]
+        new = dict(zip((e.eid for e in graph.edges), labels))
+        # raw values and coordinate lists are checked on the group, as the constructor does
+        relabelled = graph.with_labels(lambda e: new[e.eid] if rng.random() < 0.5 else new[e.eid].to_json())
+        assert graph_tables(relabelled) == graph_tables(_fresh(graph, labels))
+        assert graph_tables(graph) == before
+
+
+@pytest.mark.parametrize("group", [g for g in _RELABEL_GROUPS if g.is_abelian], ids=lambda g: g.name)
+def test_apply_shifts_sets_the_tables_of_a_fresh_construction(group):
+    flips = sorted(elements_of_order_at_most_2(group), key=group.elem_sort_key)
+    for rng, graph, before in _relabel_cases(group):
+        if graph.model != UNDIRECTED:
+            continue
+        shifts = [(rng.choice(graph.vertices), rng.choice(flips)) for _ in range(rng.randint(0, 4))]
+        # label by label on elements: each shift is added at each end it touches
+        labels = []
+        for e in graph.edges:
+            label = e.label
+            for v, g in shifts:
+                for end in (e.u, e.v):
+                    if end == v:
+                        label = label + g
+            labels.append(label)
+        assert graph_tables(apply_shifts(graph, shifts)) == graph_tables(_fresh(graph, labels))
+        assert graph_tables(graph) == before
+
+
+@pytest.mark.parametrize("group", [g for g in _RELABEL_GROUPS if g.is_abelian], ids=lambda g: g.name)
+def test_reduce_weight_to_zero_sets_the_tables_of_a_fresh_construction(group):
+    for rng, graph, before in _relabel_cases(group):
+        if graph.model != UNDIRECTED:
+            continue
+        g = random_label(rng, group)
+        # label by label on elements: g is subtracted once per terminal end
+        labels = []
+        for e in graph.edges:
+            label = e.label
+            for end in (e.u, e.v):
+                if end in graph.terminals:
+                    label = label - g
+            labels.append(label)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TerminalEdgeWarning)
+            reduced = reduce_weight_to_zero(graph, g + g, g)
+        assert graph_tables(reduced) == graph_tables(_fresh(graph, labels))
+        assert graph_tables(graph) == before
+
+
+def test_with_labels_raises_what_the_group_raises():
+    s3 = make_s3()
+    graph = LabelledGraph.build(s3, DIRECTED, [("a", "b", 1), ("b", "c", 2)], ["a", "c"])
+    with pytest.raises(GroupMismatchError):
+        graph.with_labels(lambda e: Z(6).element(1))
+    with pytest.raises(ValueError) as raised:
+        graph.with_labels(lambda e: 6)
+    assert str(raised.value) == "element index 6 out of range for S3"
 
 
 def test_simple_cycle_enumeration_against_networkx():

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammapath.errors import GroupMismatchError, InternalInvariantError
+from gammapath import groups
+from gammapath.errors import GroupMismatchError, InternalInvariantError, UsageError
+from gammapath.graphs import UNDIRECTED, LabelledGraph
 from gammapath.groups import (
     CayleyGroup,
     CyclicProduct,
@@ -318,6 +321,43 @@ def test_group_json_round_trip():
     e = Z(2, 4).element((1, 3))
     assert Z(2, 4).element(e.to_json()) == e
     assert INTS.element("12") == INTS.element(12)
+
+
+def test_equal_group_json_gives_the_same_group():
+    z24 = group_from_json({"type": "cyclic_product", "orders": [2, 4]})
+    assert group_from_json({"orders": [2, 4], "type": "cyclic_product"}) is z24
+    s3 = make_s3().to_json()
+    assert group_from_json(dict(s3)) is group_from_json(json.loads(json.dumps(s3)))
+    assert group_from_json({"type": "integers"}) is group_from_json({"type": "integers"})
+    # JSON that differs gives its own group
+    assert group_from_json({"type": "cyclic_product", "orders": [4, 2]}) is not z24
+
+
+@pytest.mark.parametrize(
+    "data",
+    [{"type": "cyclic_product", "orders": [1]}, {"type": "cayley", "table": [[0, 1], [1, 1]]}, {"type": "cyclic_product"}],
+    ids=["order-one", "no-inverse", "no-orders"],
+)
+def test_a_malformed_group_raises_on_every_call(data):
+    messages = []
+    for _ in range(3):
+        with pytest.raises(UsageError) as raised:
+            group_from_json(data)
+        messages.append(str(raised.value))
+    assert len(set(messages)) == 1
+
+
+def test_the_group_memo_stays_bounded():
+    for n in range(2, 3 * groups._GROUP_MEMO_SIZE):
+        assert group_from_json({"type": "cyclic_product", "orders": [n]}).order == n
+    assert len(groups._groups_by_json) <= groups._GROUP_MEMO_SIZE
+
+
+def test_a_graph_from_another_groups_elements_is_rejected():
+    z4 = group_from_json({"type": "cyclic_product", "orders": [4]})
+    z5 = group_from_json({"type": "cyclic_product", "orders": [5]})
+    with pytest.raises(GroupMismatchError):
+        LabelledGraph(z5, UNDIRECTED, ["a", "b"], [(0, "a", "b", z4.element(1))])
 
 
 @settings(max_examples=60, deadline=None)

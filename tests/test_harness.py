@@ -8,6 +8,7 @@ import types
 import pytest
 
 import gammapath.harness as harness
+from gammapath import groups
 from gammapath.errors import Limits, LimitExceeded, UsageError
 from gammapath.graphs import UNDIRECTED, LabelledGraph, three_blocks
 from gammapath.harness import RunConfig, run_suite
@@ -116,3 +117,22 @@ def test_chain_check_counts_every_ordered_vector():
     report = harness.check_chain_exhaustive(RunConfig(seed=7))
     assert report["status"] == "PASS"
     assert [report["detail"][f"p{p}_vectors"] for p in (3, 5, 7)] == [2**2, 4**4, 6**6]
+
+
+def test_the_random_checks_make_their_groups_once(monkeypatch):
+    made = []
+    init = groups.FiniteGroup.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(groups.FiniteGroup, "__init__", counting)
+    counts = {}
+    for scale in ("small", "full"):
+        made.clear()
+        report = run_suite(RunConfig(seed=7, scale=scale), only=["duality-random", "oracle-soundness"])
+        assert report["summary"]["pass"] == 2
+        counts[scale] = len(made)
+    # the group lists are built before the instance loops, so the count does not grow with them
+    assert counts["small"] == counts["full"]
