@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from itertools import pairwise
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import (
@@ -95,22 +94,23 @@ class LabelledGraph:
     def _link(self) -> None:
         """`_steps[v]`, the graph's one adjacency table: (edge id, neighbour, step value) by
         neighbour rank, then edge order, the step being the label's value, negated into a tail;
-        `_parallel`: whether two edges join the same two vertices (their half-edges are adjacent)."""
-        rank, vertices, edges = self._rank, self.vertices, self.edges
-        # one sort of all half-edges: (vertex rank, neighbour rank, edge index) is unique
-        half = []
-        for i, (_, u, v, _, _) in enumerate(edges):
-            ru, rv = rank[u], rank[v]
-            half.append((ru, rv, i))
-            half.append((rv, ru, i))
-        half.sort()
-        self._parallel = any(x == a and y == b for (x, y, _), (a, b, _) in pairwise(half))
+        `_parallel`: whether two edges join one pair.  No sort: half-edges go to their neighbour's
+        bucket in edge order, then the buckets to the rows in rank order, parallel ones adjacent."""
+        rank, vertices, neg = self._rank, self.vertices, self.group._neg
+        into = [[] for _ in vertices]  # into[y]: (row rank, step) of each half-edge towards y
+        for eid, u, v, label, tail in self.edges:
+            x = label.value
+            into[rank[v]].append((rank[u], (eid, v, neg(x) if v == tail else x)))
+            into[rank[u]].append((rank[v], (eid, u, neg(x) if u == tail else x)))
         steps = [[] for _ in vertices]
-        neg = self.group._neg
-        for x, y, i in half:
-            eid, _, _, label, tail = edges[i]
-            w = vertices[y]
-            steps[x].append((eid, w, neg(label.value) if w == tail else label.value))
+        last = [-1] * len(vertices)  # the neighbour rank each row took last
+        parallel = False
+        for y, bucket in enumerate(into):
+            for x, step in bucket:
+                parallel |= last[x] == y
+                last[x] = y
+                steps[x].append(step)
+        self._parallel = parallel
         self._steps = dict(zip(vertices, map(tuple, steps)))
 
     @classmethod
@@ -188,16 +188,6 @@ class LabelledGraph:
                     seen.add(y)
                     stack.append(y)
         return seen
-
-    def components(self, forbidden=frozenset()) -> list[set]:
-        left = set(self.vertices) - forbidden
-        out = []
-        for start in self.vertices:
-            if start in left:
-                comp = self.component_of(start, forbidden)
-                out.append(comp)
-                left -= comp
-        return out
 
     def is_three_connected(self) -> bool:
         """At least 4 vertices and every pair inseparable (Whitney)."""
@@ -744,9 +734,10 @@ def _block_path_weights(graph, bridges, limits) -> list[tuple]:
     """(a, b, weight) for each distinct weight of an a-b path between block
     vertices whose interior avoids the block, pairs in the bridges' order.
 
-    Such a path lies in one bridge on {a, b}, so one search per attachment
-    pair, confined to its bridges, finds them all; it stops once it has every
-    element of the group.  max_paths counts the paths accepted over all pairs.
+    Such a path lies in one bridge on {a, b}: a pair joined only by chords
+    (edges of the block) reads its paths from a's row of the step table, any
+    other pair takes one search confined to its bridges.  A pair stops once it
+    has every element of the group; max_paths counts the paths over all pairs.
     """
     group = graph.group
     confine: dict[tuple, set] = {}
@@ -757,35 +748,51 @@ def _block_path_weights(graph, bridges, limits) -> list[tuple]:
     found = 0
     out = []
     for (a, b), allowed in confine.items():
+        # the chords as the search would yield them; one is cut only below max_len 1
+        if len(allowed) == 2 and limits.max_len >= 1:
+            paths = (((a, b), (eid,), step) for eid, y, step in graph._steps[a] if y == b)
+        else:
+            paths = search_paths(
+                graph, (a,), {b}, lambda *_: True, forbidden=vertices - allowed,
+                max_len=limits.max_len, max_count=limits.max_paths,
+                cut="path length during block-weight enumeration",
+            )
         weights: set[int] = set()
-        for _, _, w in search_paths(
-            graph, (a,), {b}, lambda *_: True, forbidden=vertices - allowed,
-            max_len=limits.max_len, max_count=limits.max_paths,
-            cut="path length during block-weight enumeration",
-        ):
+        for _, _, w in paths:
             found += 1
             if found > limits.max_paths:
                 raise LimitExceeded("enumerated paths", limits.max_paths)
             weights.add(w)
             if len(weights) == group.order:
                 break
-        elems = sorted((GroupElem(group, w) for w in weights), key=group.elem_sort_key)
+        # a finite group numbers its values in element order; the integers do not
+        elems = [GroupElem(group, w) for w in sorted(weights)]
+        if not group.is_finite:
+            elems.sort(key=group.elem_sort_key)
         out += ((a, b, g) for g in elems)
     return out
 
 
 def _bridges(graph: LabelledGraph, bset: set) -> tuple[Bridge, ...]:
+    """Block bset's bridges: each component's vertices, attachments and edges in one sweep."""
     # vertices and edges are stored sorted, so their index ranks order them as their keys do
     rank, erank = graph._rank.__getitem__, graph._erank.__getitem__
     out = []
-    for comp in graph.components(forbidden=bset):
-        attach = set()
-        edge_ids = set()
-        for x in comp:
-            for eid, y, _ in graph._steps[x]:
+    seen = set(bset)
+    for start in graph.vertices:
+        if start in seen:
+            continue
+        seen.add(start)
+        comp, attach, edge_ids, stack = [start], set(), set(), [start]
+        while stack:
+            for eid, y, _ in graph._steps[stack.pop()]:
                 edge_ids.add(eid)
                 if y in bset:
                     attach.add(y)
+                elif y not in seen:
+                    seen.add(y)
+                    comp.append(y)
+                    stack.append(y)
         if len(attach) > 2:
             raise InternalInvariantError("bridge with more than two attachments")
         out.append(

@@ -10,11 +10,12 @@ from .graphs import DIRECTED, Edge, LabelledGraph, PathWitness
 from .groups import GroupSpec, group_from_json
 
 _EDGE_KEYS = ("id", "u", "v", "label")
-_EDGE_KEY_SET = frozenset(_EDGE_KEYS)
 _INT = frozenset((int,))
 
 
 def graph_from_json(data: dict) -> LabelledGraph:
+    """The graph of a JSON object.  An edge's four keys are read directly, and only an entry
+    that lacks one goes through `require_keys` to name it; each `Edge` is made once."""
     require_keys(data, ("group", "model", "vertices", "edges"), "graph")
     group = group_from_json(data["group"])
     directed = data["model"] == DIRECTED
@@ -25,9 +26,10 @@ def graph_from_json(data: dict) -> LabelledGraph:
     with parsing("graph"):
         edges = []
         for entry in data["edges"]:
-            if not (isinstance(entry, dict) and entry.keys() >= _EDGE_KEY_SET):
+            try:
+                eid, u, v, label = entry["id"], entry["u"], entry["v"], entry["label"]
+            except (KeyError, TypeError):
                 require_keys(entry, _EDGE_KEYS, "edge")
-            label = entry["label"]
             kind = type(label)
             if kind is list:
                 key = (kind, *label) if set(map(type, label)) <= _INT else None
@@ -38,7 +40,7 @@ def graph_from_json(data: dict) -> LabelledGraph:
                 elem = element(label)
                 if key is not None:
                     known[key] = elem
-            edges.append(Edge(entry["id"], entry["u"], entry["v"], elem, entry.get("tail") if directed else None))
+            edges.append(Edge(eid, u, v, elem, entry.get("tail") if directed else None))
         return LabelledGraph(group, data["model"], data["vertices"], edges, data.get("A", ()))
 
 

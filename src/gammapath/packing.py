@@ -114,20 +114,21 @@ def _family(members_or_spec, limits: Limits) -> list[PathWitness]:
     return members
 
 
-def _masks(vertex_sets) -> tuple[dict, list[int]]:
-    """Member masks: bit i of through[v] is set when member i passes through v,
-    and conflict[i] holds the other members that share a vertex with member i."""
+def _through(vertex_sets) -> dict:
+    """Member masks by vertex: bit i of through[v] is set when member i passes through v."""
     through: dict = {}
     for i, vs in enumerate(vertex_sets):
         for v in vs:
             through[v] = through.get(v, 0) | 1 << i
-    conflict = []
-    for i, vs in enumerate(vertex_sets):
-        mask = 0
-        for v in vs:
-            mask |= through[v]
-        conflict.append(mask & ~(1 << i))
-    return through, conflict
+    return through
+
+
+def _meets(vs, through: dict) -> int:
+    """The members that share a vertex with the member on vertex set vs, itself included."""
+    mask = 0
+    for v in vs:
+        mask |= through[v]
+    return mask
 
 
 def max_packing(
@@ -141,7 +142,8 @@ def max_packing(
     """
     members = _family(spec, limits)
     n = len(members)
-    _, conflict = _masks([m.vertices for m in members])
+    through = _through([m.vertices for m in members])
+    conflict = [_meets(m.vertices, through) & ~(1 << i) for i, m in enumerate(members)]
 
     # greedy seed: scan members by increasing conflict count, smallest index first
     taken = 0
@@ -200,7 +202,8 @@ def min_cover(
     # so the lowest uncovered bit is a shortest uncovered member
     keys = {v: vertex_key(v) for v in set().union(*(m.vertices for m in members))}
     vsets = sorted((m.vertices for m in members), key=len)
-    through, conflict = _masks(vsets)
+    through = _through(vsets)
+    meets = [0] * len(vsets)  # _meets of member i, made when the bound first reads it
     everyone = (1 << len(vsets)) - 1
 
     # greedy upper bound: repeatedly take the vertex hitting most uncovered members
@@ -223,8 +226,10 @@ def min_cover(
         disjoint = 0
         rest = uncovered
         while rest:
-            low = rest & -rest
-            rest &= ~(low | conflict[low.bit_length() - 1])
+            i = (rest & -rest).bit_length() - 1
+            if not meets[i]:
+                meets[i] = _meets(vsets[i], through)
+            rest &= ~meets[i]
             disjoint += 1
         if len(chosen) + disjoint >= best:
             continue

@@ -9,6 +9,10 @@ over Z/3 (`util.sparse_graph`: a spanning tree plus distinct pairs up to 2n
 edges), whose blocks are mostly joined through bridges, at 14, 18, 22, 24,
 140 and 300 vertices and at 500, the largest multiple of 100 that took
 under 1 s on the reference machine in every run (600 took 0.85-1.03 s).
+The benchmark's `blocks` shape, 12, 13 and 14 vertices with 2n edges over
+Z/2 x Z/2 and Z/3, has rows of its own; their `extra_info` counts the
+attachment pairs joined only by chords, whose weights need no search, and
+the pairs that are searched.
 The file name matches no `test_*.py` pattern, so the Tier-1 run does not
 collect it.  Run from the root of a checkout:
 
@@ -28,6 +32,7 @@ from util import Z, sparse_graph
 
 SIZES = (10, 14, 18, 24, 60, 100)
 SPARSE_SIZES = (14, 18, 22, 24, 140, 300, 500)
+SHAPE_SIZES = (12, 13, 14)
 # fixed rounds keep BENCH_blocks.json small
 ROUNDS = {"rounds": 30, "warmup_rounds": 1}
 
@@ -58,6 +63,33 @@ def test_three_blocks_sparse(benchmark, n):
         # bridges with two attachments and interior vertices: the searches that
         # leave the block
         searched_bridges=sum(bool(b.vertices) and len(b.attachments) == 2 for k in blocks for b in k.bridges),
+    )
+
+
+def _pairs(blocks) -> tuple[int, int]:
+    """(chord-only, searched) attachment pairs over the blocks, as the block weights see them."""
+    searched_at: dict = {}
+    for k, block in enumerate(blocks):
+        for b in block.bridges:
+            if len(b.attachments) == 2:
+                key = (k, b.attachments)
+                searched_at[key] = searched_at.get(key, False) or bool(b.vertices)
+    searched = sum(searched_at.values())
+    return len(searched_at) - searched, searched
+
+
+@pytest.mark.parametrize("group", [Z(2, 2), Z(3)], ids=lambda g: g.name)
+@pytest.mark.parametrize("n", SHAPE_SIZES)
+def test_three_blocks_shape(benchmark, n, group):
+    graph = sparse_graph(random.Random(n), group, n, 2 * n)
+    blocks = benchmark.pedantic(three_blocks, args=(graph,), **ROUNDS)
+    chord_only, searched = _pairs(blocks)
+    benchmark.extra_info.update(
+        vertices=n,
+        edges=len(graph.edges),
+        blocks=len(blocks),
+        chord_only_pairs=chord_only,
+        searched_pairs=searched,
     )
 
 

@@ -595,6 +595,45 @@ def test_block_weights_raise_when_a_path_is_cut():
     assert str(info.value) == "path length during block-weight enumeration exceeds limit 1"
 
 
+def _block_edges(blocks):
+    return [(b.vertices, [(e.u, e.v, e.label.value) for e in b.block_graph.edges]) for b in blocks]
+
+
+def _max_paths_boundary(graph, k):
+    """three_blocks passes at max_paths = k and raises at k - 1."""
+    three_blocks(graph, Limits(max_paths=k))
+    with pytest.raises(LimitExceeded) as info:
+        three_blocks(graph, Limits(max_paths=k - 1))
+    assert str(info.value) == f"enumerated paths exceeds limit {k - 1}"
+
+
+def test_block_weights_of_a_pair_joined_only_by_chords():
+    # K4 whose a-b edge is tripled with labels 0, 1, 1: the pair has all of Z/2 after two
+    # chords, so the third is never counted
+    edges = [("a", "b", 0), ("a", "b", 1), ("a", "b", 1)]
+    edges += [(u, v, 0) for u, v in itertools.combinations("abcd", 2) if (u, v) != ("a", "b")]
+    g = undirected(Z(2), edges, [])
+    ab = [("a", "b", 0), ("a", "b", 1)]
+    rest = [("a", "c", 0), ("a", "d", 0), ("b", "c", 0), ("b", "d", 0), ("c", "d", 0)]
+    assert _block_edges(three_blocks(g)) == [(("a", "b", "c", "d"), ab + rest)]
+    # 2 paths on {a, b} and one on each other pair
+    _max_paths_boundary(g, 7)
+
+
+def test_block_weights_of_a_pair_with_a_chord_and_a_bridge():
+    # K4 plus a path a-x-b: on block abcd the pair {a, b} has the chord and the bridge {x},
+    # on block abx it has the chord and the bridge {c, d}
+    edges = [(u, v, 0) for u, v in itertools.combinations("abcd", 2)] + [("a", "x", 1), ("x", "b", 0)]
+    g = undirected(Z(2), edges, [])
+    k4 = [("a", "c", 0), ("a", "d", 0), ("b", "c", 0), ("b", "d", 0), ("c", "d", 0)]
+    assert _block_edges(three_blocks(g)) == [
+        (("a", "b", "c", "d"), [("a", "b", 0), ("a", "b", 1)] + k4),
+        (("a", "b", "x"), [("a", "b", 0), ("a", "x", 1), ("b", "x", 0)]),
+    ]
+    # block abx: the chord and the four paths through c and d, then one chord per other pair
+    _max_paths_boundary(g, 7)
+
+
 def test_three_blocks_match_oracle_random():
     rng = random.Random(5)
     z2 = Z(2)

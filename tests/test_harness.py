@@ -136,3 +136,17 @@ def test_the_random_checks_make_their_groups_once(monkeypatch):
         counts[scale] = len(made)
     # the group lists are built before the instance loops, so the count does not grow with them
     assert counts["small"] == counts["full"]
+
+
+def test_normalization_check_replays_the_shifts_it_was_given(monkeypatch):
+    normalize = harness.normalize_to_zero
+
+    def drops_a_shift(graph, cycle_cap=None):
+        # the normalized graph is right, but the shift list loses its last entry
+        shifts, normalized = normalize(graph, cycle_cap)
+        return shifts[:-1], normalized
+
+    monkeypatch.setattr(harness, "normalize_to_zero", drops_a_shift)
+    report = harness.check_normalization(RunConfig(seed=7))
+    assert report["status"] == "FAIL"
+    assert report["reproducer"]["reason"] == "replay"

@@ -268,8 +268,10 @@ def test_edge_json_without_a_key_names_the_first_missing_key():
         del entry[missing]
         broken = {**data, "edges": [entry]}
         assert _outcome(graph_from_json, broken) == _outcome(oracle_graph_from_json, broken)
-    broken = {**data, "edges": [["a", "b"]]}
-    assert _outcome(graph_from_json, broken) == _outcome(oracle_graph_from_json, broken)
+    # an entry that is not an object fails on its first key, whatever it is
+    for entry in (["a", "b"], "edge", 3, None):
+        broken = {**data, "edges": [entry]}
+        assert _outcome(graph_from_json, broken) == _outcome(oracle_graph_from_json, broken)
 
 
 # --- element hashing --------------------------------------------------------------

@@ -463,7 +463,12 @@ def oracle_bridges(graph, bset: set) -> tuple[Bridge, ...]:
     """The bridges of a block from the components of a copy of the graph without it."""
     out = []
     rest = graph.without_vertices(bset)
-    for comp in rest.components():
+    left = set(rest.vertices)
+    for start in rest.vertices:
+        if start not in left:
+            continue
+        comp = rest.component_of(start)
+        left -= comp
         attach = set()
         edge_ids = []
         for e in graph.edges:
