@@ -3,12 +3,12 @@
 A forest of subcubic terminal trees is grown greedily to a fixpoint of two
 augmentation moves.  The forest is one adjacency map, vertex -> [(edge id,
 neighbour)], plus the zero-weight path that started each tree, in creation
-order; degrees, the forest's vertex set and each tree's vertices are read
-from the map.  Either enough disjoint zero-weight terminal paths come out of
-the trees (pigeonhole on leaf counts), or the degree-1/3 vertices of the
-forest form a small cover, checked once by `validate_frame_cover`: its size
-against the bound, and by exhaustive search that no zero path survives it.
-Works for any finite group, nonabelian included.
+order.  Either enough disjoint zero-weight terminal paths come out of the
+trees (pigeonhole on leaf counts; extraction takes only a tree whose leaves
+are exactly its terminals, and roots it once), or the degree-1/3 vertices of
+the forest form a small cover, checked once by `validate_frame_cover`: its
+size against the bound, and by exhaustive search that no zero path survives
+it.  Works for any finite group, nonabelian included.
 """
 
 from __future__ import annotations
@@ -87,16 +87,6 @@ def _add_path(forest: dict, vertices: tuple, edge_ids: tuple) -> None:
     for x, eid, y in zip(vertices, edge_ids, vertices[1:]):
         forest.setdefault(x, []).append((eid, y))
         forest.setdefault(y, []).append((eid, x))
-
-
-def _tree_adjacency(graph: LabelledGraph, edge_ids: set) -> dict:
-    """Each vertex's (edge id, neighbour) pairs, in the graph's edge order."""
-    adj: dict = {}
-    for eid in sorted(edge_ids, key=graph._erank.__getitem__):
-        e = graph.edge(eid)
-        adj.setdefault(e.u, []).append((eid, e.v))
-        adj.setdefault(e.v, []).append((eid, e.u))
-    return adj
 
 
 def _rooted(adj: dict, root) -> tuple[list, dict]:
@@ -186,15 +176,32 @@ def _zero_path_from(graph: LabelledGraph, adj: dict, v) -> PathWitness:
     return witness
 
 
-def base_zero_path(graph: LabelledGraph, tree_edges: set, v) -> PathWitness:
-    """Zero-weight terminal path inside a subcubic terminal tree, rooted at v.
+def _terminal_tree(graph: LabelledGraph, tree_edges: set) -> tuple[dict, list, dict]:
+    """The edges' adjacency map in edge order, rooted at its smallest leaf; PreconditionFailed
+    unless the edges form one tree whose leaves are exactly the terminals on it."""
+    adj: dict = {}
+    for eid in sorted(tree_edges, key=graph._erank.__getitem__):
+        e = graph.edge(eid)
+        _add_path(adj, (e.u, e.v), (eid,))
+    leaves = [v for v, nbrs in adj.items() if len(nbrs) == 1]
+    order, parent = _rooted(adj, min(leaves, key=vertex_key)) if leaves else ([], {})
+    if len(order) != len(adj) or len(adj) not in (0, len(tree_edges) + 1):
+        raise PreconditionFailed("not a terminal tree: the edges do not form one tree")
+    if graph.terminals.intersection(adj) != set(leaves):
+        raise PreconditionFailed("not a terminal tree: its leaves are not exactly its terminals")
+    return adj, order, parent
 
-    Needs at least |group|+1 leaf paths from the internal vertex v, taken in
-    leaf-id order: two of them share a weight by pigeonhole, and their
-    symmetric difference is the witness (the common prefix cancels on the
-    left even when the group is nonabelian).
+
+def base_zero_path(graph: LabelledGraph, tree_edges: set, v) -> PathWitness:
+    """Zero-weight terminal path inside a terminal tree, rooted at v.
+
+    PreconditionFailed unless the edges form one tree whose leaves are exactly
+    its terminals.  Needs at least |group|+1 leaf paths from the internal
+    vertex v, taken in leaf-id order: two of them share a weight by
+    pigeonhole, and their symmetric difference is the witness (the common
+    prefix cancels on the left even when the group is nonabelian).
     """
-    return _zero_path_from(graph, _tree_adjacency(graph, tree_edges), v)
+    return _zero_path_from(graph, _terminal_tree(graph, tree_edges)[0], v)
 
 
 def _remove_edge(adj: dict, x, eid, y) -> None:
@@ -205,63 +212,55 @@ def _remove_edge(adj: dict, x, eid, y) -> None:
             del adj[a]
 
 
-def _prune_to_terminal_tree(adj: dict, terminals) -> None:
-    """Repeatedly drop non-terminal leaves, in place: the largest sub-tree whose
-    leaves are all terminals.  An edge goes exactly when one of its sides holds
-    no terminal, so the order of the drops does not change the result."""
-    stack = [v for v, nbrs in adj.items() if len(nbrs) == 1 and v not in terminals]
-    while stack:
-        v = stack.pop()
-        if v not in adj:
-            continue  # its one edge went with its neighbour's drop
-        ((eid, y),) = adj[v]
-        _remove_edge(adj, v, eid, y)
-        if len(adj.get(y, ())) == 1 and y not in terminals:
-            stack.append(y)
-
-
 def extract_zero_paths(graph: LabelledGraph, tree_edges: set, k: int) -> list[PathWitness]:
-    """k pairwise disjoint zero-weight terminal paths from one subcubic tree.
+    """k pairwise disjoint zero-weight terminal paths from one subcubic terminal tree.
 
-    While more than one path is due: root the tree at its smallest leaf,
-    split at the deepest degree-3 vertex (ties to the smallest id) with more
-    than |group| leaves below it, cut its subtree off and solve it by
-    pigeonhole, and go on with the rest of the tree, pruned to its terminal
-    leaves, owing one path fewer.  The last path comes from what is left.
-    The tree's adjacency map is built once and cut and pruned in place.
+    Rejects any other tree as `base_zero_path` does, then roots it once, at
+    its smallest leaf.  While more than one path is due, split at the deepest
+    degree-3 vertex (ties to the smallest id) with more than |group| leaves
+    below, solve the cut-off subtree by pigeonhole and owe one path fewer.
+    A cut leaves no terminal leaf and takes the root only with all the rest,
+    so depths stay fixed while degrees and leaf counts only fall: one sweep,
+    deepest first, meets the splits in order, and each cut drops non-terminal
+    leaves only up its parent chain.  The last path comes from what is left.
     """
     size = graph.group.order
     if k <= 0:
         return []
-    adj = _tree_adjacency(graph, tree_edges)
+    adj, order, parent = _terminal_tree(graph, tree_edges)
+    leaves = sum(len(nbrs) == 1 for nbrs in adj.values())
+    depth = {}
+    for v in order:
+        depth[v] = depth[parent[v][1]] + 1 if parent[v] else 0
+    sweep = iter(sorted(order[1:], key=lambda v: (-depth[v], vertex_key(v))))
+    below: dict = {}  # leaves below each swept vertex
     far_paths: list[PathWitness] = []
     while True:
-        leaves = [v for v, nbrs in adj.items() if len(nbrs) == 1]
-        if len(leaves) < (2 * k - 1) * size + 1:
+        if leaves < (2 * k - 1) * size + 1:
             raise PreconditionFailed(
-                f"tree has {len(leaves)} leaves; {(2 * k - 1) * size + 1} required for {k} paths"
+                f"tree has {leaves} leaves; {(2 * k - 1) * size + 1} required for {k} paths"
             )
         if k == 1:
             break
-        anchor = min(leaves, key=vertex_key)
-        order, parent = _rooted(adj, anchor)
-        depth = {anchor: 0}
-        for v in order[1:]:
-            depth[v] = depth[parent[v][1]] + 1
-        below = dict.fromkeys(order, 0)
-        for v in reversed(order[1:]):
-            if len(adj[v]) == 1:
-                below[v] = 1
-            below[parent[v][1]] += below[v]
-        splits = [v for v in order if len(adj[v]) == 3 and below[v] > size]
-        if not splits:
+        for split in sweep:
+            if split not in adj:
+                continue  # cut off or dropped
+            eid, up = parent[split]
+            nbrs = adj[split]
+            below[split] = 1 if len(nbrs) == 1 else sum(below[y] for _, y in nbrs if y != up)
+            if len(nbrs) == 3 and below[split] > size:
+                break
+        else:
             raise InternalInvariantError("no admissible split vertex; contradicts the leaf bound")
-        split = min(splits, key=lambda v: (-depth[v], vertex_key(v)))
-        eid, up = parent[split]
         _remove_edge(adj, split, eid, up)
         far = {v: adj.pop(v) for v in _rooted(adj, split)[0]}
         far_paths.append(_zero_path_from(graph, far, min((v for v in far if len(far[v]) >= 2), key=vertex_key)))
-        _prune_to_terminal_tree(adj, graph.terminals)
+        # interior vertices are not terminals: drop each that the cut left a leaf
+        while len(adj.get(up, ())) == 1:
+            ((eid, y),) = adj[up]
+            _remove_edge(adj, up, eid, y)
+            up = y
+        leaves -= below[split] + (order[0] not in adj)
         k -= 1
 
     if len(adj) == 2:

@@ -687,20 +687,24 @@ def _maximal_cliques(nbrs: list[int]) -> Iterator[int]:
     """Maximal cliques as bitmasks, nbrs[i] being the neighbour mask of i.
 
     Bron-Kerbosch with Tomita pivoting: branch only on the candidates that
-    are not neighbours of the vertex of P | X with most neighbours in P.
+    are not neighbours of the vertex of P | X with most neighbours in P.  The
+    branches wait on an explicit stack, pushed in reverse, so a clique as
+    large as the graph costs no recursion and the cliques come out in
+    depth-first order.
     """
-
-    def bk(r: int, p: int, x: int):
+    stack = [(0, (1 << len(nbrs)) - 1, 0)]
+    while stack:
+        r, p, x = stack.pop()
         if not p and not x:
             yield r
-            return
+            continue
         pivot = max(_bits(p | x), key=lambda u: (p & nbrs[u]).bit_count())
+        branches = []
         for v in _bits(p & ~nbrs[pivot]):
-            yield from bk(r | 1 << v, p & nbrs[v], x & nbrs[v])
+            branches.append((r | 1 << v, p & nbrs[v], x & nbrs[v]))
             p &= ~(1 << v)
             x |= 1 << v
-
-    yield from bk(0, (1 << len(nbrs)) - 1, 0)
+        stack.extend(reversed(branches))
 
 
 def three_blocks(graph: LabelledGraph, limits: Limits = DEFAULT_LIMITS) -> list[ThreeBlock]:

@@ -518,16 +518,31 @@ def group_from_json(data: dict) -> GroupSpec:
     return group
 
 
+_INT_SHAPES = ("an int", "a list of ints", "a list of lists of ints")
+
+
+def _json_ints(value, key: str, depth: int):
+    """value, if it is an int (never a bool) inside depth levels of lists; else a usage error naming key."""
+
+    def fits(x, d):
+        return isinstance(x, list) and all(fits(y, d - 1) for y in x) if d else type(x) is int
+
+    if not fits(value, depth):
+        raise UsageError(f"bad group JSON: {key!r} must be {_INT_SHAPES[depth]}")
+    return value
+
+
 def _build_group(data: dict) -> GroupSpec:
     require_keys(data, ("type",), "group")
     kind = data["type"]
     with parsing("group"):
         if kind == "cyclic_product":
             require_keys(data, ("orders",), "group")
-            return CyclicProduct(data["orders"])
+            return CyclicProduct(_json_ints(data["orders"], "orders", 1))
         if kind == "cayley":
             require_keys(data, ("table",), "group")
-            return CayleyGroup(data["table"], data.get("identity", 0))
+            table = _json_ints(data["table"], "table", 2)
+            return CayleyGroup(table, _json_ints(data.get("identity", 0), "identity", 0))
     if kind == "integers":
         return IntegerGroup()
     raise UsageError(f"unknown group type {kind!r}")

@@ -6,9 +6,9 @@ turn), and `frame.extract_zero_paths` at k = `largest_extractable`, the most
 disjoint zero paths the leaf count guarantees, on:
 
 - caterpillars over Z/3: a spine of n vertices, each with one terminal leaf,
-  labels drawn from `random.Random(n)`, at n = 200, 400, 800 and 1,600.
-  Extraction splits the tree k - 1 = n/6 - 1 times, so these rows show how
-  the cost of one split grows with the tree;
+  labels drawn from `random.Random(n)`, at n = 200, 400, 800, 1,600, 3,200,
+  6,400 and 25,600.  Extraction splits the tree k - 1 = n/6 - 1 times, so
+  these rows show how the cost of one split grows with the tree;
 - one row of 50 random subcubic terminal trees over Z/3 on 20-200 vertices
   (`util.random_subcubic_tree`, seed 0), each at its own k.
 
@@ -33,7 +33,7 @@ from gammapath.packing import _verify_packing
 
 from util import Z, random_subcubic_tree
 
-CATERPILLAR_SIZES = (200, 400, 800, 1600)
+CATERPILLAR_SIZES = (200, 400, 800, 1600, 3200, 6400, 25600)
 
 
 def _caterpillar(n: int):

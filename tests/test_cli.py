@@ -474,7 +474,7 @@ def _set_field(data, where, value):
     "where, value, detail",
     [
         (("vertices",), [[1], 2], "bad graph JSON: vertex ids must be ints or strings"),
-        (("group", "orders"), "ab", "bad group JSON: invalid literal"),
+        (("group", "orders"), "ab", "bad group JSON: 'orders' must be a list of ints"),
         (("edges", 0, "label"), "zz", "bad graph JSON: invalid literal"),
     ],
     ids=["unhashable-vertex", "string-orders", "string-label"],

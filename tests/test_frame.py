@@ -129,6 +129,47 @@ def test_extract_requires_leaf_budget():
         extract_zero_paths(g, tree, 2)
 
 
+_STAR = [("v", "l1", 0, "v"), ("v", "l2", 0, "v"), ("v", "l3", 0, "v")]
+
+
+@pytest.mark.parametrize("call", [lambda g, t: extract_zero_paths(g, t, 1), lambda g, t: base_zero_path(g, t, "v")],
+                         ids=["extract", "base"])
+@pytest.mark.parametrize(
+    "edges, terminals, tree, detail",
+    [
+        (_STAR, ["l1", "l2"], {0, 1, 2}, "not a terminal tree: its leaves are not exactly its terminals"),
+        (_STAR, ["l1", "l2", "l3", "v"], {0, 1, 2}, "not a terminal tree: its leaves are not exactly its terminals"),
+        (_STAR + [("l1", "l2", 0, "l1")], ["l1", "l2", "l3"], {0, 1, 3}, "not a terminal tree: the edges do not form one tree"),
+        (_STAR + [("a", "b", 0, "a")], ["l1", "l2", "l3", "a", "b"], {0, 1, 2, 3},
+         "not a terminal tree: the edges do not form one tree"),
+    ],
+    ids=["non-terminal-leaf", "interior-terminal", "cycle", "two-components"],
+)
+def test_extraction_rejects_what_is_not_a_terminal_tree(call, edges, terminals, tree, detail):
+    g = directed(Z(2), edges, terminals)
+    with pytest.raises(PreconditionFailed) as raised:
+        call(g, tree)
+    assert str(raised.value) == detail
+
+
+def test_extraction_from_no_edges_keeps_its_own_errors():
+    g = directed(Z(2), _STAR, ["l1", "l2", "l3"])
+    with pytest.raises(PreconditionFailed, match="^tree has 0 leaves; 3 required for 1 paths$"):
+        extract_zero_paths(g, set(), 1)
+    with pytest.raises(PreconditionFailed, match="^root must be an internal tree vertex$"):
+        base_zero_path(g, set(), "v")
+
+
+def test_extraction_roots_the_tree_at_its_smallest_leaf_once(monkeypatch):
+    # every split leaves the rooting as it was, so it is made once, not once per split
+    g, tree = _caterpillar(Z(2), [0, 0, 1, 1, 0, 1, 1, 0, 0, 1, 1])
+    roots = []
+    rooted = frame._rooted
+    monkeypatch.setattr(frame, "_rooted", lambda adj, root: roots.append(root) or rooted(adj, root))
+    assert len(extract_zero_paths(g, tree, 3)) == 3
+    assert roots.count("l0") == 1
+
+
 def _outcome(fn, *args):
     """The paths a call returns, or the type and message of what it raises."""
     try:
@@ -137,31 +178,46 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+REJECTED = (PreconditionFailed, "not a terminal tree: its leaves are not exactly its terminals")
+
+
+def _expected_outcome(g, tree, k):
+    """The oracle's outcome on a terminal tree, and the up-front rejection on any other."""
+    if {v for v in g.vertices if len(g._steps[v]) == 1} == g.terminals:
+        return _outcome(oracle_extract_zero_paths, g, tree, k)
+    return REJECTED
+
+
 def test_extract_matches_recursive_oracle():
-    # trees with non-terminal leaves or interior terminals fail mid-extraction:
-    # the loop must fail the same way, at the same split
+    # on terminal trees the sweep splits, fails and succeeds as the recursion did;
+    # trees with non-terminal leaves or interior terminals are rejected up front
     rng = random.Random(303)
     groups = [Z(2), Z(3), Z(5), Z(2, 2), make_s3()]
-    packed = failed = 0
+    packed = failed = rejected = 0
     for i in range(600):
         g, tree = random_subcubic_tree(rng, groups[i % len(groups)], rng.randint(2, 60))
         leaves = sum(1 for v in g.vertices if len(g._steps[v]) == 1)
         for k in range(1, largest_extractable(g, leaves) + 2):
             got = _outcome(extract_zero_paths, g, tree, k)
-            assert got == _outcome(oracle_extract_zero_paths, g, tree, k), (i, k)
+            assert got == _expected_outcome(g, tree, k), (i, k)
             packed += isinstance(got, list) and k > 1
-            failed += isinstance(got, tuple)
-    assert packed and failed
+            failed += isinstance(got, tuple) and got != REJECTED
+            rejected += got == REJECTED
+    assert packed and failed and rejected
 
 
 def test_extract_over_the_trivial_group_matches_the_oracle():
     # every leaf pair is a zero path, so splits run down to single-edge trees
     rng = random.Random(5)
+    rejected = set()
     for i in range(300):
         g, tree = random_subcubic_tree(rng, Z(), rng.randint(2, 30))
         leaves = sum(1 for v in g.vertices if len(g._steps[v]) == 1)
         for k in range(1, largest_extractable(g, leaves) + 2):
-            assert _outcome(extract_zero_paths, g, tree, k) == _outcome(oracle_extract_zero_paths, g, tree, k), (i, k)
+            got = _outcome(extract_zero_paths, g, tree, k)
+            assert got == _expected_outcome(g, tree, k), (i, k)
+            rejected.add(got == REJECTED)
+    assert rejected == {True, False}
 
 
 def test_extract_many_paths_without_deep_recursion():

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 import random
+import sys
 import warnings
 
 import networkx as nx
@@ -544,6 +546,19 @@ def test_three_blocks_k4():
     # all-zero labels realize exactly one weight per pair
     assert len(block.block_graph.edges) == 6
     assert all(e.label == z2.zero() for e in block.block_graph.edges)
+
+
+def test_three_blocks_of_a_large_wheel_without_deep_recursion():
+    # a 3-connected graph is one block: one clique of all n vertices in the inseparability graph
+    n = 200
+    g = undirected(Z(2), [(0, i, 0) for i in range(1, n)] + [(i, i % (n - 1) + 1, 0) for i in range(1, n)], [])
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        blocks = three_blocks(g)
+    finally:
+        sys.setrecursionlimit(old_limit)
+    assert [b.vertices for b in blocks] == [tuple(range(n))]
 
 
 def test_three_blocks_two_triangles():

@@ -347,6 +347,32 @@ def test_a_malformed_group_raises_on_every_call(data):
     assert len(set(messages)) == 1
 
 
+_S2 = [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize(
+    "data, key",
+    [
+        ({"type": "cyclic_product", "orders": "4"}, "orders"),
+        ({"type": "cyclic_product", "orders": "35"}, "orders"),
+        ({"type": "cyclic_product", "orders": [2.9]}, "orders"),
+        ({"type": "cyclic_product", "orders": ["5"]}, "orders"),
+        ({"type": "cyclic_product", "orders": [True, 3]}, "orders"),
+        ({"type": "cayley", "table": ["01", "10"]}, "table"),
+        ({"type": "cayley", "table": [[0.0, 1], [1, 0]]}, "table"),
+        ({"type": "cayley", "table": [[0, 1], [True, 0]]}, "table"),
+        ({"type": "cayley", "table": _S2, "identity": "0"}, "identity"),
+        ({"type": "cayley", "table": _S2, "identity": False}, "identity"),
+    ],
+    ids=["string", "digit-string", "float", "string-entry", "bool-entry", "string-rows", "float-entry",
+         "bool-table-entry", "string-identity", "bool-identity"],
+)
+def test_group_json_takes_ints_where_it_needs_ints(data, key):
+    shape = {"orders": "a list of ints", "table": "a list of lists of ints", "identity": "an int"}[key]
+    with pytest.raises(UsageError, match=f"^bad group JSON: '{key}' must be {shape}$"):
+        group_from_json(data)
+
+
 def test_the_group_memo_stays_bounded():
     for n in range(2, 3 * groups._GROUP_MEMO_SIZE):
         assert group_from_json({"type": "cyclic_product", "orders": [n]}).order == n
