@@ -107,7 +107,7 @@ def _validate_forest(graph: LabelledGraph, forest: dict, witnesses: list) -> Non
         if len(set(nbrs)) != len(nbrs):
             raise InternalInvariantError("an edge is listed twice at one vertex")
         for eid, y in nbrs:
-            e = graph._by_id.get(eid)
+            e = graph.edge(eid) if eid in graph._erank else None
             if e is None or {e.u, e.v} != {x, y} or (eid, x) not in forest.get(y, ()):
                 raise InternalInvariantError("forest lists an edge that is not a graph edge listed at both ends")
     zero = graph.group.zero()

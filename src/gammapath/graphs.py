@@ -19,7 +19,6 @@ from .errors import (
     LimitExceeded,
     NormalizationFailed,
     PreconditionFailed,
-    require_keys,
 )
 from .groups import GroupElem, GroupSpec, _bits
 
@@ -71,6 +70,11 @@ class LabelledGraph:
                 raise ValueError(f"duplicate edge id {eid!r}")
             if u not in rank or v not in rank:
                 raise ValueError(f"edge {eid!r} has an endpoint outside the vertex set")
+            # a float or bool twin of a vertex id hashes like it, so its type is checked too
+            if type(u) is not int:
+                vertex_key(u)
+            if type(v) is not int:
+                vertex_key(v)
             if u == v:
                 raise ValueError(f"edge {eid!r} is a loop")
             # an element made on this very group (graph_from_json's) is valid already
@@ -79,6 +83,8 @@ class LabelledGraph:
             if model == DIRECTED:
                 if tail not in (u, v):
                     raise ValueError(f"edge {eid!r} needs an orientation in the directed model")
+                if type(tail) is not int:
+                    vertex_key(tail)
             elif tail is not None:
                 raise ValueError(f"edge {eid!r} carries an orientation in the undirected model")
             by_id[eid] = e
@@ -87,7 +93,9 @@ class LabelledGraph:
         self.terminals = frozenset(terminals)
         if not self.terminals <= rank.keys():
             raise ValueError("terminals must be vertices")
-        self._by_id = by_id
+        for a in self.terminals:
+            if type(a) is not int:
+                vertex_key(a)
         self._erank = dict(zip(ids, range(len(ids))))
         self._link()
 
@@ -128,10 +136,10 @@ class LabelledGraph:
     # --- basic accessors -------------------------------------------------
 
     def edge(self, eid) -> Edge:
-        return self._by_id[eid]
+        return self.edges[self._erank[eid]]
 
     def incident(self, v):
-        return [(self._by_id[eid], y) for eid, y, _ in self._steps[v]]
+        return [(self.edge(eid), y) for eid, y, _ in self._steps[v]]
 
     def __contains__(self, v) -> bool:
         return v in self._rank
@@ -156,24 +164,18 @@ class LabelledGraph:
     def _revalued(self, values) -> "LabelledGraph":
         """This graph with edge i's label value replaced by values[i], a valid element value.
 
-        Everything but the edges and the step values is shared, `_steps` keeps its half-edge
-        order; equal values share one element (the group's `_elements` when it is finite).
+        The vertices, terminals and rank tables are shared and `_link` builds the step table
+        anew, in the same half-edge order; equal values share one element (the group's
+        `_elements` when it is finite).
         """
         group = self.group
-        neg = group._neg
         cache = group._elements if group.is_finite else {}
-        edges = []
-        step_into = {}  # edge id -> {end: the step value into that end}
-        for (eid, u, v, _, tail), x in zip(self.edges, values):
-            label = cache[x] if x in cache else cache.setdefault(x, GroupElem(group, x))
-            edges.append(Edge(eid, u, v, label, tail))
-            step_into[eid] = {u: neg(x) if u == tail else x, v: neg(x) if v == tail else x}
         out = copy.copy(self)
-        out.edges = tuple(edges)
-        out._by_id = {e.eid: e for e in edges}
-        out._steps = {
-            w: tuple((eid, y, step_into[eid][y]) for eid, y, _ in row) for w, row in self._steps.items()
-        }
+        out.edges = tuple(
+            Edge(eid, u, v, cache[x] if x in cache else cache.setdefault(x, GroupElem(group, x)), tail)
+            for (eid, u, v, _, tail), x in zip(self.edges, values)
+        )
+        out._link()
         return out
 
     # --- connectivity helpers --------------------------------------------
@@ -273,15 +275,6 @@ class PathWitness:
             **({"trivial": True} if self.trivial else {}),
         }
 
-    @classmethod
-    def from_json(cls, graph: LabelledGraph, data: dict) -> "PathWitness":
-        require_keys(data, ("vertices", "edges"), "witness")
-        vertices = tuple(data["vertices"])
-        edges = tuple(data["edges"])
-        if data.get("trivial"):
-            return cls(vertices, (), graph.group.zero(), trivial=True)
-        return cls(vertices, edges, walk_weight(graph, vertices, edges))
-
 
 def walk_weight(graph: LabelledGraph, vertices, edge_ids) -> GroupElem:
     """Weight of a walk given as alternating vertex and edge-id sequences.
@@ -295,15 +288,15 @@ def walk_weight(graph: LabelledGraph, vertices, edge_ids) -> GroupElem:
     if len(vertices) != len(edge_ids) + 1 or not vertices:
         raise ValueError("walk must alternate vertices and edges")
     group = graph.group
-    add, neg, by_id = group._add, group._neg, graph._by_id
+    add, neg, edges, erank = group._add, group._neg, graph.edges, graph._erank
     acc = group.zero().value
     at = vertices[0]
     if at not in graph:
         raise ValueError(f"unknown vertex {at!r}")
     for eid, nxt in zip(edge_ids, vertices[1:]):
-        if eid not in by_id:
+        if eid not in erank:
             raise ValueError(f"unknown edge {eid!r}")
-        _, u, v, label, tail = by_id[eid]
+        _, u, v, label, tail = edges[erank[eid]]
         if {at, nxt} != {u, v}:
             raise ValueError(f"edge {eid!r} does not join {at!r} and {nxt!r}")
         acc = add(acc, neg(label.value) if nxt == tail else label.value)
@@ -466,23 +459,23 @@ def iter_simple_cycles(
     The weight is the value of that traversal's walk weight, so in the
     orientation-free model it is the plain label sum.
     """
-    emitted: set[frozenset] = set()
+    kept = 0
 
     def closes(path: list, edges: list, end, eid) -> bool:
-        # returning along the first edge is not a cycle; each edge set is listed once
-        if eid == edges[0]:
+        nonlocal kept
+        # the search meets each cycle twice, first leaving along its edge earlier in the start's
+        # row: keep that traversal, which also rejects returning along the first edge
+        if place[eid] <= place[edges[0]]:
             return False
-        key = frozenset(edges) | {eid}
-        if key in emitted:
-            return False
-        emitted.add(key)
+        kept += 1
         # the cap counts cycles over all starts, not per search
-        if len(emitted) > cycle_cap:
+        if kept > cycle_cap:
             raise LimitExceeded("enumerated simple cycles", cycle_cap)
         return True
 
     smaller: set = set()
     for start in graph.vertices:
+        place = {eid: i for i, (eid, _, _) in enumerate(graph._steps[start])}  # edge id -> row place
         # a simple cycle has at most n edges, so max_len cuts none
         yield from search_paths(
             graph, (start,), {start}, closes,

@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import operator
+import re
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -322,12 +323,13 @@ class CyclicProduct(FiniteGroup):
         if isinstance(value, GroupElem):
             self._check(value)
             return value
-        if isinstance(value, int):
+        if type(value) is int:
             if len(self.orders) != 1:
                 raise ValueError(f"{self.name} needs {len(self.orders)} coordinates")
             return GroupElem(self, value % self._order)
-        coords = tuple(int(c) % n for c, n in zip(value, self.orders, strict=True))
-        return GroupElem(self, sum(c * s for c, (_, s) in zip(coords, self._radix)))
+        if type(value) not in (list, tuple) or len(value) != len(self.orders) or any(type(c) is not int for c in value):
+            raise ValueError(f"invalid literal for {self.name}: {value!r}")
+        return GroupElem(self, sum(c % n * s for c, (n, s) in zip(value, self._radix)))
 
     def add(self, a: GroupElem, b: GroupElem) -> GroupElem:
         self._check(a, b)
@@ -405,10 +407,11 @@ class CayleyGroup(FiniteGroup):
         if isinstance(value, GroupElem):
             self._check(value)
             return value
-        idx = int(value)
-        if not 0 <= idx < self._order:
-            raise ValueError(f"element index {idx} out of range for {self.name}")
-        return GroupElem(self, idx)
+        if type(value) is not int:
+            raise ValueError(f"invalid literal for {self.name}: {value!r}")
+        if not 0 <= value < self._order:
+            raise ValueError(f"element index {value} out of range for {self.name}")
+        return GroupElem(self, value)
 
     def add(self, a: GroupElem, b: GroupElem) -> GroupElem:
         # left-to-right as written: a + b = table[a][b]
@@ -444,6 +447,9 @@ class CayleyGroup(FiniteGroup):
         return {"type": "cayley", "identity": self.identity, "table": [list(r) for r in self.table]}
 
 
+_DECIMAL = re.compile("-?[0-9]+")
+
+
 class IntegerGroup(GroupSpec):
     """The additive group of integers, with arbitrary precision."""
 
@@ -471,9 +477,12 @@ class IntegerGroup(GroupSpec):
         if isinstance(value, GroupElem):
             self._check(value)
             return value
-        if isinstance(value, str):
-            value = int(value, 10)
-        return GroupElem(self, int(value))
+        # an int, or the decimal string that to_json writes
+        if type(value) is str and _DECIMAL.fullmatch(value):
+            value = int(value)
+        if type(value) is not int:
+            raise ValueError(f"invalid literal for {self.name}: {value!r}")
+        return GroupElem(self, value)
 
     def add(self, a: GroupElem, b: GroupElem) -> GroupElem:
         self._check(a, b)

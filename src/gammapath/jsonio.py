@@ -5,8 +5,8 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii as _quote
 
-from .errors import parsing, require_keys
-from .graphs import DIRECTED, Edge, LabelledGraph, PathWitness
+from .errors import UsageError, parsing, require_keys
+from .graphs import DIRECTED, Edge, LabelledGraph, PathWitness, walk_weight
 from .groups import GroupSpec, group_from_json
 
 _EDGE_KEYS = ("id", "u", "v", "label")
@@ -17,6 +17,9 @@ def graph_from_json(data: dict) -> LabelledGraph:
     """The graph of a JSON object.  An edge's four keys are read directly, and only an entry
     that lacks one goes through `require_keys` to name it; each `Edge` is made once."""
     require_keys(data, ("group", "model", "vertices", "edges"), "graph")
+    for key in ("vertices", "edges", "A"):
+        if type(data.get(key, [])) is not list:
+            raise UsageError(f"graph JSON key {key!r} must be a list")
     group = group_from_json(data["group"])
     directed = data["model"] == DIRECTED
     element = group.element
@@ -45,7 +48,12 @@ def graph_from_json(data: dict) -> LabelledGraph:
 
 
 def witness_from_json(graph: LabelledGraph, data: dict) -> PathWitness:
-    return PathWitness.from_json(graph, data)
+    require_keys(data, ("vertices", "edges"), "witness")
+    vertices = tuple(data["vertices"])
+    edges = tuple(data["edges"])
+    if data.get("trivial"):
+        return PathWitness(vertices, (), graph.group.zero(), trivial=True)
+    return PathWitness(vertices, edges, walk_weight(graph, vertices, edges))
 
 
 def dumps(payload) -> str:

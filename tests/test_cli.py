@@ -496,7 +496,7 @@ _ALIKE_LABELS = [[1], 1, 1.0, True, "1"]
 @pytest.mark.parametrize("second", _ALIKE_LABELS, ids=repr)
 @pytest.mark.parametrize("first", _ALIKE_LABELS, ids=repr)
 def test_labels_that_hash_alike_are_each_read_as_on_their_own(tmp_path, capsys, first, second):
-    """Over Z/2, 1, True and "1" read as [1] and 1.0 is a usage error, whichever label came first."""
+    """Over Z/2, 1 reads as [1] and 1.0, True and "1" are usage errors, whichever label came first."""
     data = LabelledGraph.build(Z(2), UNDIRECTED, [("a", "b", 1), ("b", "c", 1)], ["a", "c"]).to_json()
     path = tmp_path / "graph.json"
     path.write_text(json.dumps(data))
@@ -504,11 +504,80 @@ def test_labels_that_hash_alike_are_each_read_as_on_their_own(tmp_path, capsys, 
     data["edges"][0]["label"], data["edges"][1]["label"] = first, second
     path.write_text(json.dumps(data))
     code, payload, err = invoke(capsys, "bipartite", "--graph", str(path))
-    if float in (type(first), type(second)):
-        assert (code, payload) == (2, {"error": "usage", "detail": "bad graph JSON: 'float' object is not iterable"})
+    bad = [label for label in (first, second) if type(label) not in (list, int)]
+    if bad:
+        assert (code, payload) == (2, {"error": "usage", "detail": f"bad graph JSON: invalid literal for Z/2: {bad[0]!r}"})
         assert "Traceback" not in err
     else:
         assert (code, payload, err) == expected
+
+
+_Z4 = {"type": "cyclic_product", "orders": [4]}
+_INTEGERS = {"type": "integers"}
+_GROUPS = {"Z/4": _Z4, "cayley[3]": {"type": "cayley", "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}, "Z": _INTEGERS}
+
+
+def _one_edge(group, label, model=UNDIRECTED, **edge) -> dict:
+    entry = {"id": 0, "u": 0, "v": 1, "label": label, **edge}
+    return {"group": group, "model": model, "vertices": [0, 1], "A": [0, 1], "edges": [entry]}
+
+
+def _pack(tmp_path, capsys, data, family="nonzero"):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(data))
+    return invoke(capsys, "pack", "--graph", str(path), "--family", family)
+
+
+@pytest.mark.parametrize(
+    "name, label",
+    [
+        ("Z/4", [2.7]), ("Z/4", [1.0]), ("Z/4", [True]), ("Z/4", True), ("Z/4", "1"),
+        ("cayley[3]", 2.7), ("cayley[3]", True),
+        ("Z", 2.7), ("Z", True), ("Z", " 1"), ("Z", "1_0"),
+    ],
+    ids=repr,
+)
+def test_a_label_is_read_by_its_exact_json_type(tmp_path, capsys, name, label):
+    code, payload, err = _pack(tmp_path, capsys, _one_edge(_GROUPS[name], label))
+    assert (code, payload) == (2, {"error": "usage", "detail": f"bad graph JSON: invalid literal for {name}: {label!r}"})
+    assert "Traceback" not in err
+
+
+def test_a_float_label_is_not_packed_as_its_integer_part(tmp_path, capsys):
+    code, payload, _ = _pack(tmp_path, capsys, _one_edge(_Z4, [2]), "weight:[2]")
+    assert (code, payload["nu"]) == (0, 1)
+    code, payload, _ = _pack(tmp_path, capsys, _one_edge(_Z4, [2.7]), "weight:[2]")
+    assert (code, payload["error"]) == (2, "usage")
+    code, payload, _ = _pack(tmp_path, capsys, _one_edge(_Z4, [2]), "weight:[2.7]")
+    assert (code, payload) == (2, {"error": "usage", "detail": "bad element JSON: invalid literal for Z/4: [2.7]"})
+
+
+@pytest.mark.parametrize("group, label, same", [(_Z4, 1, [1]), (_INTEGERS, "-3", -3)], ids=["Z/4", "Z"])
+def test_the_written_label_forms_still_read_as_before(tmp_path, capsys, group, label, same):
+    ours = _pack(tmp_path, capsys, _one_edge(group, label))
+    assert ours == _pack(tmp_path, capsys, _one_edge(group, same))
+    assert ours[0] == 0
+
+
+@pytest.mark.parametrize(
+    "data, detail",
+    [
+        (_one_edge(_Z4, [1], v=1.0), "bad graph JSON: vertex ids must be ints or strings, got 1.0"),
+        (_one_edge(_Z4, [1], v=True), "bad graph JSON: vertex ids must be ints or strings, got True"),
+        (_one_edge(_Z4, [1], DIRECTED, tail=1.0), "bad graph JSON: vertex ids must be ints or strings, got 1.0"),
+        ({**_one_edge(_Z4, [1]), "A": [0, 1.0]}, "bad graph JSON: vertex ids must be ints or strings, got 1.0"),
+        ({**_one_edge(_Z4, [1]), "A": [0, True]}, "bad graph JSON: vertex ids must be ints or strings, got True"),
+        ({**_one_edge(_Z4, [1]), "vertices": "01"}, "graph JSON key 'vertices' must be a list"),
+        ({**_one_edge(_Z4, [1]), "edges": {}}, "graph JSON key 'edges' must be a list"),
+        ({**_one_edge(_Z4, [1]), "A": "01"}, "graph JSON key 'A' must be a list"),
+    ],
+    ids=["float-endpoint", "bool-endpoint", "float-tail", "float-terminal", "bool-terminal", "string-vertices",
+         "object-edges", "string-terminals"],
+)
+def test_an_id_that_is_not_an_int_or_a_string_is_a_usage_error(tmp_path, capsys, data, detail):
+    code, payload, err = _pack(tmp_path, capsys, data)
+    assert (code, payload) == (2, {"error": "usage", "detail": detail})
+    assert "Traceback" not in err
 
 
 def test_element_token_of_the_wrong_shape_is_a_usage_error(capsys):

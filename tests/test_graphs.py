@@ -43,6 +43,7 @@ from util import (
     make_s3,
     oracle_block_path_weights,
     oracle_bridges,
+    oracle_iter_simple_cycles,
     random_label,
     sparse_graph,
 )
@@ -390,6 +391,43 @@ def test_simple_cycle_enumeration_against_networkx():
         h = nx.Graph(chosen)
         theirs = {frozenset(c) for c in nx.simple_cycles(h)}
         assert ours == theirs
+
+
+def _cycles_then_limit(cycles) -> list:
+    """What a cycle enumeration yields, then the message of the LimitExceeded it raises, if any."""
+    out = []
+    try:
+        out.extend(cycles)
+    except LimitExceeded as exc:
+        out.append(str(exc))
+    return out
+
+
+def _mixed_multigraph(rng, group, model) -> LabelledGraph:
+    """Up to 7 vertices and 12 edges, parallel ones likely, ids mixed int and str in random order."""
+    vertices = [f"v{i}" if rng.random() < 0.4 else i for i in range(rng.randint(2, 7))]
+    ids = [f"e{i}" if rng.random() < 0.4 else i for i in rng.sample(range(50), rng.randint(1, 12))]
+    edges = []
+    for eid in ids:
+        u, v = rng.sample(vertices, 2)
+        edges.append(Edge(eid, u, v, random_label(rng, group), rng.choice((u, v)) if model == DIRECTED else None))
+    return LabelledGraph(group, model, vertices, edges)
+
+
+def test_simple_cycles_match_the_edge_set_oracle_on_mixed_multigraphs():
+    # the same cycles, weights and order, and the cap raising at the same cycle
+    rng = random.Random(28)
+    capped = parallel = 0
+    for i in range(3000):
+        model = DIRECTED if i % 2 else UNDIRECTED
+        group = rng.choice([Z(3), Z(2, 2), make_s3()] if model == DIRECTED else [Z(3), Z(2, 2)])
+        g = _mixed_multigraph(rng, group, model)
+        parallel += g._parallel
+        for cap in (3, 10, 100_000):
+            ours = _cycles_then_limit(iter_simple_cycles(g, cap))
+            assert ours == _cycles_then_limit(oracle_iter_simple_cycles(g, cap)), (g.to_json(), cap)
+            capped += bool(ours) and isinstance(ours[-1], str)
+    assert capped > 500 and parallel > 1000, (capped, parallel)
 
 
 def test_gamma_bipartite_examples():

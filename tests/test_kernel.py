@@ -313,7 +313,7 @@ def test_walk_weight_folds_values_as_the_groupelem_oracle_does(group, model):
             assert ours == _weight_or_error(oracle_walk_weight, g, vertices, edge_ids)
             seen[" ".join(ours[1].split()[:2]) if isinstance(ours, tuple) else "weight"] += 1
             # against the orientation: a step that enters its edge's tail
-            seen["tail"] += any(g.edge(eid).tail == v for eid, v in zip(edge_ids, vertices[1:]) if eid in g._by_id)
+            seen["tail"] += any(g.edge(eid).tail == v for eid, v in zip(edge_ids, vertices[1:]) if eid in g._erank)
     # weights, each error message and tail entries all occur
     assert min(seen[k] for k in ("weight", "unknown vertex", "unknown edge", "walk must")) > 0
     assert sum(seen[k] for k in seen if k.startswith("edge ")) > 0

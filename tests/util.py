@@ -14,6 +14,7 @@ from gammapath.graphs import (
     LabelledGraph,
     PathWitness,
     _eid_key,
+    search_paths,
     vertex_key,
     walk_weight,
 )
@@ -209,6 +210,30 @@ def oracle_search_paths(graph, sources, stop, accept, *, forbidden=frozenset(), 
         raise LimitExceeded(cut, max_len)
 
 
+def oracle_iter_simple_cycles(graph, cycle_cap):
+    """iter_simple_cycles as it was before it compared row places: a set of every emitted edge set."""
+    emitted: set[frozenset] = set()
+
+    def closes(path, edges, end, eid) -> bool:
+        if eid == edges[0]:
+            return False
+        key = frozenset(edges) | {eid}
+        if key in emitted:
+            return False
+        emitted.add(key)
+        if len(emitted) > cycle_cap:
+            raise LimitExceeded("enumerated simple cycles", cycle_cap)
+        return True
+
+    smaller: set = set()
+    for start in graph.vertices:
+        yield from search_paths(
+            graph, (start,), {start}, closes,
+            forbidden=smaller, max_len=len(graph.vertices), max_count=cycle_cap, cut="cycle length",
+        )
+        smaller.add(start)
+
+
 def oracle_path_sort_key(p):
     """The order terminal paths were listed in: vertex keys, then edge-id keys."""
     return (tuple(vertex_key(v) for v in p.vertices), tuple(_eid_key(e) for e in p.edge_ids))
@@ -228,7 +253,7 @@ def oracle_walk_weight(graph, vertices, edge_ids) -> GroupElem:
     if at not in graph:
         raise ValueError(f"unknown vertex {at!r}")
     for eid, nxt in zip(edge_ids, vertices[1:]):
-        if eid not in graph._by_id:
+        if eid not in graph._erank:
             raise ValueError(f"unknown edge {eid!r}")
         e = graph.edge(eid)
         if {at, nxt} != {e.u, e.v}:
@@ -555,7 +580,6 @@ class OracleLabelledGraph(LabelledGraph):
         self.terminals = frozenset(terminals)
         if not self.terminals <= vset:
             raise ValueError("terminals must be vertices")
-        self._by_id = {e.eid: e for e in self.edges}
         # vertices and edges are sorted, so index ranks order them as their keys do
         self._rank = rank = {v: i for i, v in enumerate(self.vertices)}
         self._erank = {e.eid: i for i, e in enumerate(self.edges)}
@@ -608,7 +632,6 @@ def graph_tables(graph: LabelledGraph) -> tuple:
         list(graph._rank.items()),
         list(graph._erank.items()),
         graph._parallel,
-        sorted(graph._by_id.items(), key=lambda item: _eid_key(item[0])),
     )
 
 
