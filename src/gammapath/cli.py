@@ -8,8 +8,9 @@ line: usage, exit 2 (malformed input, a missing gadget flag, an unreadable
 input or unwritable --out file); limit-exceeded, exit 3; rejected, exit 1 (a
 failed precondition); internal, exit 1 (a failed self-check).  A bad command
 line exits 2 with argparse's message on stderr only.  Gadget variants: gamma
-takes --ell (an int, default 0) and --model; gamma-prime needs --group, --g1
-and --g2; gamma-double-prime needs --group, --ell and --g.
+takes --ell (an element of the integers, read as every element token is;
+default 0) and --model; gamma-prime needs --group, --g1 and --g2;
+gamma-double-prime needs --group, --ell and --g.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .graphs import (
     three_blocks,
     vertex_key,
 )
-from .groups import group_from_json, has_weight_ep, has_zero_path_ep
+from .groups import IntegerGroup, group_from_json, has_weight_ep, has_zero_path_ep
 from .harness import RunConfig, run_suite
 from .jsonio import dumps, graph_from_json, parse_element, witness_from_json
 from .packing import (
@@ -196,8 +197,7 @@ def _gadget(args):
         group = group_from_json(_parse_json(args.group, "--group"))
         gadget = build(args.n, group, *(parse_element(group, getattr(args, name)) for name in needed[1:]))
     else:
-        with parsing("element"):
-            ell = int(args.ell) if args.ell is not None else 0
+        ell = parse_element(IntegerGroup(), args.ell).value if args.ell is not None else 0
         gadget = build(args.n, ell, model=args.model or UNDIRECTED)
     payload = gadget.to_json()
     if args.verify:

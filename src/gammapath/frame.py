@@ -53,12 +53,12 @@ def _first_zero_path_disjoint_from(graph: LabelledGraph, blocked, limits: Limits
     cut at max_len, since "no candidate" is then uncertifiable.
     """
     zero = graph.group.zero()
-    for vertices, edge_ids, w in search_terminal_paths(
-        graph, blocked=blocked, limits=limits,
+    value = zero.value
+    for vertices, edge_ids, _ in search_terminal_paths(
+        graph, blocked=blocked, member=lambda path, edges, end, w: w == value, limits=limits,
         cut="path length while certifying zero-path absence",
     ):
-        if w == zero.value:
-            return PathWitness(vertices, edge_ids, zero)
+        return PathWitness(vertices, edge_ids, zero)
     return None
 
 
@@ -71,7 +71,7 @@ def _first_attach_path(graph: LabelledGraph, forest: dict, limits: Limits):
     """
     terminals = graph.terminals
     targets = {v for v, nbrs in forest.items() if len(nbrs) == 2 and v not in terminals}
-    sources = [a for a in sorted(terminals, key=vertex_key) if a not in forest]
+    sources = [a for a in sorted(terminals, key=graph._rank.__getitem__) if a not in forest]
     for vertices, edge_ids, _ in search_paths(
         graph, sources, targets, lambda *_: True,
         forbidden=terminals.union(forest) - targets,

@@ -26,6 +26,10 @@ DIRECTED = "directed"
 UNDIRECTED = "undirected"
 
 
+# the id types a key passes as they are; ids of any other type go through the key, which checks them
+_PLAIN_IDS = frozenset((int, str))
+
+
 def vertex_key(v):
     """Total order over mixed int/str vertex ids."""
     if isinstance(v, bool) or not isinstance(v, (int, str)):
@@ -64,16 +68,16 @@ class LabelledGraph:
             if not isinstance(e, Edge):
                 e = Edge(*e)
             eid, u, v, label, tail = e
-            if type(eid) is not int:
+            if type(eid) not in _PLAIN_IDS:
                 _eid_key(eid)
             if eid in by_id:
                 raise ValueError(f"duplicate edge id {eid!r}")
             if u not in rank or v not in rank:
                 raise ValueError(f"edge {eid!r} has an endpoint outside the vertex set")
             # a float or bool twin of a vertex id hashes like it, so its type is checked too
-            if type(u) is not int:
+            if type(u) not in _PLAIN_IDS:
                 vertex_key(u)
-            if type(v) is not int:
+            if type(v) not in _PLAIN_IDS:
                 vertex_key(v)
             if u == v:
                 raise ValueError(f"edge {eid!r} is a loop")
@@ -83,7 +87,7 @@ class LabelledGraph:
             if model == DIRECTED:
                 if tail not in (u, v):
                     raise ValueError(f"edge {eid!r} needs an orientation in the directed model")
-                if type(tail) is not int:
+                if type(tail) not in _PLAIN_IDS:
                     vertex_key(tail)
             elif tail is not None:
                 raise ValueError(f"edge {eid!r} carries an orientation in the undirected model")
@@ -94,7 +98,7 @@ class LabelledGraph:
         if not self.terminals <= rank.keys():
             raise ValueError("terminals must be vertices")
         for a in self.terminals:
-            if type(a) is not int:
+            if type(a) not in _PLAIN_IDS:
                 vertex_key(a)
         self._erank = dict(zip(ids, range(len(ids))))
         self._link()
@@ -213,9 +217,11 @@ class LabelledGraph:
 
 
 def _sorted_ids(ids, key) -> list:
-    """ids in key order: plain ints sort as themselves, other ids are checked by key."""
+    """ids in key order: all plain ints or all strings sort as themselves (the key orders each
+    kind so); mixed or other ids go through key, which checks them."""
     ids = list(ids)
-    return sorted(ids) if set(map(type, ids)) == {int} else sorted(ids, key=key)
+    kinds = set(map(type, ids))
+    return sorted(ids) if len(kinds) == 1 and kinds <= _PLAIN_IDS else sorted(ids, key=key)
 
 
 def _eid_key(eid):
@@ -314,84 +320,100 @@ def search_paths(
     max_len: int,
     max_count: int,
     cut: str,
+    member: Callable[[list, list, object, int], bool] | None = None,
 ) -> Iterator[tuple[tuple, tuple, int]]:
     """Simple paths from each source, in turn, that end at their first stop vertex.
 
-    Depth-first in adjacency order, on an explicit stack.  A neighbour is
-    checked in this order: forbidden vertices are skipped; a stop vertex ends
-    the path, which is yielded as (vertices, edge ids, weight value) when
-    accept(prefix vertices, prefix edge ids, end, last edge id) holds; any
-    other unused vertex extends it.  The weight is an element value, summed
-    left to right with `group._add` over the graph's step table as vertices
-    are pushed; a step is the label's value, negated when the edge is
-    traversed against its orientation in the directed model.
+    Depth-first in adjacency order, on an explicit stack.  One table, built
+    once per call, holds each vertex's state: stop, forbidden (which wins) or
+    on the path; a free vertex has no entry.  A free neighbour extends the
+    path; a stop one ends it, and the path counts when accept(prefix
+    vertices, prefix edge ids, end, last edge id) holds; any other is
+    skipped.  A counted path is yielded as (vertices, edge ids, weight value)
+    unless member(prefix vertices, prefix edge ids, end, weight value) is
+    given and fails; a non-member never becomes a tuple.  The prefix lists
+    are the search's own, not to be kept or changed.  The weight is an
+    element value, summed left to right with `group._add` over the graph's
+    step table as vertices are pushed; a step is the label's value, negated
+    when the edge is traversed against its orientation in the directed model.
 
-    A finished source is forbidden to later searches (on a copy of forbidden),
-    so a path between two sources is found once, from the earlier one.
+    A source keeps its own mark while its search runs, and a finished source
+    is marked forbidden, so a path between two sources is found once, from
+    the earlier one.  The caller's sets are not changed.
 
-    The search owns its limits.  Accepted paths beyond max_count raise
-    LimitExceeded("enumerated paths", max_count).  Paths longer than max_len
-    edges are cut, and a search that runs to its end after cutting one
-    raises LimitExceeded(cut, max_len), since its results may be incomplete;
-    a caller that stops at its first hit never reaches that end.
+    The search owns its limits.  Counted paths beyond max_count raise
+    LimitExceeded("enumerated paths", max_count), members or not.  Paths
+    longer than max_len edges are cut, and a search that runs to its end
+    after cutting one raises LimitExceeded(cut, max_len), since its results
+    may be incomplete; a caller that stops at its first hit never reaches
+    that end.
     """
     add = graph.group._add
     steps = graph._steps
     zero = graph.group.zero().value
-    forbidden = set(forbidden)
+    # vertex -> True for a stop vertex; False for a forbidden one or one on the path
+    state = dict.fromkeys(stop, True)
+    state.update(dict.fromkeys(forbidden, False))
+    mark_of = state.get
     found = 0
     truncated = False
     for source in sources:
-        path, edges, weights, used = [source], [], [zero], {source}
-        frames = [iter(steps[source])]
+        state.setdefault(source, False)
+        path, edges = [source], []
+        frames = [(iter(steps[source]), zero)]  # (row iterator, prefix weight) per path vertex
+        depth = 0  # edges on the path
         while frames:
-            budget = max_len - len(edges)
-            for eid, nxt, step in frames[-1]:
-                if nxt in forbidden:
-                    continue
-                if nxt in stop:
-                    if budget < 1:
+            row, weight = frames[-1]
+            budget = max_len - depth
+            for eid, nxt, step in row:
+                mark = mark_of(nxt)
+                if mark is None:
+                    # an interior extension needs one edge now and at least one more to finish
+                    if budget < 2:
                         truncated = True
-                    elif accept(path, edges, nxt, eid):
-                        found += 1
-                        if found > max_count:
-                            raise LimitExceeded("enumerated paths", max_count)
-                        yield tuple(path) + (nxt,), tuple(edges) + (eid,), add(weights[-1], step)
+                        continue
+                    path.append(nxt)
+                    edges.append(eid)
+                    state[nxt] = False
+                    frames.append((iter(steps[nxt]), add(weight, step)))
+                    depth += 1
+                    break
+                if not mark:
                     continue
-                if nxt in used:
-                    continue
-                # an interior extension needs one edge now and at least one more to finish
-                if budget < 2:
+                if budget < 1:
                     truncated = True
-                    continue
-                path.append(nxt)
-                edges.append(eid)
-                weights.append(add(weights[-1], step))
-                used.add(nxt)
-                frames.append(iter(steps[nxt]))
-                break
+                elif accept(path, edges, nxt, eid):
+                    found += 1
+                    if found > max_count:
+                        raise LimitExceeded("enumerated paths", max_count)
+                    end = add(weight, step)
+                    if member is None or member(path, edges, nxt, end):
+                        yield tuple(path) + (nxt,), tuple(edges) + (eid,), end
             else:
                 frames.pop()
-                used.discard(path.pop())
-                weights.pop()
-                del edges[-1:]
-        forbidden.add(source)
+                if depth:
+                    del state[path.pop()]
+                    edges.pop()
+                    depth -= 1
+        state[source] = False
     if truncated:
         raise LimitExceeded(cut, max_len)
 
 
-def search_terminal_paths(graph: LabelledGraph, *, blocked=frozenset(), limits: Limits, cut: str):
+def search_terminal_paths(graph: LabelledGraph, *, blocked=frozenset(), member=None, limits: Limits, cut: str):
     """Each terminal path that avoids blocked, once, from its smaller end, as search_paths yields it.
 
     The terminals start their searches in vertex order and the largest starts
     none, so a cut at max_len raises only on a path that leaves a smaller
-    terminal, which every terminal path does.
+    terminal, which every terminal path does.  max_paths counts every terminal
+    path met, member or not.
     """
     terminals = graph.terminals
-    sources = [a for a in sorted(terminals, key=vertex_key) if a not in blocked]
+    # vertex ranks order the terminals as their keys do
+    sources = [a for a in sorted(terminals, key=graph._rank.__getitem__) if a not in blocked]
     return search_paths(
         graph, sources[:-1], terminals, lambda path, edges, end, eid: end != path[0],
-        forbidden=blocked, max_len=limits.max_len, max_count=limits.max_paths, cut=cut,
+        forbidden=blocked, max_len=limits.max_len, max_count=limits.max_paths, cut=cut, member=member,
     )
 
 
@@ -400,49 +422,50 @@ def enumerate_terminal_paths(
     *,
     weight: GroupElem | None = None,
     nonzero: bool = False,
-    keep: Callable[[tuple, tuple], bool] | None = None,
+    keep: Callable[[list, list, object, int], bool] | None = None,
     limits: Limits = DEFAULT_LIMITS,
 ) -> tuple[PathWitness, ...]:
     """Exhaustively enumerate terminal-linking paths, optionally filtered.
 
-    weight selects paths of one weight (in the directed model a path matches
-    when either traversal direction attains it); nonzero selects paths of
-    nonzero weight; keep(vertices, edge ids), when given, must also hold.
-    The filters run before a witness is built; members of one weight share
-    one element.  Results come in key order (vertex ranks, then edge ranks),
-    the order the kernel meets them in: sources and neighbours run by rank,
-    and two paths of a simple graph differ in their vertices.  Only parallel
+    One filter at most: weight selects paths of one weight (in the directed
+    model a path matches when either traversal direction attains it); nonzero
+    selects paths of nonzero weight; keep(prefix vertices, prefix edge ids,
+    end, weight value) selects the paths it holds for.  The filter is the
+    kernel's member test, so a path it drops never leaves the kernel, though
+    it still counts toward max_paths.  Members of one weight share one
+    element.  Results come in key order (vertex ranks, then edge ranks), the
+    order the kernel meets them in: sources and neighbours run by rank, and
+    two paths of a simple graph differ in their vertices.  Only parallel
     edges and a weight member kept reversed make a sort necessary.
     """
-    if weight is not None and nonzero:
+    if (weight is not None) + nonzero + (keep is not None) > 1:
         raise ValueError("choose at most one filter")
     group = graph.group
-    zero = group.zero().value
+    member = keep
     if weight is not None:
         weight = group.element(weight)
-    directed = graph.model == DIRECTED
+        target = weight.value
+        # the value a member kept reversed has as met
+        back = group._neg(target) if graph.model == DIRECTED else target
+        member = lambda path, edges, end, w: w == target or w == back
+    elif nonzero:
+        zero = group.zero().value
+        member = lambda path, edges, end, w: w != zero
     elems: dict = {}
     unordered = graph._parallel
     out = []
     for vertices, edge_ids, w in search_terminal_paths(
-        graph, limits=limits, cut="path length during exhaustive enumeration"
+        graph, member=member, limits=limits, cut="path length during exhaustive enumeration"
     ):
-        if keep is not None and not keep(vertices, edge_ids):
-            continue
-        if weight is not None:
-            if w == weight.value:
-                out.append(PathWitness(vertices, edge_ids, weight))
-            elif directed and group._neg(w) == weight.value:
-                out.append(
-                    PathWitness(tuple(reversed(vertices)), tuple(reversed(edge_ids)), weight)
-                )
-                unordered = True
-            continue
-        if nonzero and w == zero:
-            continue
-        if w not in elems:
-            elems[w] = GroupElem(group, w)
-        out.append(PathWitness(vertices, edge_ids, elems[w]))
+        if weight is None:
+            if w not in elems:
+                elems[w] = GroupElem(group, w)
+            out.append(PathWitness(vertices, edge_ids, elems[w]))
+        elif w == target:
+            out.append(PathWitness(vertices, edge_ids, weight))
+        else:
+            out.append(PathWitness(tuple(reversed(vertices)), tuple(reversed(edge_ids)), weight))
+            unordered = True
     if unordered:
         rank, erank = graph._rank, graph._erank
         out.sort(key=lambda p: ([rank[v] for v in p.vertices], [erank[e] for e in p.edge_ids]))

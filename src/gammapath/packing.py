@@ -62,12 +62,18 @@ class PathFamilySpec:
             return list(enumerate_terminal_paths(g, weight=self.weight, limits=limits))
         if self.kind == NONZERO:
             return list(enumerate_terminal_paths(g, nonzero=True, limits=limits))
+        # a member test reads the kernel's prefix: the path without its end and last edge
         if self.kind == ODD:
-            return list(enumerate_terminal_paths(g, keep=lambda vs, es: len(es) % 2, limits=limits))
+            return list(
+                enumerate_terminal_paths(g, keep=lambda path, edges, end, w: not len(edges) % 2, limits=limits)
+            )
+        through = self.through
         members = []
-        for a in sorted(g.terminals & self.through, key=vertex_key):
+        for a in sorted(g.terminals & through, key=vertex_key):
             members.append(PathWitness((a,), (), g.group.zero(), trivial=True))
-        members += enumerate_terminal_paths(g, keep=lambda vs, es: not self.through.isdisjoint(vs), limits=limits)
+        members += enumerate_terminal_paths(
+            g, keep=lambda path, edges, end, w: end in through or not through.isdisjoint(path), limits=limits
+        )
         return members
 
     def to_json(self) -> dict:

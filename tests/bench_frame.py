@@ -12,6 +12,14 @@ disjoint zero paths the leaf count guarantees, on:
 - one row of 50 random subcubic terminal trees over Z/3 on 20-200 vertices
   (`util.random_subcubic_tree`, seed 0), each at its own k.
 
+It also times `frame.frame_pack_or_cover` on one sparse directed graph over
+Z/3 with n = 3,200 vertices: a random spanning tree plus distinct random
+pairs up to m = 1.3n edges, each edge oriented at random, and 30% of the
+vertices terminals (all drawn from `random.Random(n)`), at k = 3, where the
+frame packs, and at k = 1,000, where it covers.  Each move runs a first-hit
+path search, so this row shows the cost of starting a search on a large
+graph.
+
 Each packing is checked to be k disjoint zero-weight paths, and each cover
 to have passed its checks, so a wrong result fails even an untimed run.  The
 file name matches no `test_*.py` pattern, so the Tier-1 run does not collect
@@ -34,6 +42,7 @@ from gammapath.packing import _verify_packing
 from util import Z, random_subcubic_tree
 
 CATERPILLAR_SIZES = (200, 400, 800, 1600, 3200, 6400, 25600)
+SPARSE_SIZE = 3200
 
 
 def _caterpillar(n: int):
@@ -60,6 +69,19 @@ def _frame_cases():
     """Random directed graphs over Z/3 on at most 14 vertices, each with its k."""
     rng = random.Random(0)
     return [(random_labelled_graph(rng, Z(3), DIRECTED, n_max=14), 1 + i % 3) for i in range(100)]
+
+
+def _sparse_graph(n: int):
+    """A random spanning tree on 0..n-1 plus distinct random pairs up to 1.3n edges over Z/3,
+    each edge oriented at random; 30% of the vertices are terminals."""
+    rng = random.Random(n)
+    pairs = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(pairs) < 13 * n // 10:
+        u, v = sorted(rng.sample(range(n), 2))
+        pairs.add((u, v))
+    edges = [(u, v, rng.randrange(3), rng.choice((u, v))) for u, v in sorted(pairs)]
+    terminals = rng.sample(range(n), 3 * n // 10)
+    return LabelledGraph.build(Z(3), DIRECTED, edges, terminals, extra_vertices=range(n))
 
 
 def _check(graph, paths, k) -> None:
@@ -106,3 +128,17 @@ def test_extract_random_trees(benchmark):
     results = benchmark.pedantic(lambda: [extract_zero_paths(*case) for case in cases], rounds=3)
     for (graph, _, k), paths in zip(cases, results):
         _check(graph, paths, k)
+
+
+@pytest.mark.parametrize("k", (3, 1000))
+def test_frame_sparse_graph(benchmark, k):
+    graph = _sparse_graph(SPARSE_SIZE)
+    result = benchmark.pedantic(frame_pack_or_cover, args=(graph, k), rounds=3)
+    benchmark.extra_info.update(
+        vertices=len(graph.vertices), edges=len(graph.edges), terminals=len(graph.terminals),
+        k=k, outcome=result.outcome.kind, moves=len(result.audit),
+    )
+    if result.outcome.kind == "packing":
+        _check(graph, result.outcome.paths, k)
+    else:
+        assert result.checks["bound_ok"] and result.checks["verified_empty"]

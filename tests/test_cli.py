@@ -211,8 +211,13 @@ def test_chain_embedded_splices_a_path(tmp_path, capsys):
     [
         ({"edges": [0]}, "witness JSON needs the key 'vertices'"),
         ({"vertices": ["a", "m"], "edges": [9]}, "bad chain JSON: unknown edge 9"),
+        # ids are read by exact type, as in graph JSON: a float or bool twin is not the id
+        ({"vertices": ["a", "m", 1.0], "edges": [0, 1]}, "bad chain JSON: vertex ids must be ints or strings, got 1.0"),
+        ({"vertices": ["a", "m", "b"], "edges": [0, True]}, "bad chain JSON: edge ids must be ints or strings, got True"),
+        ({"vertices": ["a", None], "edges": [0]}, "bad chain JSON: vertex ids must be ints or strings, got None"),
+        ({"vertices": ["a", "m"], "edges": [[0]]}, "bad chain JSON: edge ids must be ints or strings, got [0]"),
     ],
-    ids=["core-without-vertices", "unknown-edge-id"],
+    ids=["core-without-vertices", "unknown-edge-id", "float-vertex-id", "bool-edge-id", "null-vertex-id", "list-edge-id"],
 )
 def test_embedded_chain_json_errors_are_usage_errors(tmp_path, capsys, core, detail):
     g = LabelledGraph.build(Z(5), UNDIRECTED, [("a", "m", 1), ("m", "b", 0)], ["a", "b"])
@@ -221,6 +226,28 @@ def test_embedded_chain_json_errors_are_usage_errors(tmp_path, capsys, core, det
     code, payload, err = invoke(capsys, "chain", "--chain", str(path), "--target", "[0]")
     assert (code, payload) == (2, {"error": "usage", "detail": detail})
     assert "Traceback" not in err
+
+
+def test_an_embedded_chain_reads_its_ids_by_exact_type(tmp_path, capsys):
+    # int ids; the core 0-1-2-3 weighs 0 and its detour 1-4-2 shifts it by 2 over Z/3
+    edges = [(0, 1, 0), (1, 2, 0), (2, 3, 0), (1, 4, 1), (4, 2, 1)]
+    g = LabelledGraph.build(Z(3), UNDIRECTED, edges, [0, 3])
+    detour = {"vertices": [1, 4, 2], "edges": [3, 4]}
+
+    def chain(core, detours=(detour,)):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({"graph": g.to_json(), "core": core, "detours": list(detours)}))
+        return invoke(capsys, "chain", "--chain", str(path), "--target", "[2]")
+
+    code, payload, _ = chain({"vertices": [0, 1, 2, 3], "edges": [0, 1, 2]})
+    assert code == 0 and payload["path"]["vertices"] == [0, 1, 4, 2, 3]
+    code, payload, _ = chain({"vertices": [0, 1.0, 2, 3], "edges": [0, True, 2]})
+    assert (code, payload) == (2, {"error": "usage", "detail": "bad chain JSON: vertex ids must be ints or strings, got 1.0"})
+    code, payload, _ = chain({"vertices": [0, 1, 2, 3], "edges": [0, True, 2]})
+    assert (code, payload) == (2, {"error": "usage", "detail": "bad chain JSON: edge ids must be ints or strings, got True"})
+    # a detour is read the same way
+    code, payload, _ = chain({"vertices": [0, 1, 2, 3], "edges": [0, 1, 2]}, [{"vertices": [1, 4, 2.0], "edges": [3, 4]}])
+    assert (code, payload) == (2, {"error": "usage", "detail": "bad chain JSON: vertex ids must be ints or strings, got 2.0"})
 
 
 def test_limit_exceeded_exit_code_and_json(tmp_path, capsys):
@@ -268,6 +295,20 @@ def test_gadget_gamma_over_integers(capsys):
     assert all("tail" in e for e in directed_payload["graph"]["edges"])
 
 
+def test_gadget_ell_is_read_as_every_element_token_is(capsys):
+    # an element of the integers: an int or its decimal string, as JSON; JSON
+    # allows the whitespace around a number, as it does for --family weight:
+    # and classify --ell
+    outputs = {}
+    for token in ("3", '"3"', " 3", "-2", '"-2"'):
+        code, payload, _ = invoke(capsys, "gadget", "--variant", "gamma", "--n", "2", "--ell", token)
+        assert code == 0
+        outputs[token] = payload
+    assert outputs["3"]["params"]["ell"] == "3" and outputs["-2"]["params"]["ell"] == "-2"
+    assert outputs["3"] == outputs['"3"'] == outputs[" 3"]
+    assert outputs["-2"] == outputs['"-2"']
+
+
 Z8 = '{"type":"cyclic_product","orders":[8]}'
 
 
@@ -293,8 +334,11 @@ def test_gadget_rejects_the_flags_its_variant_does_not_read(capsys, variant, par
         (["--variant", "gamma-prime", "--group", Z8, "--g1", "1"], "gamma-prime needs --g2"),
         (["--variant", "gamma-double-prime", "--group", Z8], "gamma-double-prime needs --ell, --g"),
         (["--variant", "gamma-double-prime", "--group", Z8, "--g", "2"], "gamma-double-prime needs --ell"),
-        (["--variant", "gamma", "--ell", "x"], "bad element JSON: invalid literal for int() with base 10: 'x'"),
-        (["--variant", "gamma", "--ell", "1.5"], "bad element JSON: invalid literal for int() with base 10: '1.5'"),
+        (["--variant", "gamma", "--ell", "x"], "bad element JSON: invalid literal for Z: 'x'"),
+        (["--variant", "gamma", "--ell", "1.5"], "bad element JSON: invalid literal for Z: 1.5"),
+        (["--variant", "gamma", "--ell", " 1_0"], "bad element JSON: invalid literal for Z: ' 1_0'"),
+        (["--variant", "gamma", "--ell", '" 1"'], "bad element JSON: invalid literal for Z: ' 1'"),
+        (["--variant", "gamma", "--ell", "true"], "bad element JSON: invalid literal for Z: True"),
     ],
 )
 def test_a_missing_or_malformed_gadget_flag_is_a_usage_error(capsys, params, detail):

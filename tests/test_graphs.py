@@ -10,6 +10,7 @@ import warnings
 import networkx as nx
 import pytest
 
+from gammapath import graphs
 from gammapath.errors import (
     GroupMismatchError,
     InternalInvariantError,
@@ -65,6 +66,32 @@ def test_construction_rejects_bad_input():
 
     with pytest.raises(ValueError):
         LabelledGraph.build(make_s3(), UNDIRECTED, [("a", "b", 1)], ())  # nonabelian undirected
+
+
+def test_ids_of_one_kind_sort_as_themselves_and_mixed_ids_by_key(monkeypatch):
+    calls = []
+
+    def counting(key):
+        return lambda x: calls.append(x) or key(x)
+
+    monkeypatch.setattr(graphs, "vertex_key", counting(graphs.vertex_key))
+    monkeypatch.setattr(graphs, "_eid_key", counting(graphs._eid_key))
+    # string order, as the key gives it: "b10" before "b2"
+    edges = [Edge(f"b{i}", f"v{i}", f"v{i + 1}", 0) for i in (2, 10, 1)]
+    g = LabelledGraph(Z(2), UNDIRECTED, ["v3", "v10", "v1", "v2", "v11"], edges)
+    assert g.vertices == ("v1", "v10", "v11", "v2", "v3")
+    assert [e.eid for e in g.edges] == ["b1", "b10", "b2"]
+    g = LabelledGraph(Z(2), UNDIRECTED, [3, 1, 2], [Edge(5, 1, 2, 0), Edge(4, 2, 3, 0)])
+    assert g.vertices == (1, 2, 3) and [e.eid for e in g.edges] == [4, 5]
+    assert calls == []
+    # mixed ids: ints before strings, each kind in its own order, through the keys
+    g = LabelledGraph(Z(2), UNDIRECTED, ["b", 2, "a", 10], [Edge("e", "a", 2, 0), Edge(7, 10, "b", 0)])
+    assert g.vertices == (2, 10, "a", "b") and [e.eid for e in g.edges] == [7, "e"]
+    assert sorted(map(repr, calls)) == sorted(map(repr, ["b", 2, "a", 10, "e", 7]))
+    # the keys still check what is neither
+    for vertices in ([1, 2.0], [True, 2], ["a", None]):
+        with pytest.raises(ValueError, match="vertex ids must be ints or strings"):
+            LabelledGraph(Z(2), UNDIRECTED, vertices, [])
 
 
 def test_parallel_edges_allowed():

@@ -1,6 +1,7 @@
 """The int path kernel, walk weight and potential certificate against the
-GroupElem versions they replaced, and one search per terminal path against
-the search from both ends."""
+GroupElem versions they replaced, one search per terminal path against the
+search from both ends, and the state-table kernel with its member test
+against the GroupElem kernel run once per source."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from gammapath.graphs import (
     UNDIRECTED,
     Edge,
     LabelledGraph,
+    PathWitness,
     _potential_certificate,
     enumerate_terminal_paths,
     search_paths,
@@ -24,6 +26,7 @@ from gammapath.graphs import (
     vertex_key,
     walk_weight,
 )
+from gammapath.packing import ABA, NONZERO, ODD, WEIGHT, PathFamilySpec
 
 from util import (
     INTS,
@@ -128,7 +131,7 @@ def test_terminal_paths_of_a_simple_graph_leave_the_kernel_in_key_order(group, m
         assert not g._parallel
         raw = list(search_terminal_paths(g, limits=DEFAULT_LIMITS, cut="path length"))
         queries = [({}, raw), ({"nonzero": True}, [r for r in raw if r[2] != zero]),
-                   ({"keep": lambda vs, es: len(es) % 2}, [r for r in raw if len(r[1]) % 2])]
+                   ({"keep": lambda path, edges, end, w: not len(edges) % 2}, [r for r in raw if len(r[1]) % 2])]
         if model == UNDIRECTED:  # no member is kept reversed
             weight = rng.choice(_labels(group))
             queries.append(({"weight": weight}, [r for r in raw if r[2] == weight.value]))
@@ -163,6 +166,17 @@ def test_a_reversed_weight_member_is_put_in_key_order():
     ours = enumerate_terminal_paths(g, weight=z3.element(2))
     assert [p.vertices for p in ours] == [("a", "c"), ("b", "a")]
     assert ours == oracle_enumerate_terminal_paths(g, weight=z3.element(2), limits=DEFAULT_LIMITS)
+
+
+def test_enumeration_takes_one_filter_at_most():
+    z3 = Z(3)
+    g = LabelledGraph.build(z3, UNDIRECTED, [("a", "b", 1)], ["a", "b"])
+    odd = lambda path, edges, end, w: not len(edges) % 2  # noqa: E731
+    for kw in ({"weight": z3.element(1), "nonzero": True}, {"weight": z3.element(1), "keep": odd},
+               {"nonzero": True, "keep": odd}):
+        with pytest.raises(ValueError, match="^choose at most one filter$"):
+            enumerate_terminal_paths(g, **kw)
+    assert [p.vertices for p in enumerate_terminal_paths(g, keep=odd)] == [("a", "b")]
 
 
 def _result(call):
@@ -254,6 +268,151 @@ def test_a_source_is_forbidden_to_the_searches_after_its_own():
     # a may close a cycle in its own search; b's search no longer meets a
     assert found == [("a", "b"), ("a", "c", "a"), ("a", "c", "b"), ("b", "c", "b")]
     assert blocked == set()  # the caller's set is left as it was
+
+
+# --- the state-table kernel's contract: search_paths against oracle_search_paths run in turn ---
+
+
+def _oracle_in_turn(graph, sources, stop, accept, *, forbidden, max_len, max_count, member=None, in_turn=True):
+    """search_paths built from oracle_search_paths: one oracle search per source, each finished
+    source forbidden to the later ones (unless in_turn is false), the paths counted over all
+    sources, and the member test run on each counted path."""
+    found = 0
+    truncated = False
+    done: set = set()
+    for source in sources:
+        search = oracle_search_paths(
+            graph, [source], stop, accept, forbidden=set(forbidden) | done,
+            max_len=max_len, max_count=10**9, cut="path length",
+        )
+        while True:
+            try:
+                vs, es, w = next(search)
+            except StopIteration:
+                break
+            except LimitExceeded:  # the oracle's cut, raised when its search ends
+                truncated = True
+                break
+            found += 1
+            if found > max_count:
+                raise LimitExceeded("enumerated paths", max_count)
+            if member is None or member(list(vs[:-1]), list(es[:-1]), vs[-1], w.value):
+                yield vs, es, w.value
+        if in_turn:
+            done.add(source)
+    if truncated:
+        raise LimitExceeded("path length", max_len)
+
+
+def _run(search, graph, sources, stop, accept, **kw):
+    """Every yielded (vertices, edge ids, weight value), then the LimitExceeded text or None."""
+    got = []
+    try:
+        for vs, es, w in search(graph, sources, stop, accept, **kw):
+            got.append((vs, es, w))
+    except LimitExceeded as exc:
+        return got, str(exc)
+    return got, None
+
+
+def _members(group, rng):
+    """A random member test on (prefix vertices, prefix edge ids, end, weight value), or None."""
+    target = rng.choice(_labels(group)).value
+    through = set()
+    return rng.choice([
+        None,
+        lambda path, edges, end, w: w == target,
+        lambda path, edges, end, w: not len(edges) % 2,
+        lambda path, edges, end, w: end in through or not through.isdisjoint(path),
+    ]), through
+
+
+@pytest.mark.parametrize("group,model", CASES, ids=lambda c: getattr(c, "name", c))
+def test_the_state_table_kernel_matches_the_oracle_searched_in_turn(group, model):
+    rng = random.Random(f"table-{group.name}-{model}")
+    seen = Counter()
+    for _ in range(40):
+        g = _random_graph(rng, group, model)
+        vertices, n = g.vertices, len(g.vertices)
+        stop = set(rng.sample(vertices, rng.randint(1, n)))
+        forbidden = set(rng.sample(vertices, rng.randint(0, 3)))
+        sources = rng.sample(vertices, rng.randint(1, min(4, n)))
+        accept = rng.choice([lambda *_: True, oracle_from_smaller_end, lambda path, edges, end, eid: end != path[0]])
+        member, through = _members(group, rng)
+        through.update(rng.sample(vertices, 2))
+        seen["stop and forbidden"] += bool(stop & forbidden)
+        seen["source is a stop"] += any(a in stop for a in sources)
+        seen["source is forbidden"] += any(a in forbidden for a in sources)
+        seen["member test"] += member is not None
+
+        def both(max_len, max_count):
+            kw = dict(forbidden=forbidden, max_len=max_len, max_count=max_count)
+            ours = _run(search_paths, g, sources, stop, accept, cut="path length", member=member, **kw)
+            assert ours == _run(_oracle_in_turn, g, sources, stop, accept, member=member, **kw)
+            return ours
+
+        paths, error = both(n, 10**6)
+        assert error is None
+        # the paths a search counts, members or not
+        total = len(_run(_oracle_in_turn, g, sources, stop, accept, forbidden=forbidden, max_len=n, max_count=10**6)[0])
+        assert both(n, total) == (paths, None)
+        if total:
+            got, error = both(n, total - 1)
+            assert error == f"enumerated paths exceeds limit {total - 1}"
+            seen["count below"] += 1
+            seen["non-members counted"] += len(paths) < total
+        for max_len in (1, 2, 3):
+            seen["cut"] += both(max_len, 10**6)[1] == f"path length exceeds limit {max_len}"
+        # forbidding a finished source changes what later sources find
+        free = _run(_oracle_in_turn, g, sources, stop, accept, forbidden=forbidden, max_len=n, max_count=10**6,
+                    member=member, in_turn=False)
+        seen["in turn"] += free != (paths, None)
+    cases = ("stop and forbidden", "source is a stop", "source is forbidden", "member test", "count below",
+             "non-members counted", "cut", "in turn")
+    assert min(seen[k] for k in cases) > 0, seen
+
+
+def _oracle_members(spec, limits):
+    """PathFamilySpec.members from the search from both ends, filtered after the fact."""
+    g = spec.graph
+    if spec.kind == WEIGHT:
+        return list(oracle_enumerate_terminal_paths(g, weight=spec.weight, limits=limits))
+    if spec.kind == NONZERO:
+        return list(oracle_enumerate_terminal_paths(g, nonzero=True, limits=limits))
+    paths = oracle_enumerate_terminal_paths(g, limits=limits)
+    if spec.kind == ODD:
+        return [p for p in paths if len(p.edge_ids) % 2]
+    trivial = [PathWitness((a,), (), g.group.zero(), trivial=True)
+               for a in sorted(g.terminals & spec.through, key=vertex_key)]
+    return trivial + [p for p in paths if not spec.through.isdisjoint(p.vertices)]
+
+
+@pytest.mark.parametrize("group,model", CASES, ids=lambda c: getattr(c, "name", c))
+def test_family_members_raise_at_the_count_of_every_terminal_path(group, model):
+    rng = random.Random(f"families-{group.name}-{model}")
+    seen = Counter()
+    for _ in range(25):
+        g = _random_graph(rng, group, model)
+        n = len(g.vertices)
+        complete = Limits(max_len=n, max_paths=10**6)
+        # every terminal path counts toward max_paths, member or not, as it did when the
+        # families filtered the kernel's output
+        total = len(oracle_enumerate_terminal_paths(g, limits=complete))
+        specs = [
+            PathFamilySpec(WEIGHT, g, weight=rng.choice(_labels(group))),
+            PathFamilySpec(NONZERO, g),
+            PathFamilySpec(ODD, g),
+            PathFamilySpec(ABA, g, through=frozenset(rng.sample(g.vertices, 2))),
+        ]
+        for spec in specs:
+            members = spec.members(complete)
+            assert members == _oracle_members(spec, complete)
+            assert spec.members(Limits(max_len=n, max_paths=max(total, 1))) == members
+            if total > 1:
+                with pytest.raises(LimitExceeded, match=f"^enumerated paths exceeds limit {total - 1}$"):
+                    spec.members(Limits(max_len=n, max_paths=total - 1))
+                seen["fewer members"] += sum(not p.trivial for p in members) < total
+    assert seen["fewer members"] > 0
 
 
 # S3 is nonabelian, so it lives in the directed model only
