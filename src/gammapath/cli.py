@@ -46,7 +46,7 @@ from .graphs import (
     three_blocks,
     vertex_key,
 )
-from .groups import IntegerGroup, group_from_json, has_weight_ep, has_zero_path_ep
+from .groups import _DECIMAL, IntegerGroup, group_from_json, has_weight_ep, has_zero_path_ep
 from .harness import RunConfig, run_suite
 from .jsonio import dumps, graph_from_json, parse_element, witness_from_json
 from .packing import (
@@ -118,8 +118,9 @@ def _family_spec(graph, text: str) -> PathFamilySpec:
     if kind == "odd":
         return PathFamilySpec(ODD, graph)
     if kind == "aba":
+        # a token is an int vertex id when it is ASCII decimal, as integer labels are
         tokens = [t for t in rest.split(",") if t]
-        vertices = frozenset(int(t) if t.lstrip("-").isdigit() else t for t in tokens)
+        vertices = frozenset(int(t) if _DECIMAL.fullmatch(t) else t for t in tokens)
         return PathFamilySpec(ABA, graph, through=vertices)
     raise UsageError(f"unknown family {text!r}")
 

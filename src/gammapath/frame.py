@@ -62,15 +62,15 @@ def _first_zero_path_disjoint_from(graph: LabelledGraph, blocked, limits: Limits
     return None
 
 
-def _first_attach_path(graph: LabelledGraph, forest: dict, limits: Limits):
-    """First path from a free terminal to a degree-2 forest vertex.
+def _first_attach_path(graph: LabelledGraph, forest: dict, targets: set, limits: Limits):
+    """First path from a free terminal to a target: a degree-2 forest vertex
+    that is not a terminal, the caller's set kept in step with the forest.
 
     Internal vertices avoid both the forest and the terminal set, so gluing
     the path onto its tree keeps the component subcubic with leaves exactly
     the terminals it meets.
     """
     terminals = graph.terminals
-    targets = {v for v, nbrs in forest.items() if len(nbrs) == 2 and v not in terminals}
     sources = [a for a in sorted(terminals, key=graph._rank.__getitem__) if a not in forest]
     for vertices, edge_ids, _ in search_paths(
         graph, sources, targets, lambda *_: True,
@@ -312,8 +312,16 @@ def frame_pack_or_cover(
         if debug:
             _validate_forest(graph, forest, witnesses)
     # the forest only grows, so no zero path avoids it again: only attach moves are left
-    while (attach := _first_attach_path(graph, forest, limits)) is not None:
+    terminals = graph.terminals
+    targets = {v for v, nbrs in forest.items() if len(nbrs) == 2 and v not in terminals}
+    while (attach := _first_attach_path(graph, forest, targets, limits)) is not None:
         _add_path(forest, *attach)
+        # only the path's own vertices change degree
+        for v in attach[0]:
+            if len(forest[v]) == 2 and v not in terminals:
+                targets.add(v)
+            else:
+                targets.discard(v)
         audit.append({"move": "attach", "path": list(attach[0])})
         if debug:
             _validate_forest(graph, forest, witnesses)

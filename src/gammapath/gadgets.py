@@ -37,33 +37,26 @@ class GridGadget:
         }
 
 
-def _grid_edges(n: int, group: GroupSpec, label_of) -> tuple[list, list]:
-    """Vertices and edges of the pendant-decorated grid; labels via callback."""
-    vertices = []
-    for r in range(1, n + 1):
-        for c in range(1, n + 1):
-            vertices.append(f"v{r}_{c}")
-    for i in range(1, n + 1):
-        vertices += [f"u{i}", f"w{i}"]
+def _grid(n: int, group: GroupSpec, model: str, u_labels: list, w_labels: list, top: GroupElem) -> LabelledGraph:
+    """The pendant-decorated grid: u_i -> v{i}_1 carries u_labels[i-1],
+    v{i}_n -> w_i carries w_labels[i-1], each top-row edge carries top and
+    every other edge zero.  Directed: every edge runs from its first listed
+    end, so pendants lead from u_i into the grid and from the grid into w_i.
+    """
+    zero = group.zero()
+    vertices = [f"v{r}_{c}" for r in range(1, n + 1) for c in range(1, n + 1)]
     edges = []
-
-    def add(u, v, kind, idx):
-        edges.append((u, v, label_of(kind, idx)))
-
     for r in range(1, n + 1):
         for c in range(1, n + 1):
             if c < n:
-                add(f"v{r}_{c}", f"v{r}_{c+1}", "row", (r, c))
+                edges.append((f"v{r}_{c}", f"v{r}_{c+1}", top if r == 1 else zero))
             if r < n:
-                add(f"v{r}_{c}", f"v{r+1}_{c}", "col", (r, c))
+                edges.append((f"v{r}_{c}", f"v{r+1}_{c}", zero))
     for i in range(1, n + 1):
-        add(f"u{i}", f"v{i}_1", "u", i)
-        add(f"v{i}_{n}", f"w{i}", "w", i)
-    return vertices, edges
-
-
-def _terminals(n: int) -> list[str]:
-    return [f"u{i}" for i in range(1, n + 1)] + [f"w{i}" for i in range(1, n + 1)]
+        vertices += [f"u{i}", f"w{i}"]
+        edges += [(f"u{i}", f"v{i}_1", u_labels[i - 1]), (f"v{i}_{n}", f"w{i}", w_labels[i - 1])]
+    terminals = [f"u{i}" for i in range(1, n + 1)] + [f"w{i}" for i in range(1, n + 1)]
+    return LabelledGraph.build(group, model, edges, terminals, vertices)
 
 
 def greedy_separated_sequence(n: int, ell: int) -> list[int]:
@@ -72,12 +65,7 @@ def greedy_separated_sequence(n: int, ell: int) -> list[int]:
     candidate = 0
     while len(seq) < n:
         candidate += 1
-        excluded = False
-        for gj in seq:
-            if candidate in (gj, ell - gj, gj + ell, gj - ell, gj + 2 * ell, gj - 2 * ell):
-                excluded = True
-                break
-        if not excluded:
+        if all(candidate not in (gj, ell - gj, gj + ell, gj - ell, gj + 2 * ell, gj - 2 * ell) for gj in seq):
             seq.append(candidate)
     return seq
 
@@ -92,25 +80,10 @@ def build_integer_gadget(n: int, ell: int, model: str = UNDIRECTED) -> GridGadge
         raise ValueError("n must be positive")
     group = IntegerGroup()
     gs = greedy_separated_sequence(n, ell)
-
-    def label_of(kind, idx):
-        if kind == "u":
-            return group.element(ell - gs[idx - 1])
-        if kind == "w":
-            return group.element(gs[(n + 1 - idx) - 1])
-        return group.zero()
-
-    vertices, raw = _grid_edges(n, group, label_of)
-    # directed: every edge runs from its first listed end, so pendants lead
-    # from u_i into the grid and from the grid into w_i
-    graph = LabelledGraph.build(group, model, raw, _terminals(n), vertices)
-    return GridGadget(
-        "gamma",
-        n,
-        graph,
-        group.element(ell),
-        {"ell": group.element(ell), "sequence": [int(x) for x in gs]},
-    )
+    u_labels = [group.element(ell - g) for g in gs]
+    w_labels = [group.element(g) for g in reversed(gs)]
+    graph = _grid(n, group, model, u_labels, w_labels, group.zero())
+    return GridGadget("gamma", n, graph, group.element(ell), {"ell": group.element(ell), "sequence": gs})
 
 
 def build_quotient_gadget(n: int, group: GroupSpec, g1, g2) -> GridGadget:
@@ -133,18 +106,7 @@ def build_quotient_gadget(n: int, group: GroupSpec, g1, g2) -> GridGadget:
         raise ValueError(f"{group.name} is infinite and has no dense index form")
     if not group.coset_order_above_two(g1.value, group.cyclic(g2.value)):
         raise PreconditionFailed("coset order condition fails; not a counterexample pair")
-
-    def label_of(kind, idx):
-        if kind == "u":
-            return g1
-        if kind == "w":
-            return g2 - g1
-        if kind == "row" and idx[0] == 1:
-            return g2
-        return zero
-
-    vertices, raw = _grid_edges(n, group, label_of)
-    graph = LabelledGraph.build(group, UNDIRECTED, raw, _terminals(n), vertices)
+    graph = _grid(n, group, UNDIRECTED, [g1] * n, [g2 - g1] * n, g2)
     return GridGadget("gamma-prime", n, graph, zero, {"g1": g1, "g2": g2})
 
 
@@ -164,16 +126,7 @@ def build_subgroup_escape_gadget(n: int, group: GroupSpec, ell, g) -> GridGadget
         raise PreconditionFailed("the subgroup generator must be nonzero")
     if subgroup_contains(g, ell):
         raise PreconditionFailed("target lies in the subgroup; not a counterexample pair")
-
-    def label_of(kind, idx):
-        if kind == "u":
-            return ell - g
-        if kind == "row" and idx[0] == 1:
-            return g
-        return group.zero()
-
-    vertices, raw = _grid_edges(n, group, label_of)
-    graph = LabelledGraph.build(group, UNDIRECTED, raw, _terminals(n), vertices)
+    graph = _grid(n, group, UNDIRECTED, [ell - g] * n, [group.zero()] * n, g)
     return GridGadget("gamma-double-prime", n, graph, ell, {"ell": ell, "g": g})
 
 
@@ -191,43 +144,19 @@ def verify_gadget(gadget: GridGadget, limits: Limits = DEFAULT_LIMITS) -> dict:
     members = spec.members(limits)
     nu, _ = max_packing(members, limits)
     tau, cover = min_cover(members, limits)
-
-    u_names = {f"u{i}" for i in range(1, n + 1)}
-    w_names = {f"w{i}" for i in range(1, n + 1)}
-    top_row_edges = {
-        e.eid
-        for e in graph.edges
-        if e.u.startswith("v1_") and e.v.startswith("v1_")
-    }
-    crossings_ok = True
-    top_row_ok = True
-    antidiagonal_ok = True
-    for m in members:
-        ends = set(m.endpoints)
-        if not (ends & u_names and ends & w_names):
-            crossings_ok = False
-        if gadget.variant in ("gamma-prime", "gamma-double-prime"):
-            if not set(m.edge_ids) & top_row_edges:
-                top_row_ok = False
-        if gadget.variant == "gamma":
-            pair_ok = False
-            for i in range(1, n + 1):
-                if ends == {f"u{i}", f"w{n + 1 - i}"}:
-                    pair_ok = True
-            if not pair_ok:
-                antidiagonal_ok = False
-
     checks = {
         "family_size": len(members),
         "nu": nu,
         "tau": tau,
         "cover": sorted(cover, key=vertex_key),
         "no_two_disjoint": nu <= 1,
-        "endpoints_cross": crossings_ok,
+        "endpoints_cross": all({end[0] for end in m.endpoints} == {"u", "w"} for m in members),
         "cover_at_least_n": tau >= n,
     }
     if gadget.variant in ("gamma-prime", "gamma-double-prime"):
-        checks["uses_top_row"] = top_row_ok
+        top_row = {e.eid for e in graph.edges if e.u.startswith("v1_") and e.v.startswith("v1_")}
+        checks["uses_top_row"] = all(not top_row.isdisjoint(m.edge_ids) for m in members)
     if gadget.variant == "gamma":
-        checks["antidiagonal_pairing"] = antidiagonal_ok
+        pairs = {frozenset((f"u{i}", f"w{n + 1 - i}")) for i in range(1, n + 1)}
+        checks["antidiagonal_pairing"] = all(frozenset(m.endpoints) in pairs for m in members)
     return checks

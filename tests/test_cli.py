@@ -92,6 +92,20 @@ def test_family_parsing_aba(tmp_path, capsys):
     assert payload["theorem_backed"] is True
 
 
+def test_family_parsing_aba_tokens(tmp_path, capsys):
+    # a token is an int only when it is ASCII decimal; anything else is a string id
+    g = LabelledGraph.build(Z(2), UNDIRECTED, [("--5", 1, 1), (1, 3, 0)], ["--5", 3])
+    path = graph_file(tmp_path, g)
+    code, payload, _ = invoke(capsys, "pack", "--graph", path, "--family", "aba:--5")
+    assert (code, payload["family"]["through"], payload["nu"]) == (0, ["--5"], 1)
+    code, payload, _ = invoke(capsys, "pack", "--graph", path, "--family", "aba:1,3")
+    assert (code, payload["family"]["through"]) == (0, [1, 3])
+    # a superscript or non-ASCII digit is no vertex id here, not an int
+    for token in ("\u00b9", "\u0663"):
+        code, payload, _ = invoke(capsys, "pack", "--graph", path, "--family", f"aba:{token}")
+        assert (code, payload["error"], payload["detail"]) == (1, "rejected", "through-set must consist of vertices")
+
+
 def test_frame_cover_on_empty_family(tmp_path, capsys):
     z2 = Z(2)
     g = LabelledGraph.build(

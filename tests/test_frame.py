@@ -372,9 +372,11 @@ def test_frame_searches_for_a_new_component_until_the_first_miss(monkeypatch):
         searches.append(len(blocked))
         return _first_zero_path_disjoint_from(graph, blocked, limits)
 
-    def replayed_attach(graph, forest, limits):
+    def replayed_attach(graph, forest, targets, limits):
+        # the frame keeps its target set in step with the forest
+        assert targets == {v for v, nbrs in forest.items() if len(nbrs) == 2 and v not in graph.terminals}
         replays.append(_first_zero_path_disjoint_from(graph, forest.keys(), limits))
-        return _first_attach_path(graph, forest, limits)
+        return _first_attach_path(graph, forest, targets, limits)
 
     skipped = 0
     for i in range(80):
@@ -425,11 +427,11 @@ def test_attachment_search_contract():
     # c reaches the forest only through three edges: cut, so no answer
     far = directed(z2, spine + long_way, ["a", "b", "c"])
     with pytest.raises(LimitExceeded) as info:
-        _first_attach_path(far, forest, limits)
+        _first_attach_path(far, forest, {"m"}, limits)
     assert str(info.value) == "path length while searching attachments exceeds limit 2"
     # the branch through d1 is cut before the search meets c-e1-m, which is returned
     near = directed(z2, spine + long_way + [("c", "e1", 0, "c"), ("e1", "m", 0, "e1")], ["a", "b", "c"])
-    assert _first_attach_path(near, forest, limits) == (("c", "e1", "m"), (5, 6))
+    assert _first_attach_path(near, forest, {"m"}, limits) == (("c", "e1", "m"), (5, 6))
 
 
 def _forest_case():

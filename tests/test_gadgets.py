@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from gammapath.errors import PreconditionFailed
@@ -10,7 +12,8 @@ from gammapath.gadgets import (
     greedy_separated_sequence,
     verify_gadget,
 )
-from gammapath.graphs import DIRECTED, enumerate_terminal_paths, walk_weight
+from gammapath.graphs import DIRECTED, UNDIRECTED, enumerate_terminal_paths, walk_weight
+from gammapath.groups import CyclicProduct
 from gammapath.jsonio import dumps
 
 from util import Z
@@ -188,3 +191,35 @@ def test_build_is_deterministic():
     c = build_integer_gadget(3, 0)
     d = build_integer_gadget(3, 0)
     assert dumps(c.to_json()) == dumps(d.to_json())
+
+
+def test_gadget_sweep_digests():
+    # every builder input of a wide sweep, hashed in order: the built gadget's
+    # JSON or the error's type and message, and verify_gadget's report at n <= 3;
+    # the digests were recorded from the per-variant builders this module had
+    # before the one grid builder
+    built, verified = hashlib.sha256(), hashlib.sha256()
+
+    def record(digest, out):
+        digest.update(dumps(out).encode() + b"\n")
+
+    for orders in ((4,), (6,), (8,), (9,), (2, 4), (3, 3)):
+        group = CyclicProduct(orders)
+        pairs = [(a.to_json(), b.to_json()) for a in group.elements() for b in group.elements()]
+        for build in (build_quotient_gadget, build_subgroup_escape_gadget):
+            for a, b in pairs:
+                for n in range(0, 6):
+                    try:
+                        gadget = build(n, group, a, b)
+                    except (PreconditionFailed, ValueError) as exc:
+                        record(built, f"{type(exc).__name__}: {exc}")
+                        continue
+                    record(built, gadget.to_json())
+                    if n <= 3:
+                        record(verified, verify_gadget(gadget))
+    for ell in (0, 1, 3):
+        for model in (UNDIRECTED, DIRECTED):
+            for n in range(1, 6):
+                record(built, build_integer_gadget(n, ell, model).to_json())
+    assert built.hexdigest() == "8670d97c5c6fb84348bbdbea29919268e223cbe3daed99abf3b74ea075f7d5e9"
+    assert verified.hexdigest() == "8bafa5ff523fa54c0607e17f67401c0eebc86c7068f8f1778628f0d6942dc20d"
