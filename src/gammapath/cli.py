@@ -23,6 +23,7 @@ import sys
 
 from .chains import CycleChain, reachable_weights, reroute_to_weight
 from .errors import (
+    DEFAULT_LIMITS,
     GammapathError,
     Limits,
     LimitExceeded,
@@ -82,6 +83,10 @@ _GADGETS = {
 }
 _GADGET_FLAGS = sorted({name for _, needed, optional in _GADGETS.values() for name in needed + optional})
 
+# each Limits field a command may read -> its flag
+_LIMIT_FLAGS = {"max_len": "--max-len", "max_paths": "--max-paths", "cycle_cap": "--cycle-cap", "budget_s": "--budget"}
+_PATH_LIMITS = ("max_len", "max_paths")
+
 
 def _parse_json(text: str, what: str):
     try:
@@ -105,8 +110,8 @@ def _graph(args):
 
 
 def _limits(args) -> Limits:
-    """Limits from the limit flags the command accepts, checked positive by Limits."""
-    return Limits(**{k: v for k, v in vars(args).items() if k in ("max_len", "max_paths", "cycle_cap")})
+    """Limits from the limit flags the command accepts, checked by Limits; the rest are the defaults."""
+    return Limits(**{k: v for k, v in vars(args).items() if k in _LIMIT_FLAGS})
 
 
 def _family_spec(graph, text: str) -> PathFamilySpec:
@@ -207,12 +212,12 @@ def _gadget(args):
 
 
 def _bipartite(args):
-    verdict = is_gamma_bipartite(_graph(args), _limits(args).cycle_cap)
+    verdict = is_gamma_bipartite(_graph(args), _limits(args))
     return {"gamma_bipartite": verdict}, verdict
 
 
 def _normalize(args):
-    shifts, normalized = normalize_to_zero(_graph(args), _limits(args).cycle_cap)
+    shifts, normalized = normalize_to_zero(_graph(args), _limits(args))
     return {"shifts": [[v, g.to_json()] for v, g in shifts], "graph": normalized.to_json()}, True
 
 
@@ -221,22 +226,26 @@ def _blocks(args):
 
 
 def _verify_suite(args):
-    config = RunConfig(seed=args.seed, scale=args.scale, limits=Limits(budget_s=args.budget))
+    config = RunConfig(seed=args.seed, scale=args.scale, limits=_limits(args))
     report = run_suite(config, only=args.only)
     for check in report["checks"]:
         print(f"{check['id']}: {check['status']}", file=sys.stderr)
     return report, report["summary"]["fail"] == 0
 
 
-def _add_common(parser: argparse.ArgumentParser, paths: bool = True, graph: bool = True) -> None:
-    """--graph, --out and the limit flags the command reads: path-search limits or the cycle cap."""
+def _add_limits(parser: argparse.ArgumentParser, fields) -> None:
+    """A flag per Limits field the command reads, typed and defaulted as DEFAULT_LIMITS holds it."""
+    for field in fields:
+        flag, default = _LIMIT_FLAGS[field], getattr(DEFAULT_LIMITS, field)
+        metavar = flag[2:].upper().replace("-", "_")  # the one argparse derives from the flag
+        parser.add_argument(flag, dest=field, metavar=metavar, type=type(default), default=default)
+
+
+def _add_common(parser: argparse.ArgumentParser, limits=_PATH_LIMITS, graph: bool = True) -> None:
+    """--graph, --out and the flags of the Limits fields the command reads."""
     if graph:
         parser.add_argument("--graph", required=True, help="graph JSON file, or - for stdin")
-    if paths:
-        parser.add_argument("--max-len", type=int, default=20)
-        parser.add_argument("--max-paths", type=int, default=200_000)
-    else:
-        parser.add_argument("--cycle-cap", type=int, default=100_000)
+    _add_limits(parser, limits)
     parser.add_argument("--out", help="also write the JSON result to this file")
 
 
@@ -289,19 +298,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, graph=False)
     p.set_defaults(handler=_gadget)
 
-    for name, help_text, handler, paths in (
-        ("bipartite", "is every cycle weight zero?", _bipartite, False),
-        ("normalize", "shift a 3-connected zero-cycle labelling to all-zero", _normalize, False),
-        ("blocks", "labelled 2-cut-free block decomposition", _blocks, True),
+    for name, help_text, handler, limits in (
+        ("bipartite", "is every cycle weight zero?", _bipartite, ("cycle_cap",)),
+        ("normalize", "shift a 3-connected zero-cycle labelling to all-zero", _normalize, ("cycle_cap",)),
+        ("blocks", "labelled 2-cut-free block decomposition", _blocks, _PATH_LIMITS),
     ):
         p = sub.add_parser(name, help=help_text)
-        _add_common(p, paths=paths)
+        _add_common(p, limits)
         p.set_defaults(handler=handler)
 
     p = sub.add_parser("verify-suite", help="run the whole verification battery")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scale", choices=["small", "full"], default="full")
-    p.add_argument("--budget", type=float, default=600.0)
+    _add_limits(p, ("budget_s",))
     p.add_argument("--only", nargs="*", help="restrict to these check ids")
     p.add_argument("--out")
     p.set_defaults(handler=_verify_suite)

@@ -64,7 +64,8 @@ class Limits:
     max_len bounds path length in edges, max_paths the number of enumerated
     paths, cycle_cap the number of enumerated simple cycles, budget_s wall
     time for best-effort checks, max_family the family size the exact
-    packing/covering solvers accept.
+    packing/covering solvers accept.  The counts are ints, budget_s any real;
+    the command line reads its flag defaults from DEFAULT_LIMITS.
     """
 
     max_len: int = 20
@@ -74,6 +75,11 @@ class Limits:
     max_family: int = 10_000
 
     def __post_init__(self):
+        # a count is a plain int, as JSON ids are; a bool or a float would pass the test below
+        for name in ("max_len", "max_paths", "cycle_cap", "max_family"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"limits must be positive and {name} an int, got {value!r}")
         # written as `not > 0` so that NaN is rejected too
         if not all(x > 0 for x in (self.max_len, self.max_paths, self.cycle_cap, self.budget_s, self.max_family)):
             raise ValueError("limits must be positive")

@@ -70,11 +70,10 @@ def _first_attach_path(graph: LabelledGraph, forest: dict, targets: set, limits:
     the path onto its tree keeps the component subcubic with leaves exactly
     the terminals it meets.
     """
-    terminals = graph.terminals
-    sources = [a for a in sorted(terminals, key=graph._rank.__getitem__) if a not in forest]
+    sources = [a for a in graph._terminal_order if a not in forest]
     for vertices, edge_ids, _ in search_paths(
         graph, sources, targets, lambda *_: True,
-        forbidden=terminals.union(forest) - targets,
+        forbidden=graph.terminals.union(forest) - targets,
         max_len=limits.max_len, max_count=limits.max_paths,
         cut="path length while searching attachments",
     ):

@@ -97,9 +97,8 @@ class LabelledGraph:
         self.terminals = frozenset(terminals)
         if not self.terminals <= rank.keys():
             raise ValueError("terminals must be vertices")
-        for a in self.terminals:
-            if type(a) not in _PLAIN_IDS:
-                vertex_key(a)
+        # key order, the order every terminal search starts in; the sort checks the ids' types
+        self._terminal_order = tuple(_sorted_ids(self.terminals, vertex_key))
         self._erank = dict(zip(ids, range(len(ids))))
         self._link()
 
@@ -168,9 +167,9 @@ class LabelledGraph:
     def _revalued(self, values) -> "LabelledGraph":
         """This graph with edge i's label value replaced by values[i], a valid element value.
 
-        The vertices, terminals and rank tables are shared and `_link` builds the step table
-        anew, in the same half-edge order; equal values share one element (the group's
-        `_elements` when it is finite).
+        The vertices, terminals (and their order) and rank tables are shared and `_link` builds
+        the step table anew, in the same half-edge order; equal values share one element (the
+        group's `_elements` when it is finite).
         """
         group = self.group
         cache = group._elements if group.is_finite else {}
@@ -205,7 +204,7 @@ class LabelledGraph:
             "group": self.group.to_json(),
             "model": self.model,
             "vertices": list(self.vertices),
-            "A": sorted(self.terminals, key=vertex_key),
+            "A": list(self._terminal_order),
             "edges": [],
         }
         for e in self.edges:
@@ -408,11 +407,9 @@ def search_terminal_paths(graph: LabelledGraph, *, blocked=frozenset(), member=N
     terminal, which every terminal path does.  max_paths counts every terminal
     path met, member or not.
     """
-    terminals = graph.terminals
-    # vertex ranks order the terminals as their keys do
-    sources = [a for a in sorted(terminals, key=graph._rank.__getitem__) if a not in blocked]
+    sources = [a for a in graph._terminal_order if a not in blocked]
     return search_paths(
-        graph, sources[:-1], terminals, lambda path, edges, end, eid: end != path[0],
+        graph, sources[:-1], graph.terminals, lambda path, edges, end, eid: end != path[0],
         forbidden=blocked, max_len=limits.max_len, max_count=limits.max_paths, cut=cut, member=member,
     )
 
@@ -421,15 +418,14 @@ def enumerate_terminal_paths(
     graph: LabelledGraph,
     *,
     weight: GroupElem | None = None,
-    nonzero: bool = False,
     keep: Callable[[list, list, object, int], bool] | None = None,
     limits: Limits = DEFAULT_LIMITS,
 ) -> tuple[PathWitness, ...]:
     """Exhaustively enumerate terminal-linking paths, optionally filtered.
 
     One filter at most: weight selects paths of one weight (in the directed
-    model a path matches when either traversal direction attains it); nonzero
-    selects paths of nonzero weight; keep(prefix vertices, prefix edge ids,
+    model a path matches when either traversal direction attains it, which
+    only the enumeration can apply); keep(prefix vertices, prefix edge ids,
     end, weight value) selects the paths it holds for.  The filter is the
     kernel's member test, so a path it drops never leaves the kernel, though
     it still counts toward max_paths.  Members of one weight share one
@@ -438,7 +434,7 @@ def enumerate_terminal_paths(
     two paths of a simple graph differ in their vertices.  Only parallel
     edges and a weight member kept reversed make a sort necessary.
     """
-    if (weight is not None) + nonzero + (keep is not None) > 1:
+    if weight is not None and keep is not None:
         raise ValueError("choose at most one filter")
     group = graph.group
     member = keep
@@ -448,9 +444,6 @@ def enumerate_terminal_paths(
         # the value a member kept reversed has as met
         back = group._neg(target) if graph.model == DIRECTED else target
         member = lambda path, edges, end, w: w == target or w == back
-    elif nonzero:
-        zero = group.zero().value
-        member = lambda path, edges, end, w: w != zero
     elems: dict = {}
     unordered = graph._parallel
     out = []
@@ -473,16 +466,17 @@ def enumerate_terminal_paths(
 
 
 def iter_simple_cycles(
-    graph: LabelledGraph, cycle_cap: int
+    graph: LabelledGraph, limits: Limits = DEFAULT_LIMITS
 ) -> Iterator[tuple[tuple, tuple, int]]:
     """All simple cycles (vertices, edge ids, weight value), each edge set exactly once.
 
     A cycle is closed at its smallest vertex and traversed in the first
     direction the search meets; cycles of two parallel edges are included.
     The weight is the value of that traversal's walk weight, so in the
-    orientation-free model it is the plain label sum.
+    orientation-free model it is the plain label sum.  Past limits.cycle_cap
+    cycles it raises LimitExceeded.
     """
-    kept = 0
+    cycle_cap, kept = limits.cycle_cap, 0
 
     def closes(path: list, edges: list, end, eid) -> bool:
         nonlocal kept
@@ -540,40 +534,37 @@ def _potential_certificate(graph: LabelledGraph) -> dict | None:
     return {v: GroupElem(group, val) for v, val in phi.items()}
 
 
-def is_gamma_bipartite(graph: LabelledGraph, cycle_cap: int | None = None) -> bool:
-    """Whether every simple cycle has weight zero (orientation-free model)."""
+def is_gamma_bipartite(graph: LabelledGraph, limits: Limits = DEFAULT_LIMITS) -> bool:
+    """Whether every simple cycle has weight zero (orientation-free model): an involution
+    potential proves it, or else a scan of at most limits.cycle_cap cycles decides."""
     if graph.model != UNDIRECTED:
         raise PreconditionFailed("cycle weights are orientation-free only in the undirected model")
     if _potential_certificate(graph) is not None:
         return True
-    cap = DEFAULT_LIMITS.cycle_cap if cycle_cap is None else cycle_cap
     zero = graph.group.zero().value
-    for _, _, w in iter_simple_cycles(graph, cap):
-        if w != zero:
-            return False
-    return True
+    return all(w == zero for _, _, w in iter_simple_cycles(graph, limits))
 
 
 def normalize_to_zero(
-    graph: LabelledGraph, cycle_cap: int | None = None
+    graph: LabelledGraph, limits: Limits = DEFAULT_LIMITS
 ) -> tuple[list[tuple[object, GroupElem]], LabelledGraph]:
     """Shift sequence turning a 3-connected all-zero-cycle labelling into all-zero.
 
     Verifies both preconditions; the shifts are the involution potential of
     `_potential_certificate`, whose root vertex is fixed at zero and which is
     checked on every edge.  3-connectivity makes it exist whenever every
-    cycle is zero.
+    cycle is zero; else a scan of at most limits.cycle_cap cycles finds a nonzero one.
     """
     if graph.model != UNDIRECTED:
         raise PreconditionFailed("normalization applies to the orientation-free model")
     if not graph.is_three_connected():
         raise PreconditionFailed("graph is not 3-connected")
     phi = _potential_certificate(graph)
+    zero = graph.group.zero()
     if phi is None:
-        if not is_gamma_bipartite(graph, cycle_cap):
+        if any(w != zero.value for _, _, w in iter_simple_cycles(graph, limits)):
             raise PreconditionFailed("labelling has a nonzero cycle")
         raise NormalizationFailed("a 3-connected zero-cycle labelling has no involution potential")
-    zero = graph.group.zero()
     shifts = [(v, phi[v]) for v in graph.vertices if phi[v] != zero]
     return shifts, apply_shifts(graph, shifts)
 

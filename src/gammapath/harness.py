@@ -316,7 +316,7 @@ def check_normalization(config: RunConfig) -> dict:
         group = groups[i % len(groups)]
         add, zero = group._add, group.zero().value
         g, _ = random_three_connected(rng, group, rng.randint(4, 10))
-        shifts, normalized = normalize_to_zero(g, config.limits.cycle_cap)
+        shifts, normalized = normalize_to_zero(g, config.limits)
         if any(e.label != group.zero() for e in normalized.edges):
             return _fail("normalization", g, {"instance_index": i})
         summed: dict = {}  # the replay, per edge of g: label + the shifts at both ends = 0

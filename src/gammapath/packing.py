@@ -21,7 +21,7 @@ from .graphs import (
     enumerate_terminal_paths,
     vertex_key,
 )
-from .groups import GroupElem, _bits
+from .groups import GroupElem, _bits, elements_of_order_at_most_2
 
 
 WEIGHT = "weight"
@@ -60,17 +60,16 @@ class PathFamilySpec:
         g = self.graph
         if self.kind == WEIGHT:
             return list(enumerate_terminal_paths(g, weight=self.weight, limits=limits))
+        # a member test reads the kernel's prefix (the path without its end and last edge) and the value
         if self.kind == NONZERO:
-            return list(enumerate_terminal_paths(g, nonzero=True, limits=limits))
-        # a member test reads the kernel's prefix: the path without its end and last edge
+            zero = g.group.zero().value
+            return list(enumerate_terminal_paths(g, keep=lambda path, edges, end, w: w != zero, limits=limits))
         if self.kind == ODD:
             return list(
                 enumerate_terminal_paths(g, keep=lambda path, edges, end, w: not len(edges) % 2, limits=limits)
             )
         through = self.through
-        members = []
-        for a in sorted(g.terminals & through, key=vertex_key):
-            members.append(PathWitness((a,), (), g.group.zero(), trivial=True))
+        members = [PathWitness((a,), (), g.group.zero(), trivial=True) for a in g._terminal_order if a in through]
         members += enumerate_terminal_paths(
             g, keep=lambda path, edges, end, w: end in through or not through.isdisjoint(path), limits=limits
         )
@@ -283,10 +282,7 @@ def duality_report(
     backed = spec.kind in (ODD, ABA)
     if spec.kind == NONZERO:
         group = spec.graph.group
-        backed = spec.graph.model == DIRECTED or (
-            group.is_finite
-            and all(group.add(g, g) == group.zero() for g in group.elements())
-        )
+        backed = spec.graph.model == DIRECTED or len(elements_of_order_at_most_2(group)) == group.order
     bound_ok = tau <= 2 * nu
     if backed and not bound_ok:
         raise InternalInvariantError(

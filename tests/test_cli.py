@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import dataclasses
 import io
 import itertools
 import json
@@ -17,8 +18,8 @@ from hypothesis import strategies as st
 
 import gammapath.frame as frame
 import gammapath.harness as harness
-from gammapath.cli import build_parser, run
-from gammapath.errors import Limits
+from gammapath.cli import _limits, build_parser, run
+from gammapath.errors import DEFAULT_LIMITS, Limits
 from gammapath.frame import frame_pack_or_cover
 from gammapath.graphs import UNDIRECTED, DIRECTED, LabelledGraph
 
@@ -752,6 +753,34 @@ def test_each_subcommand_has_exactly_its_options():
         for name, p in subparsers.choices.items()
     }
     assert got == OPTIONS
+
+
+# each command's required flags, and the Limits field of each limit flag
+_REQUIRED = {
+    "classify": ["--group", "{}"],
+    "pack": ["--graph", "-", "--family", "odd"],
+    "cover": ["--graph", "-", "--family", "odd"],
+    "duality": ["--graph", "-", "--family", "odd"],
+    "frame": ["--graph", "-", "--k", "1"],
+    "chain": ["--chain", "-", "--target", "0"],
+    "gadget": ["--variant", "gamma", "--n", "2"],
+    "bipartite": ["--graph", "-"],
+    "normalize": ["--graph", "-"],
+    "blocks": ["--graph", "-"],
+    "verify-suite": [],
+}
+_LIMIT_FIELDS = {"--max-len": "max_len", "--max-paths": "max_paths", "--cycle-cap": "cycle_cap", "--budget": "budget_s"}
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_each_limit_flag_defaults_to_the_default_limits_and_sets_its_field(command):
+    args = build_parser().parse_args([command, *_REQUIRED[command]])
+    assert _limits(args) == DEFAULT_LIMITS
+    for flag in sorted(OPTIONS[command] & _LIMIT_FIELDS.keys()):
+        field = _LIMIT_FIELDS[flag]
+        value = getattr(DEFAULT_LIMITS, field) + 1
+        args = build_parser().parse_args([command, *_REQUIRED[command], flag, str(value)])
+        assert _limits(args) == dataclasses.replace(DEFAULT_LIMITS, **{field: value})
 
 
 @pytest.mark.parametrize("argv", [["pack", "--family", "odd", "--budget", "5"], ["bipartite", "--max-len", "3"]])

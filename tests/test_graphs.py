@@ -32,6 +32,7 @@ from gammapath.graphs import (
     normalize_to_zero,
     search_paths,
     three_blocks,
+    vertex_key,
     walk_weight,
 )
 from gammapath.groups import elements_of_order_at_most_2
@@ -135,7 +136,8 @@ def test_enumerate_simple_example():
     zero_paths = enumerate_terminal_paths(g, weight=z2.zero())
     assert len(zero_paths) == 1
     assert zero_paths[0].vertices == ("a", "x", "b")
-    assert not enumerate_terminal_paths(g, nonzero=True)
+    zero = z2.zero().value
+    assert not enumerate_terminal_paths(g, keep=lambda path, edges, end, w: w != zero)
 
 
 def test_enumerate_k4_all_paths():
@@ -300,8 +302,8 @@ def test_shift_preserves_cycles_and_interior_paths():
             g = _random_undirected(rng, group, rng.randint(4, 8))
             v = rng.choice(g.vertices)
             shifted = apply_shifts(g, [(v, rng.choice(flips))])
-            before = {frozenset(eids): w for _, eids, w in iter_simple_cycles(g, 10_000)}
-            after = {frozenset(eids): w for _, eids, w in iter_simple_cycles(shifted, 10_000)}
+            before = {frozenset(eids): w for _, eids, w in iter_simple_cycles(g, Limits(cycle_cap=10_000))}
+            after = {frozenset(eids): w for _, eids, w in iter_simple_cycles(shifted, Limits(cycle_cap=10_000))}
             assert before == after
             for p in enumerate_terminal_paths(g):
                 if v not in p.endpoints:
@@ -340,6 +342,8 @@ def _relabel_cases(group, count=40):
     rng = random.Random(f"relabel {group.name}")
     for _ in range(count):
         graph = _seeded_relabel_graph(rng, group)
+        # the terminal order is their key order, and graph_tables carries it to each relabelled graph
+        assert graph._terminal_order == tuple(sorted(graph.terminals, key=vertex_key))
         yield rng, graph, graph_tables(graph)
 
 
@@ -414,7 +418,7 @@ def test_simple_cycle_enumeration_against_networkx():
         possible = list(itertools.combinations(vertices, 2))
         chosen = rng.sample(possible, rng.randint(n - 1, len(possible)))
         g = undirected(z2, [(u, v, 0) for u, v in chosen], [], extra=vertices)
-        ours = {frozenset(vs[:-1]) for vs, _, _ in iter_simple_cycles(g, 100_000)}
+        ours = {frozenset(vs[:-1]) for vs, _, _ in iter_simple_cycles(g)}
         h = nx.Graph(chosen)
         theirs = {frozenset(c) for c in nx.simple_cycles(h)}
         assert ours == theirs
@@ -451,7 +455,7 @@ def test_simple_cycles_match_the_edge_set_oracle_on_mixed_multigraphs():
         g = _mixed_multigraph(rng, group, model)
         parallel += g._parallel
         for cap in (3, 10, 100_000):
-            ours = _cycles_then_limit(iter_simple_cycles(g, cap))
+            ours = _cycles_then_limit(iter_simple_cycles(g, Limits(cycle_cap=cap)))
             assert ours == _cycles_then_limit(oracle_iter_simple_cycles(g, cap)), (g.to_json(), cap)
             capped += bool(ours) and isinstance(ours[-1], str)
     assert capped > 500 and parallel > 1000, (capped, parallel)
@@ -483,10 +487,10 @@ def test_cycle_cap():
     for i in range(6):
         edges += [("c", f"x{i}", 1), (f"x{i}", f"y{i}", 1), (f"y{i}", "c", 2)]
     g = undirected(z4, edges, [])
-    assert is_gamma_bipartite(g, cycle_cap=6)
+    assert is_gamma_bipartite(g, Limits(cycle_cap=6))
     # the cap counts cycles over all start vertices together
     with pytest.raises(LimitExceeded, match="^enumerated simple cycles exceeds limit 5$"):
-        is_gamma_bipartite(g, cycle_cap=5)
+        is_gamma_bipartite(g, Limits(cycle_cap=5))
 
 
 def _k4(group, labels):

@@ -48,6 +48,17 @@ def test_limits_reject_values_that_are_not_positive(field, value):
         Limits(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["max_len", "max_paths", "cycle_cap", "max_family"])
+@pytest.mark.parametrize("value", [True, 0.5, 3.0, "3", None])
+def test_limits_take_their_counts_as_ints_only(field, value):
+    with pytest.raises(ValueError, match=f"^limits must be positive and {field} an int, got {value!r}$"):
+        Limits(**{field: value})
+
+
+def test_limits_take_any_positive_real_budget():
+    assert Limits(budget_s=0.5).budget_s == 0.5 and Limits(budget_s=3).budget_s == 3
+
+
 @pytest.mark.parametrize("only", [[], ["nosuchcheck"], ["gadgets", "nosuchcheck"]])
 def test_only_without_known_check_ids_is_a_usage_error(only):
     with pytest.raises(UsageError, match="check ids must be some of cauchy-davenport, "):
@@ -141,9 +152,9 @@ def test_the_random_checks_make_their_groups_once(monkeypatch):
 def test_normalization_check_replays_the_shifts_it_was_given(monkeypatch):
     normalize = harness.normalize_to_zero
 
-    def drops_a_shift(graph, cycle_cap=None):
+    def drops_a_shift(graph, limits):
         # the normalized graph is right, but the shift list loses its last entry
-        shifts, normalized = normalize(graph, cycle_cap)
+        shifts, normalized = normalize(graph, limits)
         return shifts[:-1], normalized
 
     monkeypatch.setattr(harness, "normalize_to_zero", drops_a_shift)

@@ -130,16 +130,18 @@ def test_terminal_paths_of_a_simple_graph_leave_the_kernel_in_key_order(group, m
         g = _random_graph(rng, group, model, parallel=False)
         assert not g._parallel
         raw = list(search_terminal_paths(g, limits=DEFAULT_LIMITS, cut="path length"))
-        queries = [({}, raw), ({"nonzero": True}, [r for r in raw if r[2] != zero]),
-                   ({"keep": lambda path, edges, end, w: not len(edges) % 2}, [r for r in raw if len(r[1]) % 2])]
+        # (our filter, the oracle's or None, the paths kept); the oracle keeps its nonzero flag
+        nonzero = lambda path, edges, end, w: w != zero  # noqa: E731
+        queries = [({}, {}, raw), ({"keep": nonzero}, {"nonzero": True}, [r for r in raw if r[2] != zero]),
+                   ({"keep": lambda path, edges, end, w: not len(edges) % 2}, None, [r for r in raw if len(r[1]) % 2])]
         if model == UNDIRECTED:  # no member is kept reversed
             weight = rng.choice(_labels(group))
-            queries.append(({"weight": weight}, [r for r in raw if r[2] == weight.value]))
-        for kw, kept in queries:
+            queries.append(({"weight": weight}, {"weight": weight}, [r for r in raw if r[2] == weight.value]))
+        for kw, oracle_kw, kept in queries:
             ours = enumerate_terminal_paths(g, **kw)
             assert [(p.vertices, p.edge_ids, p.weight.value) for p in ours] == kept
-            if "keep" not in kw:
-                assert ours == oracle_enumerate_terminal_paths(g, limits=DEFAULT_LIMITS, **kw)
+            if oracle_kw is not None:
+                assert ours == oracle_enumerate_terminal_paths(g, limits=DEFAULT_LIMITS, **oracle_kw)
             # the members of one weight share one element
             assert len({id(p.weight) for p in ours}) == len({p.weight for p in ours})
 
@@ -172,10 +174,8 @@ def test_enumeration_takes_one_filter_at_most():
     z3 = Z(3)
     g = LabelledGraph.build(z3, UNDIRECTED, [("a", "b", 1)], ["a", "b"])
     odd = lambda path, edges, end, w: not len(edges) % 2  # noqa: E731
-    for kw in ({"weight": z3.element(1), "nonzero": True}, {"weight": z3.element(1), "keep": odd},
-               {"nonzero": True, "keep": odd}):
-        with pytest.raises(ValueError, match="^choose at most one filter$"):
-            enumerate_terminal_paths(g, **kw)
+    with pytest.raises(ValueError, match="^choose at most one filter$"):
+        enumerate_terminal_paths(g, weight=z3.element(1), keep=odd)
     assert [p.vertices for p in enumerate_terminal_paths(g, keep=odd)] == [("a", "b")]
 
 
@@ -208,13 +208,17 @@ def test_one_search_per_terminal_path_matches_the_search_from_both_ends():
             n = len(g.vertices)
             subset = rng.sample(g.vertices, rng.randint(2, n))
             blocked = frozenset(rng.sample(g.vertices, rng.randint(0, 2)))
-            queries = ({}, {"weight": rng.choice(_labels(group))}, {"nonzero": True})
+            weight, zero = rng.choice(_labels(group)), group.zero().value
+            # (our filter, the oracle's): ours takes nonzero as a member test, the oracle keeps its flag
+            queries = (({}, {}), ({"weight": weight}, {"weight": weight}),
+                       ({"keep": lambda path, edges, end, w: w != zero}, {"nonzero": True}))
             complete = Limits(max_len=n, max_paths=10**6)
             for limits in (complete, Limits(max_len=2, max_paths=10**6), Limits(max_len=n, max_paths=2)):
-                for kw in queries:
+                for kw, oracle_kw in queries:
                     ours = _result(lambda: enumerate_terminal_paths(g, limits=limits, **kw))
-                    theirs = _result(lambda: oracle_enumerate_terminal_paths(g, limits=limits, **kw))
-                    seen[_compare(ours, theirs, lambda: oracle_enumerate_terminal_paths(g, limits=complete, **kw))] += 1
+                    theirs = _result(lambda: oracle_enumerate_terminal_paths(g, limits=limits, **oracle_kw))
+                    seen[_compare(ours, theirs,
+                                  lambda: oracle_enumerate_terminal_paths(g, limits=complete, **oracle_kw))] += 1
                     if ours[0] and "weight" in kw:
                         seen["reversed"] += any(
                             vertex_key(p.vertices[0]) > vertex_key(p.vertices[-1]) for p in ours[0]

@@ -580,6 +580,7 @@ class OracleLabelledGraph(LabelledGraph):
         self.terminals = frozenset(terminals)
         if not self.terminals <= vset:
             raise ValueError("terminals must be vertices")
+        self._terminal_order = tuple(sorted(self.terminals, key=vertex_key))
         # vertices and edges are sorted, so index ranks order them as their keys do
         self._rank = rank = {v: i for i, v in enumerate(self.vertices)}
         self._erank = {e.eid: i for i, e in enumerate(self.edges)}
@@ -627,6 +628,7 @@ def graph_tables(graph: LabelledGraph) -> tuple:
         graph.vertices,
         graph.edges,
         graph.terminals,
+        graph._terminal_order,
         [graph.incident(v) for v in graph.vertices],
         list(graph._steps.items()),
         list(graph._rank.items()),
