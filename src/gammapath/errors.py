@@ -64,8 +64,8 @@ class Limits:
     max_len bounds path length in edges, max_paths the number of enumerated
     paths, cycle_cap the number of enumerated simple cycles, budget_s wall
     time for best-effort checks, max_family the family size the exact
-    packing/covering solvers accept.  The counts are ints, budget_s any real;
-    the command line reads its flag defaults from DEFAULT_LIMITS.
+    packing/covering solvers accept.  The counts are ints, budget_s any real but
+    a bool; the command line reads its flag defaults from DEFAULT_LIMITS.
     """
 
     max_len: int = 20
@@ -80,6 +80,8 @@ class Limits:
             value = getattr(self, name)
             if type(value) is not int:
                 raise ValueError(f"limits must be positive and {name} an int, got {value!r}")
+        if type(self.budget_s) is bool:
+            raise ValueError(f"limits must be positive and budget_s a real, got {self.budget_s!r}")
         # written as `not > 0` so that NaN is rejected too
         if not all(x > 0 for x in (self.max_len, self.max_paths, self.cycle_cap, self.budget_s, self.max_family)):
             raise ValueError("limits must be positive")

@@ -141,15 +141,14 @@ class LabelledGraph:
     def edge(self, eid) -> Edge:
         return self.edges[self._erank[eid]]
 
-    def incident(self, v):
-        return [(self.edge(eid), y) for eid, y, _ in self._steps[v]]
-
     def __contains__(self, v) -> bool:
         return v in self._rank
 
     # --- derived graphs ---------------------------------------------------
 
     def without_vertices(self, removed) -> "LabelledGraph":
+        """The induced subgraph on the other vertices.  The package does not call it; it stays
+        a method while the benchmark tracer counts its calls by this name."""
         removed = set(removed)
         keep = [v for v in self.vertices if v not in removed]
         edges = [e for e in self.edges if e.u not in removed and e.v not in removed]
@@ -168,11 +167,10 @@ class LabelledGraph:
         """This graph with edge i's label value replaced by values[i], a valid element value.
 
         The vertices, terminals (and their order) and rank tables are shared and `_link` builds
-        the step table anew, in the same half-edge order; equal values share one element (the
-        group's `_elements` when it is finite).
+        the step table anew, in the same half-edge order; equal values share one element.
         """
         group = self.group
-        cache = group._elements if group.is_finite else {}
+        cache = {}
         out = copy.copy(self)
         out.edges = tuple(
             Edge(eid, u, v, cache[x] if x in cache else cache.setdefault(x, GroupElem(group, x)), tail)
@@ -182,17 +180,6 @@ class LabelledGraph:
         return out
 
     # --- connectivity helpers --------------------------------------------
-
-    def component_of(self, start, forbidden=frozenset()) -> set:
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for _, y, _ in self._steps[x]:
-                if y not in seen and y not in forbidden:
-                    seen.add(y)
-                    stack.append(y)
-        return seen
 
     def is_three_connected(self) -> bool:
         """At least 4 vertices and every pair inseparable (Whitney)."""
@@ -294,7 +281,7 @@ def walk_weight(graph: LabelledGraph, vertices, edge_ids) -> GroupElem:
         raise ValueError("walk must alternate vertices and edges")
     group = graph.group
     add, neg, edges, erank = group._add, group._neg, graph.edges, graph._erank
-    acc = group.zero().value
+    acc = group._zero
     at = vertices[0]
     if at not in graph:
         raise ValueError(f"unknown vertex {at!r}")
@@ -349,7 +336,7 @@ def search_paths(
     """
     add = graph.group._add
     steps = graph._steps
-    zero = graph.group.zero().value
+    zero = graph.group._zero
     # vertex -> True for a stop vertex; False for a forbidden one or one on the path
     state = dict.fromkeys(stop, True)
     state.update(dict.fromkeys(forbidden, False))
@@ -510,7 +497,7 @@ def _potential_certificate(graph: LabelledGraph) -> dict | None:
     """
     group = graph.group
     add, neg, steps = group._add, group._neg, graph._steps
-    zero = group.zero().value
+    zero = group._zero
     phi: dict = {}
     # vertices are sorted, so each root is the smallest vertex of its component
     for root in graph.vertices:
@@ -541,7 +528,7 @@ def is_gamma_bipartite(graph: LabelledGraph, limits: Limits = DEFAULT_LIMITS) ->
         raise PreconditionFailed("cycle weights are orientation-free only in the undirected model")
     if _potential_certificate(graph) is not None:
         return True
-    zero = graph.group.zero().value
+    zero = graph.group._zero
     return all(w == zero for _, _, w in iter_simple_cycles(graph, limits))
 
 
@@ -577,7 +564,7 @@ def apply_shifts(graph: LabelledGraph, shifts) -> LabelledGraph:
     the shifts at a vertex can be summed first.
     """
     group = graph.group
-    add, zero = group._add, group.zero().value
+    add, zero = group._add, group._zero
     total: dict = {}
     for v, g in shifts:
         if graph.model != UNDIRECTED:

@@ -114,7 +114,7 @@ class GroupElem:
         return self.group.add(self, self.group.neg(other))
 
     def __bool__(self) -> bool:
-        return self != self.group.zero()
+        return self.value != self.group._zero
 
     def __hash__(self) -> int:
         # the value alone: equality still compares the group, so equal elements hash alike
@@ -128,12 +128,25 @@ class GroupElem:
 
 
 class GroupSpec:
-    """Shared interface of the three group kinds; each has `_add`/`_neg` on element values."""
+    """Shared interface of the three group kinds; each has `_add`/`_neg` on element values.
+
+    A group holds element values only, never a `GroupElem` of itself, so it is freed by
+    reference counting; its identity is `_key`, hashed once into `_hash`.
+    """
 
     kind: str
     name: str
     is_abelian: bool
     is_finite: bool
+    _zero: int
+    _key: tuple
+    _hash: int
+
+    def __eq__(self, other):
+        return other is self or isinstance(other, GroupSpec) and other._key == self._key
+
+    def __hash__(self):
+        return self._hash
 
     def _check(self, *elems: GroupElem) -> None:
         for e in elems:
@@ -141,7 +154,7 @@ class GroupSpec:
                 raise GroupMismatchError(f"element {e!r} does not belong to {self.name}")
 
     def zero(self) -> GroupElem:
-        return self._zero_elem
+        return GroupElem(self, self._zero)
 
     def add(self, a: GroupElem, b: GroupElem) -> GroupElem:
         raise NotImplementedError
@@ -206,11 +219,8 @@ class FiniteGroup(GroupSpec):
         self._zero = zero
         self._add = add
         self._neg = neg
-        # the shared element of each value, made on first use (see from_mask)
-        self._zero_elem = GroupElem(self, zero)
-        self._elements = {zero: self._zero_elem}
         self._subgroups: dict[int, int] = {}  # value -> its cyclic subgroup mask, walked on first use
-        self._bad_pair = ...  # find_bad_pair's answer, searched on first use
+        self._bad_pair = ...  # the values of find_bad_pair's answer, searched on first use
         # with a single cyclic factor, d + x is (d + x) mod n: a rotation of the bits
         self._rotates = rotates
         # a group of prime order p is cyclic, and no other group has invariant factors (p,)
@@ -225,10 +235,7 @@ class FiniteGroup(GroupSpec):
 
     def from_mask(self, mask: int) -> frozenset[GroupElem]:
         """The elements whose values are the set bits of mask."""
-        cache = self._elements
-        return frozenset(
-            cache[i] if i in cache else cache.setdefault(i, GroupElem(self, i)) for i in _bits(mask)
-        )
+        return frozenset(GroupElem(self, i) for i in _bits(mask))
 
     def translate(self, d: int, mask: int) -> int:
         """Bitmask of {d + x : x in mask}."""
@@ -299,7 +306,8 @@ class CyclicProduct(FiniteGroup):
         self.orders = orders
         self._invariants = _invariant_factors_from_orders(orders)
         self.name = "x".join(f"Z/{n}" for n in orders) if orders else "trivial"
-        self._hash = hash(("cyclic_product", orders))
+        self._key = ("cyclic_product", orders)
+        self._hash = hash(self._key)
         # (order, place value) of each coordinate; no order^2 table
         self._radix = radix = tuple((n, math.prod(orders[k + 1 :])) for k, n in enumerate(orders))
         if len(orders) == 1:
@@ -312,12 +320,6 @@ class CyclicProduct(FiniteGroup):
             lambda i, j: sum((i // s + j // s) % n * s for n, s in radix),
             lambda i: sum(-(i // s) % n * s for n, s in radix),
         )
-
-    def __eq__(self, other):
-        return isinstance(other, CyclicProduct) and other.orders == self.orders
-
-    def __hash__(self):
-        return self._hash
 
     def element(self, value) -> GroupElem:
         if isinstance(value, GroupElem):
@@ -389,19 +391,10 @@ class CayleyGroup(FiniteGroup):
         self.identity = identity
         self.is_abelian = all(tab[a][b] == tab[b][a] for a in range(n) for b in range(n))
         self.name = name or f"cayley[{n}]"
-        self._hash = hash(("cayley", tab, identity))
+        self._key = ("cayley", tab, identity)
+        self._hash = hash(self._key)
         self._inverse = tuple(tab[a].index(identity) for a in range(n))
         super().__init__(n, identity, lambda i, j: tab[i][j], self._inverse.__getitem__)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CayleyGroup)
-            and other.table == self.table
-            and other.identity == self.identity
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def element(self, value) -> GroupElem:
         if isinstance(value, GroupElem):
@@ -457,17 +450,11 @@ class IntegerGroup(GroupSpec):
     is_abelian = True
     is_finite = False
     name = "Z"
+    _zero = 0
+    _key = ("integers",)
+    _hash = hash(_key)
     _add = staticmethod(operator.add)
     _neg = staticmethod(operator.neg)
-
-    def __init__(self):
-        self._zero_elem = GroupElem(self, 0)
-
-    def __eq__(self, other):
-        return isinstance(other, IntegerGroup)
-
-    def __hash__(self):
-        return hash("integers")
 
     @property
     def order(self) -> float:
@@ -561,7 +548,7 @@ def element_order(e: GroupElem) -> int | float:
     """Smallest n >= 1 with n*e = 0; INFINITE for a nonzero integer."""
     group = e.group
     if not group.is_finite:
-        return 1 if e == group.zero() else INFINITE
+        return INFINITE if e else 1
     return group.cyclic(e.value).bit_count()
 
 
@@ -582,18 +569,19 @@ def elements_of_order_at_most_2(group: GroupSpec) -> frozenset[GroupElem]:
     """Exactly the g with g + g = 0 (the admissible shift values)."""
     if not group.is_finite:
         return frozenset({group.zero()})
-    zero = group.zero()
-    return frozenset(g for g in group.elements() if group.add(g, g) == zero)
+    add, zero = group._add, group._zero
+    return frozenset(GroupElem(group, g) for g in range(group.order) if add(g, g) == zero)
 
 
 def find_halving(group: GroupSpec, ell: GroupElem) -> GroupElem | None:
-    """Smallest g (canonical order) with g + g = ell, or None."""
+    """Smallest g (canonical order, which is value order) with g + g = ell, or None."""
     if not group.is_finite:
         raise ValueError("halving search requires a finite group")
     group._check(ell)
-    for g in sorted(group.elements(), key=group.elem_sort_key):
-        if group.add(g, g) == ell:
-            return g
+    add = group._add
+    for g in range(group.order):
+        if add(g, g) == ell.value:
+            return GroupElem(group, g)
     return None
 
 
@@ -608,17 +596,20 @@ def find_bad_pair(group: GroupSpec) -> tuple[GroupElem, GroupElem] | None:
         raise ValueError("bad-pair search requires a finite abelian group")
     if group._bad_pair is ...:
         group._bad_pair = _search_bad_pair(group)
-    return group._bad_pair
+    if group._bad_pair is None:
+        return None
+    g1, g2 = group._bad_pair
+    return GroupElem(group, g1), GroupElem(group, g2)
 
 
-def _search_bad_pair(group: FiniteGroup) -> tuple[GroupElem, GroupElem] | None:
-    zero = group.zero().value
+def _search_bad_pair(group: FiniteGroup) -> tuple[int, int] | None:
+    zero = group._zero
     nonzero = [g for g in range(group.order) if g != zero]
     subgroups = [group.cyclic(g) for g in range(group.order)]
     for g1 in nonzero:
         for g2 in nonzero:
             if group.coset_order_above_two(g1, subgroups[g2]):
-                return (GroupElem(group, g1), GroupElem(group, g2))
+                return g1, g2
     return None
 
 
@@ -639,22 +630,20 @@ def has_zero_path_ep(group: GroupSpec) -> bool:
 
 def _ell_ep_from_list(group: GroupSpec, ell: GroupElem) -> bool:
     factors = group.invariant_factors()
-    zero = group.zero()
     if all(f == 2 for f in factors):
-        return ell == zero or factors == (2,)
+        return not ell or factors == (2,)
     if factors == (4,):
-        return ell == zero or group.add(ell, ell) == zero
+        return not ell or group._add(ell.value, ell.value) == group._zero
     return len(factors) == 1 and _is_prime(factors[0])
 
 
 def _ell_ep_by_replay(group: GroupSpec, ell: GroupElem) -> bool:
     """Re-derive the verdict by replaying the reduction chain step by step."""
-    zero = group.zero()
-    if ell == zero:
+    if not ell:
         return find_bad_pair(group) is None
     # A nonzero g whose cyclic subgroup misses ell yields a grid counterexample.
     for g in range(group.order):
-        if g != zero.value and not group.cyclic(g) >> ell.value & 1:
+        if g != group._zero and not group.cyclic(g) >> ell.value & 1:
             return False
     # Otherwise the order of ell must be prime, the group order a power of it,
     # and the subgroup generated by ell the unique one of that order.
@@ -666,7 +655,7 @@ def _ell_ep_by_replay(group: GroupSpec, ell: GroupElem) -> bool:
         n //= p
     if n != 1:
         raise InternalInvariantError(f"{group.name} is not a {p}-group")
-    if sum(1 for g in group.elements() if element_order(g) == p) != p - 1:
+    if sum(1 for g in range(group.order) if group.cyclic(g).bit_count() == p) != p - 1:
         raise InternalInvariantError(f"{group.name} has several subgroups of order {p}")
     if group.order == 2:
         return True  # parity family; equivalent to the orientation-free model

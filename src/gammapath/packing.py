@@ -49,9 +49,13 @@ class PathFamilySpec:
         if self.kind == WEIGHT:
             if self.weight is None:
                 raise ValueError("weight family needs a target element")
-            self.graph.group._check(self.weight)
+            # read as the graph reads its labels: an element of its group or a literal of one
+            object.__setattr__(self, "weight", self.graph.group.element(self.weight))
         if self.kind == ABA and not self.through:
             raise ValueError("through-set family needs a vertex set")
+        # a float or bool twin of a vertex id hashes like it, so its type is checked too
+        for v in self.through:
+            vertex_key(v)
         if not set(self.through) <= set(self.graph.vertices):
             raise ValueError("through-set must consist of vertices")
 
@@ -62,7 +66,7 @@ class PathFamilySpec:
             return list(enumerate_terminal_paths(g, weight=self.weight, limits=limits))
         # a member test reads the kernel's prefix (the path without its end and last edge) and the value
         if self.kind == NONZERO:
-            zero = g.group.zero().value
+            zero = g.group._zero
             return list(enumerate_terminal_paths(g, keep=lambda path, edges, end, w: w != zero, limits=limits))
         if self.kind == ODD:
             return list(

@@ -16,7 +16,7 @@ from gammapath.graphs import DIRECTED, UNDIRECTED, enumerate_terminal_paths, wal
 from gammapath.groups import CyclicProduct
 from gammapath.jsonio import dumps
 
-from util import Z
+from util import Z, incident
 
 
 def test_greedy_sequence_for_zero_target():
@@ -38,8 +38,8 @@ def test_integer_gadget_shape():
     assert len(g.terminals) == 4
     # pendant adjacency: u_i only meets v{i}_1, w_i only meets v{i}_n
     for i in (1, 2):
-        assert [x for _, x in g.incident(f"u{i}")] == [f"v{i}_1"]
-        assert [x for _, x in g.incident(f"w{i}")] == [f"v{i}_2"]
+        assert [x for _, x in incident(g, f"u{i}")] == [f"v{i}_1"]
+        assert [x for _, x in incident(g, f"w{i}")] == [f"v{i}_2"]
 
 
 def test_integer_gadget_straight_row_weight():

@@ -41,6 +41,7 @@ from gammapath.packing import TerminalEdgeWarning, reduce_weight_to_zero
 from util import (
     INTS,
     Z,
+    component_of,
     graph_tables,
     make_s3,
     oracle_block_path_weights,
@@ -591,7 +592,7 @@ def _oracle_blocks(graph):
         for r in (0, 1, 2):
             for cut in itertools.combinations([x for x in verts if x not in (u, v)], r):
                 rest = graph.without_vertices(cut)
-                if v not in rest.component_of(u):
+                if v not in component_of(rest, u):
                     return True
         return False
 

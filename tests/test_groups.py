@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import json
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from gammapath import groups
 from gammapath.errors import GroupMismatchError, InternalInvariantError, UsageError
-from gammapath.graphs import UNDIRECTED, LabelledGraph
+from gammapath.graphs import UNDIRECTED, LabelledGraph, enumerate_terminal_paths
 from gammapath.groups import (
     CayleyGroup,
     CyclicProduct,
@@ -140,7 +142,7 @@ def test_find_bad_pair_searches_once_per_group_instance(monkeypatch):
     pair = find_bad_pair(first)
     searched = len(calls[0])
     assert pair is not None and searched > 0
-    assert find_bad_pair(first) is pair and len(calls[0]) == searched
+    assert find_bad_pair(first) == pair and len(calls[0]) == searched
     # an equal instance keeps its own memo, so it searches for itself
     assert not calls[1]
     assert find_bad_pair(second) == pair and len(calls[1]) == searched
@@ -148,6 +150,43 @@ def test_find_bad_pair_searches_once_per_group_instance(monkeypatch):
     assert find_bad_pair(prime) is None
     searched = len(calls[2])
     assert searched > 0 and find_bad_pair(prime) is None and len(calls[2]) == searched
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: CyclicProduct((8,)), lambda: CayleyGroup([[(i + j) % 8 for j in range(8)] for i in range(8)])],
+    ids=["cyclic", "cayley"],
+)
+def test_groups_are_freed_without_the_cycle_collector(make):
+    """A group holds no element of itself, so once a graph over it, its paths, its bad pair and
+    a mask's elements are dropped, reference counting alone frees it."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        group = make()
+        ref = weakref.ref(group)
+        edges = [("a", "b", 1), ("b", "c", 2), ("a", "c", 3)]
+        graph = LabelledGraph.build(group, UNDIRECTED, edges, terminals=["a", "c"])
+        paths = enumerate_terminal_paths(graph)
+        pair = find_bad_pair(group)
+        elems = group.from_mask(0b1011)
+        assert paths and pair is not None and len(elems) == 3
+        del group, graph, paths, pair, elems
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_groups_compare_and_hash_by_their_key():
+    z4_table = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+    assert CyclicProduct((2, 4)) == CyclicProduct([2, 4]) and hash(CyclicProduct((2, 4))) == hash(Z(2, 4))
+    assert CyclicProduct((4, 2)) != CyclicProduct((2, 4))
+    assert CayleyGroup(z4_table) == CayleyGroup(z4_table, name="other") != CyclicProduct((4,))
+    assert hash(CayleyGroup(z4_table)) == hash(CayleyGroup(z4_table, name="other"))
+    assert IntegerGroup() == INTS and hash(IntegerGroup()) == hash(INTS)
+    assert INTS != CyclicProduct(()) and INTS != "integers"
+    assert len({Z(4), CyclicProduct((4,)), CayleyGroup(z4_table), INTS, IntegerGroup()}) == 3
 
 
 def test_elements_of_order_at_most_2():

@@ -59,6 +59,12 @@ def test_limits_take_any_positive_real_budget():
     assert Limits(budget_s=0.5).budget_s == 0.5 and Limits(budget_s=3).budget_s == 3
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_limits_reject_a_bool_budget(flag):
+    with pytest.raises(ValueError, match=f"budget_s a real, got {flag}"):
+        Limits(budget_s=flag)
+
+
 @pytest.mark.parametrize("only", [[], ["nosuchcheck"], ["gadgets", "nosuchcheck"]])
 def test_only_without_known_check_ids_is_a_usage_error(only):
     with pytest.raises(UsageError, match="check ids must be some of cauchy-davenport, "):

@@ -114,6 +114,27 @@ def test_aba_family_includes_trivial_paths():
     assert nu == 1  # every member contains m or a; a-m-b uses both
 
 
+def test_weight_family_reads_its_weight_as_the_graph_reads_labels():
+    z3 = Z(3)
+    g = undirected(z3, [("a", "x", 1), ("x", "b", 0)], ["a", "b"])
+    spec = PathFamilySpec(WEIGHT, g, weight=1)
+    assert spec.weight == z3.element(1) and spec.to_json() == {"kind": WEIGHT, "weight": [1]}
+    assert [m.vertices for m in spec.members()] == [("a", "x", "b")]
+    assert spec == PathFamilySpec(WEIGHT, g, weight=z3.element(1))
+    with pytest.raises(ValueError, match="invalid literal"):
+        PathFamilySpec(WEIGHT, g, weight=1.0)
+    with pytest.raises(ValueError, match="does not belong"):
+        PathFamilySpec(WEIGHT, g, weight=Z(4).element(1))
+
+
+@pytest.mark.parametrize("twin", [1.0, True])
+def test_through_set_rejects_a_twin_of_a_vertex_id(twin):
+    g = undirected(Z(2), [(0, 1, 0), (1, 2, 0)], [0, 2])
+    assert PathFamilySpec(ABA, g, through=frozenset({1})).to_json()["through"] == [1]
+    with pytest.raises(ValueError, match="vertex ids must be ints or strings"):
+        PathFamilySpec(ABA, g, through=frozenset({twin}))
+
+
 def test_aba_disjoint_pairs():
     z2 = Z(2)
     g = undirected(

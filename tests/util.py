@@ -132,6 +132,27 @@ def oracle_reroute_subset(chain, target):
     return min(found) if found else None
 
 
+# --- adjacency reads over a graph's step table ------------------------------
+
+
+def incident(graph, v) -> list:
+    """The (edge, neighbour) pairs at v, in step-table order."""
+    return [(graph.edge(eid), y) for eid, y, _ in graph._steps[v]]
+
+
+def component_of(graph, start, forbidden=frozenset()) -> set:
+    """The vertices that start reaches without entering a forbidden one."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for _, y, _ in graph._steps[x]:
+            if y not in seen and y not in forbidden:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
 # --- brute-force oracles for the 3-connectivity tests ------------------------
 
 
@@ -140,7 +161,7 @@ def oracle_pair_inseparable(graph, u, v) -> bool:
     others = [x for x in graph.vertices if x not in (u, v)]
     for r in (0, 1, 2):
         for cut in itertools.combinations(others, r):
-            if v not in graph.component_of(u, forbidden=frozenset(cut)):
+            if v not in component_of(graph, u, forbidden=frozenset(cut)):
                 return False
     return True
 
@@ -152,7 +173,7 @@ def oracle_is_three_connected(graph) -> bool:
     for r in (0, 1, 2):
         for cut in itertools.combinations(graph.vertices, r):
             start = next(x for x in graph.vertices if x not in cut)
-            if len(graph.component_of(start, forbidden=frozenset(cut))) != len(graph.vertices) - r:
+            if len(component_of(graph, start, forbidden=frozenset(cut))) != len(graph.vertices) - r:
                 return False
     return True
 
@@ -166,14 +187,14 @@ def oracle_from_smaller_end(path, edges, end, eid) -> bool:
 
 
 def oracle_search_paths(graph, sources, stop, accept, *, forbidden=frozenset(), max_len, max_count, cut):
-    """search_paths summing GroupElem labels over graph.incident, as it was before the int kernel."""
+    """search_paths summing GroupElem labels over `incident`, as it was before the int kernel."""
     directed = graph.model == DIRECTED
     zero = graph.group.zero()
     found = 0
     truncated = False
     for source in sources:
         path, edges, weights, used = [source], [], [zero], {source}
-        frames = [iter(graph.incident(source))]
+        frames = [iter(incident(graph, source))]
         while frames:
             budget = max_len - len(edges)
             for e, nxt in frames[-1]:
@@ -199,7 +220,7 @@ def oracle_search_paths(graph, sources, stop, accept, *, forbidden=frozenset(), 
                 edges.append(e.eid)
                 weights.append(weights[-1] + step)
                 used.add(nxt)
-                frames.append(iter(graph.incident(nxt)))
+                frames.append(iter(incident(graph, nxt)))
                 break
             else:
                 frames.pop()
@@ -267,7 +288,7 @@ def oracle_walk_weight(graph, vertices, edge_ids) -> GroupElem:
 
 
 def oracle_potential_certificate(graph) -> dict | None:
-    """_potential_certificate on GroupElem labels over graph.incident, as it was before it ran on values."""
+    """_potential_certificate on GroupElem labels over `incident`, as it was before it ran on values."""
     zero = graph.group.zero()
     phi: dict = {}
     for root in graph.vertices:
@@ -277,7 +298,7 @@ def oracle_potential_certificate(graph) -> dict | None:
         stack = [root]
         while stack:
             x = stack.pop()
-            for e, y in graph.incident(x):
+            for e, y in incident(graph, x):
                 if y in phi:
                     continue
                 val = e.label - phi[x]
@@ -492,7 +513,7 @@ def oracle_bridges(graph, bset: set) -> tuple[Bridge, ...]:
     for start in rest.vertices:
         if start not in left:
             continue
-        comp = rest.component_of(start)
+        comp = component_of(rest, start)
         left -= comp
         attach = set()
         edge_ids = []
@@ -629,7 +650,7 @@ def graph_tables(graph: LabelledGraph) -> tuple:
         graph.edges,
         graph.terminals,
         graph._terminal_order,
-        [graph.incident(v) for v in graph.vertices],
+        [incident(graph, v) for v in graph.vertices],
         list(graph._steps.items()),
         list(graph._rank.items()),
         list(graph._erank.items()),
