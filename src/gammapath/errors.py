@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -80,7 +81,7 @@ class Limits:
             value = getattr(self, name)
             if type(value) is not int:
                 raise ValueError(f"limits must be positive and {name} an int, got {value!r}")
-        if type(self.budget_s) is bool:
+        if type(self.budget_s) is bool or not isinstance(self.budget_s, numbers.Real):
             raise ValueError(f"limits must be positive and budget_s a real, got {self.budget_s!r}")
         # written as `not > 0` so that NaN is rejected too
         if not all(x > 0 for x in (self.max_len, self.max_paths, self.cycle_cap, self.budget_s, self.max_family)):

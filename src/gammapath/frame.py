@@ -62,23 +62,21 @@ def _first_zero_path_disjoint_from(graph: LabelledGraph, blocked, limits: Limits
     return None
 
 
-def _first_attach_path(graph: LabelledGraph, forest: dict, targets: set, limits: Limits):
-    """First path from a free terminal to a target: a degree-2 forest vertex
-    that is not a terminal, the caller's set kept in step with the forest.
+def _first_attach_path(graph: LabelledGraph, sources: list, state: dict, limits: Limits):
+    """First path from a free terminal in sources to a target, a degree-2 forest vertex that is
+    not a terminal: True in the caller's table, where the terminals and other forest vertices are False.
 
     Internal vertices avoid both the forest and the terminal set, so gluing
     the path onto its tree keeps the component subcubic with leaves exactly
     the terminals it meets.
     """
-    sources = [a for a in graph._terminal_order if a not in forest]
-    for vertices, edge_ids, _ in search_paths(
-        graph, sources, targets, lambda *_: True,
-        forbidden=graph.terminals.union(forest) - targets,
-        max_len=limits.max_len, max_count=limits.max_paths,
+    search = search_paths(
+        graph, sources, state, lambda *_: True, max_len=limits.max_len, max_count=limits.max_paths,
         cut="path length while searching attachments",
-    ):
-        return vertices, edge_ids
-    return None
+    )
+    hit = next(search, None)
+    search.close()
+    return None if hit is None else hit[:2]
 
 
 def _add_path(forest: dict, vertices: tuple, edge_ids: tuple) -> None:
@@ -310,17 +308,16 @@ def frame_pack_or_cover(
         audit.append({"move": "new-component", "path": list(candidate.vertices)})
         if debug:
             _validate_forest(graph, forest, witnesses)
-    # the forest only grows, so no zero path avoids it again: only attach moves are left
+    # the forest only grows, so no zero path avoids it again: only attach moves are left, on one table
     terminals = graph.terminals
-    targets = {v for v, nbrs in forest.items() if len(nbrs) == 2 and v not in terminals}
-    while (attach := _first_attach_path(graph, forest, targets, limits)) is not None:
+    state = dict.fromkeys(terminals, False)
+    state.update((v, len(nbrs) == 2) for v, nbrs in forest.items() if v not in terminals)
+    sources = [a for a in graph._terminal_order if a not in forest]
+    while (attach := _first_attach_path(graph, sources, state, limits)) is not None:
         _add_path(forest, *attach)
-        # only the path's own vertices change degree
-        for v in attach[0]:
-            if len(forest[v]) == 2 and v not in terminals:
-                targets.add(v)
-            else:
-                targets.discard(v)
+        # the path's source joins the forest, and only the path's own vertices change degree
+        sources.remove(attach[0][0])
+        state.update((v, len(forest[v]) == 2) for v in attach[0] if v not in terminals)
         audit.append({"move": "attach", "path": list(attach[0])})
         if debug:
             _validate_forest(graph, forest, witnesses)

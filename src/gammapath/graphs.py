@@ -299,10 +299,9 @@ def walk_weight(graph: LabelledGraph, vertices, edge_ids) -> GroupElem:
 def search_paths(
     graph: LabelledGraph,
     sources,
-    stop,
+    state: dict,
     accept: Callable[[list, list, object, object], bool],
     *,
-    forbidden=frozenset(),
     max_len: int,
     max_count: int,
     cut: str,
@@ -310,22 +309,22 @@ def search_paths(
 ) -> Iterator[tuple[tuple, tuple, int]]:
     """Simple paths from each source, in turn, that end at their first stop vertex.
 
-    Depth-first in adjacency order, on an explicit stack.  One table, built
-    once per call, holds each vertex's state: stop, forbidden (which wins) or
-    on the path; a free vertex has no entry.  A free neighbour extends the
-    path; a stop one ends it, and the path counts when accept(prefix
-    vertices, prefix edge ids, end, last edge id) holds; any other is
-    skipped.  A counted path is yielded as (vertices, edge ids, weight value)
-    unless member(prefix vertices, prefix edge ids, end, weight value) is
-    given and fails; a non-member never becomes a tuple.  The prefix lists
-    are the search's own, not to be kept or changed.  The weight is an
-    element value, summed left to right with `group._add` over the graph's
-    step table as vertices are pushed; a step is the label's value, negated
-    when the edge is traversed against its orientation in the directed model.
+    Depth-first in adjacency order, on an explicit stack.  The caller's table
+    state marks a stop vertex True and a forbidden one False; a free vertex has
+    no entry.  A free neighbour extends the path; a stop one ends it, and the
+    path counts when accept(prefix vertices, prefix edge ids, end, last edge
+    id) holds; any other is skipped.  A counted path is yielded as (vertices,
+    edge ids, weight value) unless member(prefix vertices, prefix edge ids,
+    end, weight value) is given and fails; a non-member never becomes a tuple.
+    The prefix lists are the search's own, not to be kept or changed.  The
+    weight is an element value, summed left to right with `group._add` over the
+    graph's step table as vertices are pushed; a step is the label's value,
+    negated when the edge is traversed against its orientation in the directed
+    model.
 
-    A source keeps its own mark while its search runs, and a finished source
-    is marked forbidden, so a path between two sources is found once, from
-    the earlier one.  The caller's sets are not changed.
+    The search marks its path False in the table (a source keeps its mark)
+    and takes the marks off when it ends, is closed or raises; only a finished
+    source stays False, so a path between two sources is found once.
 
     The search owns its limits.  Counted paths beyond max_count raise
     LimitExceeded("enumerated paths", max_count), members or not.  Paths
@@ -337,51 +336,52 @@ def search_paths(
     add = graph.group._add
     steps = graph._steps
     zero = graph.group._zero
-    # vertex -> True for a stop vertex; False for a forbidden one or one on the path
-    state = dict.fromkeys(stop, True)
-    state.update(dict.fromkeys(forbidden, False))
     mark_of = state.get
     found = 0
     truncated = False
-    for source in sources:
-        state.setdefault(source, False)
-        path, edges = [source], []
-        frames = [(iter(steps[source]), zero)]  # (row iterator, prefix weight) per path vertex
-        depth = 0  # edges on the path
-        while frames:
-            row, weight = frames[-1]
-            budget = max_len - depth
-            for eid, nxt, step in row:
-                mark = mark_of(nxt)
-                if mark is None:
-                    # an interior extension needs one edge now and at least one more to finish
-                    if budget < 2:
-                        truncated = True
+    path: list = []
+    try:
+        for source in sources:
+            prior = mark_of(source)
+            state.setdefault(source, False)
+            path, edges = [source], []
+            frames = [(iter(steps[source]), zero)]  # (row iterator, prefix weight) per path vertex
+            while frames:
+                row, weight = frames[-1]
+                budget = max_len - len(edges)
+                for eid, nxt, step in row:
+                    mark = mark_of(nxt)
+                    if mark is None:
+                        # an interior extension needs one edge now and at least one more to finish
+                        if budget < 2:
+                            truncated = True
+                            continue
+                        path.append(nxt)
+                        edges.append(eid)
+                        state[nxt] = False
+                        frames.append((iter(steps[nxt]), add(weight, step)))
+                        break
+                    if not mark:
                         continue
-                    path.append(nxt)
-                    edges.append(eid)
-                    state[nxt] = False
-                    frames.append((iter(steps[nxt]), add(weight, step)))
-                    depth += 1
-                    break
-                if not mark:
-                    continue
-                if budget < 1:
-                    truncated = True
-                elif accept(path, edges, nxt, eid):
-                    found += 1
-                    if found > max_count:
-                        raise LimitExceeded("enumerated paths", max_count)
-                    end = add(weight, step)
-                    if member is None or member(path, edges, nxt, end):
-                        yield tuple(path) + (nxt,), tuple(edges) + (eid,), end
-            else:
-                frames.pop()
-                if depth:
-                    del state[path.pop()]
-                    edges.pop()
-                    depth -= 1
-        state[source] = False
+                    if budget < 1:
+                        truncated = True
+                    elif accept(path, edges, nxt, eid):
+                        found += 1
+                        if found > max_count:
+                            raise LimitExceeded("enumerated paths", max_count)
+                        end = add(weight, step)
+                        if member is None or member(path, edges, nxt, end):
+                            yield tuple(path) + (nxt,), tuple(edges) + (eid,), end
+                else:
+                    frames.pop()
+                    if edges:
+                        del state[path.pop()]
+                        edges.pop()
+            state[path.pop()] = False
+    finally:
+        if path:  # an unfinished source: its search's marks come off, and its own mark stays if it had one
+            for v in path[0 if prior is None else 1:]:
+                del state[v]
     if truncated:
         raise LimitExceeded(cut, max_len)
 
@@ -395,9 +395,10 @@ def search_terminal_paths(graph: LabelledGraph, *, blocked=frozenset(), member=N
     path met, member or not.
     """
     sources = [a for a in graph._terminal_order if a not in blocked]
+    state = {**dict.fromkeys(graph.terminals, True), **dict.fromkeys(blocked, False)}
     return search_paths(
-        graph, sources[:-1], graph.terminals, lambda path, edges, end, eid: end != path[0],
-        forbidden=blocked, max_len=limits.max_len, max_count=limits.max_paths, cut=cut, member=member,
+        graph, sources[:-1], state, lambda path, edges, end, eid: end != path[0],
+        max_len=limits.max_len, max_count=limits.max_paths, cut=cut, member=member,
     )
 
 
@@ -477,15 +478,14 @@ def iter_simple_cycles(
             raise LimitExceeded("enumerated simple cycles", cycle_cap)
         return True
 
-    smaller: set = set()
+    state: dict = {}  # each start stops its own search, which leaves it forbidden to the later ones
     for start in graph.vertices:
         place = {eid: i for i, (eid, _, _) in enumerate(graph._steps[start])}  # edge id -> row place
+        state[start] = True
         # a simple cycle has at most n edges, so max_len cuts none
         yield from search_paths(
-            graph, (start,), {start}, closes,
-            forbidden=smaller, max_len=len(graph.vertices), max_count=cycle_cap, cut="cycle length",
+            graph, (start,), state, closes, max_len=len(graph.vertices), max_count=cycle_cap, cut="cycle length",
         )
-        smaller.add(start)
 
 
 def _potential_certificate(graph: LabelledGraph) -> dict | None:
@@ -751,7 +751,7 @@ def _block_path_weights(graph, bridges, limits) -> list[tuple]:
             paths = (((a, b), (eid,), step) for eid, y, step in graph._steps[a] if y == b)
         else:
             paths = search_paths(
-                graph, (a,), {b}, lambda *_: True, forbidden=vertices - allowed,
+                graph, (a,), {**dict.fromkeys(vertices - allowed, False), b: True}, lambda *_: True,
                 max_len=limits.max_len, max_count=limits.max_paths,
                 cut="path length during block-weight enumeration",
             )

@@ -58,6 +58,8 @@ class PathFamilySpec:
             vertex_key(v)
         if not set(self.through) <= set(self.graph.vertices):
             raise ValueError("through-set must consist of vertices")
+        # kept as the graph keeps its terminals: hashable, and with the set methods the search uses
+        object.__setattr__(self, "through", frozenset(self.through))
 
     def members(self, limits: Limits = DEFAULT_LIMITS) -> list[PathWitness]:
         """Exhaustively enumerate the family, in deterministic order."""

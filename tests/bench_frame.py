@@ -12,13 +12,13 @@ disjoint zero paths the leaf count guarantees, on:
 - one row of 50 random subcubic terminal trees over Z/3 on 20-200 vertices
   (`util.random_subcubic_tree`, seed 0), each at its own k.
 
-It also times `frame.frame_pack_or_cover` on one sparse directed graph over
-Z/3 with n = 3,200 vertices: a random spanning tree plus distinct random
-pairs up to m = 1.3n edges, each edge oriented at random, and 30% of the
-vertices terminals (all drawn from `random.Random(n)`), at k = 3, where the
-frame packs, and at k = 1,000, where it covers.  Each move runs a first-hit
-path search, so this row shows the cost of starting a search on a large
-graph.
+It also times `frame.frame_pack_or_cover` on sparse directed graphs over
+Z/3 with n = 3,200 and 12,800 vertices: a random spanning tree plus distinct
+random pairs up to m = 1.3n edges, each edge oriented at random, and 30% of
+the vertices terminals (all drawn from `random.Random(n)`), at k = 3, where
+the frame packs, and at k = 1,000, where it covers.  Each move runs a
+first-hit path search, so these rows show the cost of starting a search on a
+large graph, and the doubling twice over shows how the frame grows with n.
 
 Each packing is checked to be k disjoint zero-weight paths, and each cover
 to have passed its checks, so a wrong result fails even an untimed run.  The
@@ -42,7 +42,7 @@ from gammapath.packing import _verify_packing
 from util import Z, random_subcubic_tree
 
 CATERPILLAR_SIZES = (200, 400, 800, 1600, 3200, 6400, 25600)
-SPARSE_SIZE = 3200
+SPARSE_SIZES = (3200, 12800)
 
 
 def _caterpillar(n: int):
@@ -131,8 +131,9 @@ def test_extract_random_trees(benchmark):
 
 
 @pytest.mark.parametrize("k", (3, 1000))
-def test_frame_sparse_graph(benchmark, k):
-    graph = _sparse_graph(SPARSE_SIZE)
+@pytest.mark.parametrize("n", SPARSE_SIZES)
+def test_frame_sparse_graph(benchmark, n, k):
+    graph = _sparse_graph(n)
     result = benchmark.pedantic(frame_pack_or_cover, args=(graph, k), rounds=3)
     benchmark.extra_info.update(
         vertices=len(graph.vertices), edges=len(graph.edges), terminals=len(graph.terminals),

@@ -372,11 +372,20 @@ def test_frame_searches_for_a_new_component_until_the_first_miss(monkeypatch):
         searches.append(len(blocked))
         return _first_zero_path_disjoint_from(graph, blocked, limits)
 
-    def replayed_attach(graph, forest, targets, limits):
-        # the frame keeps its target set in step with the forest
-        assert targets == {v for v, nbrs in forest.items() if len(nbrs) == 2 and v not in graph.terminals}
+    forests = [{}]  # the forest the frame last grew
+
+    def add_path(forest, vertices, edge_ids):
+        forests[0] = forest
+        _add_path(forest, vertices, edge_ids)
+
+    def replayed_attach(graph, sources, state, limits):
+        # the frame keeps its free terminals and its table in step with the forest
+        forest = forests[0]
+        assert sources == [a for a in graph._terminal_order if a not in forest]
+        assert state == {**dict.fromkeys(graph.terminals.union(forest), False),
+                         **{v: True for v, nbrs in forest.items() if len(nbrs) == 2 and v not in graph.terminals}}
         replays.append(_first_zero_path_disjoint_from(graph, forest.keys(), limits))
-        return _first_attach_path(graph, forest, targets, limits)
+        return _first_attach_path(graph, sources, state, limits)
 
     skipped = 0
     for i in range(80):
@@ -385,7 +394,9 @@ def test_frame_searches_for_a_new_component_until_the_first_miss(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(frame, "_first_zero_path_disjoint_from", search)
             ours = frame_pack_or_cover(g, k)
+        forests[0] = {}
         with monkeypatch.context() as m:
+            m.setattr(frame, "_add_path", add_path)
             m.setattr(frame, "_first_attach_path", replayed_attach)
             assert frame_pack_or_cover(g, k).to_json() == ours.to_json()
         moves = [step["move"] for step in ours.audit]
@@ -421,17 +432,20 @@ def test_first_zero_path_search_contract():
 def test_attachment_search_contract():
     z2 = Z(2)
     limits = Limits(max_len=2)
-    forest = {"a": [(0, "m")], "m": [(0, "a"), (1, "b")], "b": [(1, "m")]}
     spine = [("a", "m", 0, "a"), ("m", "b", 0, "m")]
     long_way = [("c", "d1", 0, "c"), ("d1", "d2", 0, "d1"), ("d2", "m", 0, "d2")]
     # c reaches the forest only through three edges: cut, so no answer
     far = directed(z2, spine + long_way, ["a", "b", "c"])
+    # the forest is the spine a-m-b: m is the one target, the terminals are forbidden
+    table = {"a": False, "b": False, "c": False, "m": True}
+    state = dict(table)
     with pytest.raises(LimitExceeded) as info:
-        _first_attach_path(far, forest, {"m"}, limits)
+        _first_attach_path(far, ["c"], state, limits)
     assert str(info.value) == "path length while searching attachments exceeds limit 2"
     # the branch through d1 is cut before the search meets c-e1-m, which is returned
     near = directed(z2, spine + long_way + [("c", "e1", 0, "c"), ("e1", "m", 0, "e1")], ["a", "b", "c"])
-    assert _first_attach_path(near, forest, {"m"}, limits) == (("c", "e1", "m"), (5, 6))
+    assert _first_attach_path(near, ["c"], state, limits) == (("c", "e1", "m"), (5, 6))
+    assert state == table  # both searches leave the caller's table as they found it
 
 
 def _forest_case():

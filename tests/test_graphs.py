@@ -30,7 +30,6 @@ from gammapath.graphs import (
     iter_simple_cycles,
     nonzero_terminal_path_from_fans,
     normalize_to_zero,
-    search_paths,
     three_blocks,
     vertex_key,
     walk_weight,
@@ -49,6 +48,7 @@ from util import (
     oracle_iter_simple_cycles,
     random_label,
     sparse_graph,
+    table_search_paths,
 )
 
 
@@ -189,7 +189,7 @@ def test_enumerate_matches_networkx_on_random_simple_graphs():
         blocked = set(block_rng.sample(vertices, block_rng.randint(0, n - 2)))
         sources = [a for a in sorted(terminals) if a not in blocked]
         found = []
-        for vs, es, w in search_paths(
+        for vs, es, w in table_search_paths(
             g, sources[:-1], g.terminals, lambda path, edges, end, eid: end != path[0],
             forbidden=blocked, max_len=n, max_count=10_000, cut="path length",
         ):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 import types
 
 import pytest
@@ -59,10 +60,11 @@ def test_limits_take_any_positive_real_budget():
     assert Limits(budget_s=0.5).budget_s == 0.5 and Limits(budget_s=3).budget_s == 3
 
 
-@pytest.mark.parametrize("flag", [True, False])
-def test_limits_reject_a_bool_budget(flag):
-    with pytest.raises(ValueError, match=f"budget_s a real, got {flag}"):
-        Limits(budget_s=flag)
+# a bool is an int, so it is rejected by name; the rest are not reals at all
+@pytest.mark.parametrize("value", [True, False, "5", None, 1 + 0j])
+def test_limits_reject_a_bool_budget(value):
+    with pytest.raises(ValueError, match=f"^limits must be positive and budget_s a real, got {re.escape(repr(value))}$"):
+        Limits(budget_s=value)
 
 
 @pytest.mark.parametrize("only", [[], ["nosuchcheck"], ["gadgets", "nosuchcheck"]])

@@ -38,6 +38,7 @@ from util import (
     oracle_potential_certificate,
     oracle_search_paths,
     oracle_walk_weight,
+    table_search_paths,
 )
 
 # S3 is nonabelian, so it lives in the directed model only
@@ -95,7 +96,7 @@ def test_int_kernel_matches_groupelem_oracle(group, model):
         forbidden = frozenset(rng.sample(g.vertices, rng.randint(0, 2)))
         n = len(g.vertices)
         for name, max_len, max_count in (("complete", n, 10**6), ("cut", 2, 10**6), ("overflow", n, 2)):
-            ours = _outcome(search_paths, oracle_from_smaller_end, lambda w: w, g, forbidden, max_len, max_count)
+            ours = _outcome(table_search_paths, oracle_from_smaller_end, lambda w: w, g, forbidden, max_len, max_count)
             theirs = _outcome(
                 oracle_search_paths, oracle_from_smaller_end, lambda w: w.value, g, forbidden, max_len, max_count
             )
@@ -262,16 +263,69 @@ def test_a_cut_off_only_the_largest_terminal_no_longer_raises():
 def test_a_source_is_forbidden_to_the_searches_after_its_own():
     z2 = Z(2)
     g = LabelledGraph.build(z2, UNDIRECTED, [("a", "b", 0), ("a", "c", 0), ("b", "c", 0)], ["a", "b"])
-    blocked: set = set()
+    state = {"a": True, "b": True}
     found = [
         vs for vs, _, _ in search_paths(
-            g, ["a", "b"], {"a", "b"}, lambda *_: True,
-            forbidden=blocked, max_len=3, max_count=10, cut="path length",
+            g, ["a", "b"], state, lambda *_: True, max_len=3, max_count=10, cut="path length",
         )
     ]
     # a may close a cycle in its own search; b's search no longer meets a
     assert found == [("a", "b"), ("a", "c", "a"), ("a", "c", "b"), ("b", "c", "b")]
-    assert blocked == set()  # the caller's set is left as it was
+    assert state == {"a": False, "b": False}  # each finished source stays forbidden in the caller's table
+
+
+def test_a_search_leaves_the_callers_table_as_it_found_it():
+    """Run to its end, closed after its first hit, or ended by LimitExceeded (too many paths or
+    a cut path), a search takes its marks off the caller's table; each finished source alone
+    stays forbidden."""
+    rng = random.Random("caller-table")
+    seen = Counter()
+    for _ in range(80):
+        group, model = rng.choice(CASES)
+        g = _random_graph(rng, group, model)
+        vertices, n = g.vertices, len(g.vertices)
+        table = dict.fromkeys(rng.sample(vertices, rng.randint(1, n)), True)
+        table.update(dict.fromkeys(rng.sample(vertices, rng.randint(0, 3)), False))
+        sources = rng.sample(vertices, rng.randint(1, min(4, n)))
+        at = []  # the source of each counted path
+
+        def accept(path, edges, end, eid):
+            at.append(path[0])
+            return True
+
+        def search(state, max_len=n, max_count=10**6):
+            at.clear()
+            return search_paths(g, sources, state, accept, max_len=max_len, max_count=max_count, cut="path length")
+
+        def as_found(finished):
+            return {**table, **dict.fromkeys(finished, False)}
+
+        state = dict(table)
+        paths = list(search(state))
+        assert state == as_found(sources)
+        if paths:
+            state = dict(table)
+            hits = search(state)
+            first = next(hits)
+            finished = sources[:sources.index(first[0][0])]
+            seen["closed with marks on"] += state != as_found(finished)
+            hits.close()
+            assert state == as_found(finished)
+            count = rng.randrange(len(paths))
+            state = dict(table)
+            with pytest.raises(LimitExceeded, match="enumerated paths"):
+                list(search(state, max_count=count))
+            assert state == as_found(sources[:sources.index(at[-1])])
+            seen["overflow with marks on"] += len(paths[count][0]) > 2
+        for max_len in (1, 2):
+            state = dict(table)
+            try:
+                list(search(state, max_len=max_len))
+            except LimitExceeded as exc:
+                assert str(exc) == f"path length exceeds limit {max_len}"
+                seen["cut"] += 1
+            assert state == as_found(sources)
+    assert min(seen[k] for k in ("closed with marks on", "overflow with marks on", "cut")) > 0, seen
 
 
 # --- the state-table kernel's contract: search_paths against oracle_search_paths run in turn ---
@@ -351,7 +405,7 @@ def test_the_state_table_kernel_matches_the_oracle_searched_in_turn(group, model
 
         def both(max_len, max_count):
             kw = dict(forbidden=forbidden, max_len=max_len, max_count=max_count)
-            ours = _run(search_paths, g, sources, stop, accept, cut="path length", member=member, **kw)
+            ours = _run(table_search_paths, g, sources, stop, accept, cut="path length", member=member, **kw)
             assert ours == _run(_oracle_in_turn, g, sources, stop, accept, member=member, **kw)
             return ours
 

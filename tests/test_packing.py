@@ -135,6 +135,14 @@ def test_through_set_rejects_a_twin_of_a_vertex_id(twin):
         PathFamilySpec(ABA, g, through=frozenset({twin}))
 
 
+@pytest.mark.parametrize("through", [[1], {1}])
+def test_through_set_is_kept_as_a_frozenset(through):
+    g = undirected(Z(2), [(0, 1, 0), (1, 2, 0)], [0, 2])
+    spec = PathFamilySpec(ABA, g, through=through)
+    assert spec.through == frozenset({1}) and hash(spec) == hash(PathFamilySpec(ABA, g, through=frozenset({1})))
+    assert max_packing(spec)[0] == 1
+
+
 def test_aba_disjoint_pairs():
     z2 = Z(2)
     g = undirected(

@@ -231,6 +231,13 @@ def oracle_search_paths(graph, sources, stop, accept, *, forbidden=frozenset(), 
         raise LimitExceeded(cut, max_len)
 
 
+def table_search_paths(graph, sources, stop, accept, *, forbidden=frozenset(), **kw):
+    """search_paths on a table built from a stop set and a forbidden set, forbidden winning."""
+    state = dict.fromkeys(stop, True)
+    state.update(dict.fromkeys(forbidden, False))
+    return search_paths(graph, sources, state, accept, **kw)
+
+
 def oracle_iter_simple_cycles(graph, cycle_cap):
     """iter_simple_cycles as it was before it compared row places: a set of every emitted edge set."""
     emitted: set[frozenset] = set()
@@ -248,7 +255,7 @@ def oracle_iter_simple_cycles(graph, cycle_cap):
 
     smaller: set = set()
     for start in graph.vertices:
-        yield from search_paths(
+        yield from table_search_paths(
             graph, (start,), {start}, closes,
             forbidden=smaller, max_len=len(graph.vertices), max_count=cycle_cap, cut="cycle length",
         )
