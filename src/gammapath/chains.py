@@ -60,14 +60,14 @@ class CycleChain:
         """Validate the geometry and compute interval deltas."""
         if graph.model != UNDIRECTED:
             raise PreconditionFailed("chains live in the orientation-free model")
-        core.validate(graph)
+        _check_input(graph, core, "chain core")
         pos = {v: i for i, v in enumerate(core.vertices)}
         terminals = graph.terminals
         used: set = set()
         intervals = []
         deltas = []
         oriented = []
-        for q in detours:
+        for idx, q in enumerate(detours):
             if set(q.vertices) & terminals:
                 raise PreconditionFailed("detour touches the terminal set")
             ends = [v for v in (q.vertices[0], q.vertices[-1])]
@@ -83,7 +83,7 @@ class CycleChain:
                 raise PreconditionFailed("detour must span a nontrivial interval")
             if q.vertices[0] != core.vertices[i]:
                 q = q.reversed(graph)
-            q.validate(graph, as_terminal_path=False)
+            _check_input(graph, q, f"chain detour {idx}", as_terminal_path=False)
             intervals.append((i, j))
             oriented.append(q)
         order = sorted(range(len(intervals)), key=lambda t: intervals[t])
@@ -119,6 +119,14 @@ class CycleChain:
             out["core"] = self.core.to_json()
             out["detours"] = [q.to_json() for q in self.detours]
         return out
+
+
+def _check_input(graph: LabelledGraph, witness: PathWitness, what: str, as_terminal_path: bool = True) -> None:
+    """`witness.validate` on a witness the caller gave, a failure naming what it is."""
+    try:
+        witness.validate(graph, as_terminal_path)
+    except InternalInvariantError as exc:
+        raise PreconditionFailed(f"{what}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -212,31 +220,16 @@ def reroute_to_weight(chain: CycleChain, target) -> Reroute | None:
 
 
 def _splice(chain: CycleChain, subset: list[int]) -> PathWitness:
-    take = set(subset)
-    verts: list = [chain.core.vertices[0]]
-    edges: list = []
-    core = chain.core
-    pos = 0
-    for idx, (a, b) in enumerate(chain.intervals):
-        # copy the core up to the interval start
-        while pos < a:
-            edges.append(core.edge_ids[pos])
-            pos += 1
-            verts.append(core.vertices[pos])
-        if idx in take:
-            q = chain.detours[idx]
-            verts.extend(q.vertices[1:])
-            edges.extend(q.edge_ids)
-            pos = b
-        # otherwise the interval is copied by the loop above on the next round
-    while pos < len(core.edge_ids):
-        edges.append(core.edge_ids[pos])
-        pos += 1
-        verts.append(core.vertices[pos])
-    w = walk_weight(chain.graph, tuple(verts), tuple(edges))
-    witness = PathWitness(tuple(verts), tuple(edges), w)
-    witness.validate(chain.graph)
-    return witness
+    """The core with each detour in subset in place of its interval."""
+    core, verts, edges, pos = chain.core, [], [], 0
+    for idx in subset:
+        (a, b), q = chain.intervals[idx], chain.detours[idx]
+        verts += core.vertices[pos:a] + q.vertices[:-1]
+        edges += core.edge_ids[pos:a] + q.edge_ids
+        pos = b
+    verts += core.vertices[pos:]
+    edges += core.edge_ids[pos:]
+    return PathWitness.of(chain.graph, verts, edges)
 
 
 def zero_path_from_chain(chain: CycleChain) -> Reroute:
@@ -277,16 +270,11 @@ def sharpness_witness(p: int) -> CycleChain:
         edges.append((f"x{i}", f"d{i}", 1))
         edges.append((f"d{i}", f"y{i}", 0))
     graph = LabelledGraph.build(group, UNDIRECTED, edges, ["a", "b"])
-    core_vertices = tuple(names)
-    core_edges = tuple(range(core_edge_count))
-    core = PathWitness(
-        core_vertices, core_edges, walk_weight(graph, core_vertices, core_edges)
-    )
+    core = PathWitness.of(graph, names, range(core_edge_count))
     detours = []
     for i in range(1, n + 1):
-        vs = (f"x{i}", f"d{i}", f"y{i}")
         es = (core_edge_count + 2 * (i - 1), core_edge_count + 2 * (i - 1) + 1)
-        detours.append(PathWitness(vs, es, walk_weight(graph, vs, es)))
+        detours.append(PathWitness.of(graph, (f"x{i}", f"d{i}", f"y{i}"), es, as_terminal_path=False))
     chain = CycleChain.embedded(graph, core, detours)
     if chain.core_weight != group.element(1) or any(
         d != group.element(1) for d in chain.deltas

@@ -161,15 +161,9 @@ def _zero_path_from(graph: LabelledGraph, adj: dict, v) -> PathWitness:
     k = 0
     while k < min(len(ei), len(ej)) and ei[k] == ej[k]:
         k += 1
-    branch_i_v, branch_i_e = vi[k:], ei[k:]
-    branch_j_v, branch_j_e = vj[k:], ej[k:]
-    verts = tuple(reversed(branch_i_v)) + branch_j_v[1:]
-    edges = tuple(reversed(branch_i_e)) + branch_j_e
-    w = walk_weight(graph, verts, edges)
-    witness = PathWitness(verts, edges, w)
-    if w != group.zero():
+    witness = PathWitness.of(graph, vi[k:][::-1] + vj[k + 1 :], ei[k:][::-1] + ej[k:])
+    if witness.weight != group.zero():
         raise InternalInvariantError("prefix cancellation did not produce weight zero")
-    witness.validate(graph)
     return witness
 
 
@@ -264,11 +258,9 @@ def extract_zero_paths(graph: LabelledGraph, tree_edges: set, k: int) -> list[Pa
         # single-edge tree: only possible demand is over the trivial group
         ((eid, _),) = next(iter(adj.values()))
         e = graph.edge(eid)
-        w = walk_weight(graph, (e.u, e.v), (e.eid,))
-        if w != graph.group.zero():
+        last = PathWitness.of(graph, (e.u, e.v), (eid,))
+        if last.weight != graph.group.zero():
             raise InternalInvariantError("single-edge tree with nonzero weight")
-        last = PathWitness((e.u, e.v), (e.eid,), w)
-        last.validate(graph)
     else:
         last = _zero_path_from(graph, adj, min((v for v in adj if len(adj[v]) >= 2), key=vertex_key))
     paths = [last] + far_paths[::-1]

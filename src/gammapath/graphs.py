@@ -226,6 +226,14 @@ class PathWitness:
     weight: GroupElem
     trivial: bool = False
 
+    @classmethod
+    def of(cls, graph: LabelledGraph, vertices, edge_ids, as_terminal_path: bool = True) -> "PathWitness":
+        """The witness of a walk the caller built: weighed by `walk_weight`, then checked by `validate`."""
+        vertices, edge_ids = tuple(vertices), tuple(edge_ids)
+        witness = cls(vertices, edge_ids, walk_weight(graph, vertices, edge_ids))
+        witness.validate(graph, as_terminal_path)
+        return witness
+
     @property
     def endpoints(self) -> tuple:
         return (self.vertices[0], self.vertices[-1])
@@ -563,12 +571,12 @@ def apply_shifts(graph: LabelledGraph, shifts) -> LabelledGraph:
     model, g + g = 0 and a known vertex.  The model's group is abelian, so
     the shifts at a vertex can be summed first.
     """
+    if graph.model != UNDIRECTED:
+        raise PreconditionFailed("shifting is defined in the orientation-free model")
     group = graph.group
     add, zero = group._add, group._zero
     total: dict = {}
     for v, g in shifts:
-        if graph.model != UNDIRECTED:
-            raise PreconditionFailed("shifting is defined in the orientation-free model")
         g = group.element(g)
         if add(g.value, g.value) != zero:
             raise PreconditionFailed(f"shift value must satisfy g+g=0, got {g!r}")
@@ -824,12 +832,8 @@ def nonzero_terminal_path_from_fans(
     cycle_edges = tuple(cycle_edges)
     if cycle_vertices[0] != cycle_vertices[-1] or len(set(cycle_vertices[:-1])) != len(cycle_vertices) - 1:
         raise PreconditionFailed("cycle must be a closed simple walk")
-    group = graph.group
-    zero = group.zero()
-    cw = zero.value
-    for eid in cycle_edges:
-        cw = group._add(cw, graph.edge(eid).label.value)
-    if cw == zero.value:
+    zero = graph.group.zero()
+    if walk_weight(graph, cycle_vertices, cycle_edges) == zero:
         raise PreconditionFailed("cycle weight must be nonzero")
     if len(fans) != 3:
         raise PreconditionFailed("exactly three fans are required")
@@ -857,35 +861,24 @@ def nonzero_terminal_path_from_fans(
         seen_vertices |= set(vs)
         oriented.append(fan)
 
-    ring = list(zip(cycle_vertices[:-1], cycle_edges))  # vertex i, edge i->i+1
-    pos = {v: i for i, (v, _) in enumerate(ring)}
-    n = len(ring)
+    # ring edge i joins ring vertices i and i+1; on the ring twice over, the arc
+    # from i forward to j is one slice, and the arc back from j is its reverse
+    n = len(cycle_edges)
+    ring_v, ring_e = cycle_vertices[:-1] * 2, cycle_edges * 2
+    pos = {v: i for i, v in enumerate(cycle_vertices[:-1])}
 
-    def arc(i: int, j: int, forward: bool) -> tuple[tuple, tuple]:
-        verts = [ring[i][0]]
-        edges = []
-        k = i
-        while k != j:
-            if forward:
-                edges.append(ring[k][1])
-                k = (k + 1) % n
-            else:
-                k = (k - 1) % n
-                edges.append(ring[k][1])
-            verts.append(ring[k][0])
-        return tuple(verts), tuple(edges)
+    def arc(i: int, j: int) -> tuple[tuple, tuple]:
+        j += n if j < i else 0
+        return ring_v[i : j + 1], ring_e[i:j]
 
     for a_idx, b_idx in ((0, 1), (0, 2), (1, 2)):
         fa, fb = oriented[a_idx], oriented[b_idx]
         i, j = pos[fa.vertices[-1]], pos[fb.vertices[-1]]
-        for forward in (True, False):
-            mid_v, mid_e = arc(i, j, forward)
-            verts = fa.vertices + mid_v[1:] + tuple(reversed(fb.vertices))[1:]
-            edges = fa.edge_ids + mid_e + tuple(reversed(fb.edge_ids))
-            w = walk_weight(graph, verts, edges)
-            candidate = PathWitness(verts, edges, w)
-            if w != zero:
-                candidate.validate(graph)
+        for mid_v, mid_e in (arc(i, j), [half[::-1] for half in arc(j, i)]):
+            candidate = PathWitness.of(
+                graph, fa.vertices + mid_v[1:] + fb.vertices[-2::-1], fa.edge_ids + mid_e + fb.edge_ids[::-1]
+            )
+            if candidate.weight != zero:
                 return candidate
     raise InternalInvariantError(
         "all six splices are zero despite a nonzero cycle and three disjoint fans"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import random
 
 import pytest
 
@@ -18,7 +19,7 @@ from gammapath.chains import (
 from gammapath.errors import PreconditionFailed
 from gammapath.graphs import UNDIRECTED, LabelledGraph, PathWitness, walk_weight
 
-from util import Z, make_s3
+from util import Z, make_s3, random_label
 
 
 def test_reroute_identity_target():
@@ -153,6 +154,66 @@ def test_embedded_chain_deltas_and_splice():
     # both detours switched on: 1 + 2 + 2 = 0 mod 5
     assert out.subset == (0, 1)
     assert "d0" in out.path.vertices and "d1" in out.path.vertices
+
+
+def _random_embedded_chain(rng):
+    """A core a-v1-...-b with detours of up to two inner vertices over disjoint spans clear of
+    the terminals, listed in span order from their left ends; `CycleChain.embedded` gets them
+    shuffled, each from either end."""
+    group = rng.choice([Z(2), Z(3), Z(4), Z(5), Z(7), Z(2, 2)])
+    length = rng.randint(2, 9)
+    names = ["a"] + [f"v{i}" for i in range(1, length)] + ["b"]
+    edges = [(names[i], names[i + 1], random_label(rng, group)) for i in range(length)]
+    spans, walks, i = [], [], rng.randint(1, 2)
+    while i < length - 1:
+        j = rng.randint(i + 1, length - 1)
+        vs = [names[i], *(f"d{len(spans)}.{t}" for t in range(rng.randint(0, 2))), names[j]]
+        walks.append((tuple(vs), tuple(range(len(edges), len(edges) + len(vs) - 1))))
+        edges += [(u, v, random_label(rng, group)) for u, v in zip(vs, vs[1:])]
+        spans.append((i, j))
+        i = j + rng.randint(1, 2)
+    graph = LabelledGraph.build(group, UNDIRECTED, edges, ["a", "b"])
+    core = (tuple(names), tuple(range(length)))
+    given = []
+    for vs, es in rng.sample(walks, len(walks)):
+        if rng.random() < 0.5:
+            vs, es = vs[::-1], es[::-1]
+        given.append(PathWitness(vs, es, walk_weight(graph, vs, es)))
+    chain = CycleChain.embedded(graph, PathWitness(*core, walk_weight(graph, *core)), given)
+    return chain, core, spans, walks
+
+
+def _substituted(core, spans, walks, subset):
+    """The core with walk t in place of span t for each t in subset, one core edge at a time."""
+    (core_v, core_e), take = core, {spans[t][0]: t for t in subset}
+    verts, edges, k = [core_v[0]], [], 0
+    while k < len(core_e):
+        if k in take:
+            vs, es = walks[take[k]]
+            verts += vs[1:]
+            edges += es
+            k = spans[take[k]][1]
+        else:
+            edges.append(core_e[k])
+            k += 1
+            verts.append(core_v[k])
+    return tuple(verts), tuple(edges)
+
+
+def test_spliced_reroutes_match_the_core_walked_edge_by_edge():
+    rng = random.Random(34)
+    spliced = 0
+    for _ in range(1000):
+        chain, core, spans, walks = _random_embedded_chain(rng)
+        assert list(chain.intervals) == spans
+        for target in chain.group.elements():
+            out = reroute_to_weight(chain, target)
+            if out is None:
+                continue
+            assert (out.path.vertices, out.path.edge_ids) == _substituted(core, spans, walks, out.subset)
+            assert out.path.weight == target
+            spliced += bool(out.subset)
+    assert spliced > 700
 
 
 def test_embedded_rejects_overlapping_intervals():

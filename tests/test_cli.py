@@ -243,6 +243,31 @@ def test_embedded_chain_json_errors_are_usage_errors(tmp_path, capsys, core, det
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "core, detours, detail",
+    [
+        ({"vertices": ["a", "x", "a"], "edges": [0, 0]}, [], "chain core: witness revisits a vertex"),
+        ({"vertices": ["x", "y", "b"], "edges": [1, 2]}, [], "chain core: witness endpoints are not terminals"),
+        ({"vertices": ["a", "x", "y"], "edges": [], "trivial": True}, [], "chain core: malformed trivial witness"),
+        (
+            {"vertices": ["a", "x", "y", "b"], "edges": [0, 1, 2]},
+            [{"vertices": ["x", "d", "e", "d", "y"], "edges": [3, 4, 4, 6]}],
+            "chain detour 0: witness revisits a vertex",
+        ),
+    ],
+    ids=["core-revisits", "core-off-the-terminals", "trivial-core-of-three", "detour-revisits"],
+)
+def test_embedded_chain_witnesses_that_are_not_paths_are_rejected(tmp_path, capsys, core, detours, detail):
+    # the core and its detours are input: a witness that fails its check is refused, not an internal error
+    edges = [("a", "x", 1), ("x", "y", 0), ("y", "b", 0), ("x", "d", 1), ("d", "e", 0), ("e", "y", 0), ("d", "y", 0)]
+    g = LabelledGraph.build(Z(5), UNDIRECTED, edges, ["a", "b"])
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"graph": g.to_json(), "core": core, "detours": detours}))
+    code, payload, err = invoke(capsys, "chain", "--chain", str(path), "--target", "[0]")
+    assert (code, payload) == (1, {"error": "rejected", "detail": detail})
+    assert "Traceback" not in err
+
+
 def test_an_embedded_chain_reads_its_ids_by_exact_type(tmp_path, capsys):
     # int ids; the core 0-1-2-3 weighs 0 and its detour 1-4-2 shifts it by 2 over Z/3
     edges = [(0, 1, 0), (1, 2, 0), (2, 3, 0), (1, 4, 1), (4, 2, 1)]

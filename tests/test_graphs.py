@@ -45,6 +45,7 @@ from util import (
     make_s3,
     oracle_block_path_weights,
     oracle_bridges,
+    oracle_fan_path,
     oracle_iter_simple_cycles,
     random_label,
     sparse_graph,
@@ -254,8 +255,10 @@ def test_apply_shifts_checks_every_shift():
     with pytest.raises(ValueError, match="unknown vertex"):
         apply_shifts(g, [("a", 2), ("z", 2)])
     directed = LabelledGraph.build(z4, DIRECTED, [("a", "b", 1)], ())
-    with pytest.raises(PreconditionFailed, match="orientation-free"):
-        apply_shifts(directed, [("a", 2)])
+    # the model is checked once, before the shifts: an empty sequence is refused too
+    for shifts in ([("a", 2)], []):
+        with pytest.raises(PreconditionFailed, match="orientation-free"):
+            apply_shifts(directed, shifts)
 
 
 def test_apply_shifts_adds_every_shift_at_both_ends():
@@ -874,6 +877,75 @@ def test_fan_extraction_rejects_zero_cycle():
         nonzero_terminal_path_from_fans(
             g, ("c1", "c2", "c3", "c1"), (0, 1, 2), [PathWitness(("a1", "c1"), (3,), z3.zero())] * 3
         )
+
+
+@pytest.mark.parametrize(
+    "cycle_edges, detail",
+    [((0, 1), "walk must alternate vertices and edges"), ((0, 1, 3), "edge 3 does not join 'c3' and 'c1'")],
+    ids=["too-few-edges", "edge-off-the-cycle"],
+)
+def test_fan_extraction_weighs_the_cycle_on_its_vertices(cycle_edges, detail):
+    # the first fan pair is a1 and a3, so a splice would step from c1 to c3 and back
+    z3 = Z(3)
+    g = LabelledGraph.build(
+        z3,
+        UNDIRECTED,
+        [("c1", "c2", 1), ("c2", "c3", 0), ("c3", "c1", 0), ("a1", "c1", 0), ("a2", "c2", 0), ("a3", "c3", 0)],
+        ["a1", "a2", "a3"],
+    )
+    fans = [
+        PathWitness(("a1", "c1"), (3,), z3.zero()),
+        PathWitness(("a3", "c3"), (5,), z3.zero()),
+        PathWitness(("a2", "c2"), (4,), z3.zero()),
+    ]
+    with pytest.raises(ValueError) as info:
+        nonzero_terminal_path_from_fans(g, ("c1", "c2", "c3", "c1"), cycle_edges, fans)
+    assert str(info.value) == detail
+
+
+def _random_fan_case(rng):
+    """A cycle c0..c(m-1) with three fans from terminals t0, t1, t2, each foot on its own cycle
+    vertex.  The cycle is handed over from a random start in a random direction, and the fans
+    in a random order, each from either end."""
+    group = rng.choice([Z(2), Z(3), Z(4), Z(5), Z(2, 2), INTS])
+    m = rng.randint(3, 7)
+    ring = [f"c{i}" for i in range(m)]
+    edges = [(ring[i], ring[(i + 1) % m], random_label(rng, group)) for i in range(m)]
+    walks = []
+    for f, foot in enumerate(rng.sample(ring, 3)):
+        vs = [f"t{f}", *(f"f{f}.{t}" for t in range(rng.randint(0, 2))), foot]
+        walks.append((tuple(vs), tuple(range(len(edges), len(edges) + len(vs) - 1))))
+        edges += [(u, v, random_label(rng, group)) for u, v in zip(vs, vs[1:])]
+    g = LabelledGraph.build(group, UNDIRECTED, edges, ["t0", "t1", "t2"])
+    start = rng.randrange(m)
+    cycle_vertices = tuple(ring[start:] + ring[: start + 1])
+    cycle_edges = tuple(range(start, m)) + tuple(range(start))
+    if rng.random() < 0.5:
+        cycle_vertices, cycle_edges = cycle_vertices[::-1], cycle_edges[::-1]
+    rng.shuffle(walks)
+    fans = []
+    for vs, es in walks:
+        if rng.random() < 0.5:
+            vs, es = vs[::-1], es[::-1]
+        fans.append(PathWitness(vs, es, walk_weight(g, vs, es)))
+    return g, cycle_vertices, cycle_edges, fans
+
+
+def test_fan_extraction_matches_the_cycle_stepper():
+    rng = random.Random(34)
+    found = rejected = 0
+    for _ in range(1000):
+        g, cycle_vertices, cycle_edges, fans = _random_fan_case(rng)
+        if walk_weight(g, cycle_vertices, cycle_edges) == g.group.zero():
+            with pytest.raises(PreconditionFailed, match="cycle weight must be nonzero"):
+                nonzero_terminal_path_from_fans(g, cycle_vertices, cycle_edges, fans)
+            rejected += 1
+            continue
+        assert nonzero_terminal_path_from_fans(g, cycle_vertices, cycle_edges, fans) == oracle_fan_path(
+            g, cycle_vertices, cycle_edges, fans
+        )
+        found += 1
+    assert found > 500 and rejected > 50
 
 
 def test_witness_validation_catches_corruption():

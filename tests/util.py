@@ -864,3 +864,34 @@ def random_subcubic_tree(rng: random.Random, group, n: int):
     if interior and rng.random() < 0.25:
         terminals |= set(rng.sample(interior, rng.randint(1, max(1, len(interior) // 4))))
     return LabelledGraph(group, DIRECTED, names, edges, terminals), {e.eid for e in edges}
+
+
+# --- the fan splice walked one cycle step at a time ---------------------------
+
+
+def oracle_fan_path(graph, cycle_vertices, cycle_edges, fans) -> PathWitness | None:
+    """The first nonzero of the six splices `nonzero_terminal_path_from_fans` tries, in its order,
+    each arc stepped around the cycle an edge at a time as before the ring slices; None if all are zero.
+
+    Fans are turned to start at their terminal; cycle edge i joins cycle vertices i and i+1.
+    """
+    n = len(cycle_edges)
+    pos = {v: i for i, v in enumerate(cycle_vertices[:-1])}
+    turned = [
+        (f.vertices, f.edge_ids) if f.vertices[0] in graph.terminals else (f.vertices[::-1], f.edge_ids[::-1])
+        for f in fans
+    ]
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        (va, ea), (vb, eb) = turned[a], turned[b]
+        for step in (1, -1):
+            k, verts, edges = pos[va[-1]], list(va), list(ea)
+            while k != pos[vb[-1]]:
+                edges.append(cycle_edges[k if step == 1 else (k - 1) % n])
+                k = (k + step) % n
+                verts.append(cycle_vertices[k])
+            verts += vb[-2::-1]
+            edges += eb[::-1]
+            weight = oracle_walk_weight(graph, verts, edges)
+            if weight != graph.group.zero():
+                return PathWitness(tuple(verts), tuple(edges), weight)
+    return None
