@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import InternalInvariantError, PreconditionFailed
-from .graphs import UNDIRECTED, LabelledGraph, PathWitness, walk_weight
+from .graphs import UNDIRECTED, LabelledGraph, PathWitness, _check_input, walk_weight
 from .groups import CyclicProduct, GroupElem, GroupSpec, _is_prime
 
 
@@ -119,14 +119,6 @@ class CycleChain:
             out["core"] = self.core.to_json()
             out["detours"] = [q.to_json() for q in self.detours]
         return out
-
-
-def _check_input(graph: LabelledGraph, witness: PathWitness, what: str, as_terminal_path: bool = True) -> None:
-    """`witness.validate` on a witness the caller gave, a failure naming what it is."""
-    try:
-        witness.validate(graph, as_terminal_path)
-    except InternalInvariantError as exc:
-        raise PreconditionFailed(f"{what}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,8 @@ from .graphs import (
     DIRECTED,
     LabelledGraph,
     PathWitness,
+    _eid_key,
+    _sorted_ids,
     search_paths,
     search_terminal_paths,
     vertex_key,
@@ -168,10 +170,10 @@ def _zero_path_from(graph: LabelledGraph, adj: dict, v) -> PathWitness:
 
 
 def _terminal_tree(graph: LabelledGraph, tree_edges: set) -> tuple[dict, list, dict]:
-    """The edges' adjacency map in edge order, rooted at its smallest leaf; PreconditionFailed
-    unless the edges form one tree whose leaves are exactly the terminals on it."""
+    """The edges' adjacency map in edge order, their ids read by exact type, rooted at its smallest
+    leaf; PreconditionFailed unless the edges form one tree whose leaves are exactly its terminals."""
     adj: dict = {}
-    for eid in sorted(tree_edges, key=graph._erank.__getitem__):
+    for eid in _sorted_ids(tree_edges, _eid_key):
         e = graph.edge(eid)
         _add_path(adj, (e.u, e.v), (eid,))
     leaves = [v for v, nbrs in adj.items() if len(nbrs) == 1]
@@ -192,6 +194,7 @@ def base_zero_path(graph: LabelledGraph, tree_edges: set, v) -> PathWitness:
     pigeonhole, and their symmetric difference is the witness (the common
     prefix cancels on the left even when the group is nonabelian).
     """
+    vertex_key(v)
     return _zero_path_from(graph, _terminal_tree(graph, tree_edges)[0], v)
 
 

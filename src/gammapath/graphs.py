@@ -224,41 +224,39 @@ class PathWitness:
     vertices: tuple
     edge_ids: tuple
     weight: GroupElem
-    trivial: bool = False
 
     @classmethod
     def of(cls, graph: LabelledGraph, vertices, edge_ids, as_terminal_path: bool = True) -> "PathWitness":
-        """The witness of a walk the caller built: weighed by `walk_weight`, then checked by `validate`."""
+        """The witness of a walk the caller built, weighed once by `walk_weight` and checked as by `validate`."""
         vertices, edge_ids = tuple(vertices), tuple(edge_ids)
         witness = cls(vertices, edge_ids, walk_weight(graph, vertices, edge_ids))
-        witness.validate(graph, as_terminal_path)
+        witness._check(graph, as_terminal_path, weigh=False)
         return witness
+
+    @property
+    def trivial(self) -> bool:
+        """One vertex and no edges: the trivial path."""
+        return not self.edge_ids
 
     @property
     def endpoints(self) -> tuple:
         return (self.vertices[0], self.vertices[-1])
 
     def reversed(self, graph: LabelledGraph) -> "PathWitness":
-        return PathWitness(
-            tuple(reversed(self.vertices)),
-            tuple(reversed(self.edge_ids)),
-            walk_weight(graph, tuple(reversed(self.vertices)), tuple(reversed(self.edge_ids))),
-            self.trivial,
-        )
+        """The path from its other end: the weight is negated in the oriented model, kept in the orientation-free one."""
+        weight = -self.weight if graph.model == DIRECTED else self.weight
+        return PathWitness(self.vertices[::-1], self.edge_ids[::-1], weight)
 
     def validate(self, graph: LabelledGraph, as_terminal_path: bool = True) -> None:
         """Re-check simplicity, terminal pattern, and the stored weight."""
-        if self.trivial:
-            if len(self.vertices) != 1 or self.edge_ids:
-                raise InternalInvariantError("malformed trivial witness")
-            if self.weight != graph.group.zero():
-                raise InternalInvariantError("trivial witness must have zero weight")
-            return
-        if len(self.vertices) != len(self.edge_ids) + 1 or not self.edge_ids:
+        self._check(graph, as_terminal_path, weigh=True)
+
+    def _check(self, graph: LabelledGraph, as_terminal_path: bool, weigh: bool) -> None:
+        if len(self.vertices) != len(self.edge_ids) + 1:
             raise InternalInvariantError("malformed witness sequence")
         if len(set(self.vertices)) != len(self.vertices):
             raise InternalInvariantError("witness revisits a vertex")
-        if walk_weight(graph, self.vertices, self.edge_ids) != self.weight:
+        if weigh and walk_weight(graph, self.vertices, self.edge_ids) != self.weight:
             raise InternalInvariantError("stored weight disagrees with the walk weight")
         if as_terminal_path:
             a = graph.terminals
@@ -276,15 +274,28 @@ class PathWitness:
         }
 
 
+def _check_input(graph: LabelledGraph, witness: PathWitness, what: str, as_terminal_path: bool = True) -> None:
+    """`witness.validate` on a witness the caller gave, any failure a PreconditionFailed naming what it is."""
+    try:
+        witness.validate(graph, as_terminal_path)
+    except (InternalInvariantError, ValueError) as exc:
+        raise PreconditionFailed(f"{what}: {exc}") from None
+
+
 def walk_weight(graph: LabelledGraph, vertices, edge_ids) -> GroupElem:
     """Weight of a walk given as alternating vertex and edge-id sequences.
 
-    Label values are summed left to right with `group._add` (meaningful for
+    Ids are read by exact type, as the graph's are, before any lookup.  Label
+    values are summed left to right with `group._add` (meaningful for
     nonabelian groups); a label is negated when the walk enters the edge's
     tail, which only directed edges have, as in the graph's step table.
     """
     vertices = tuple(vertices)
     edge_ids = tuple(edge_ids)
+    for ids, key in ((vertices, vertex_key), (edge_ids, _eid_key)):
+        for x in ids:
+            if type(x) not in _PLAIN_IDS:
+                key(x)
     if len(vertices) != len(edge_ids) + 1 or not vertices:
         raise ValueError("walk must alternate vertices and edges")
     group = graph.group
@@ -568,7 +579,7 @@ def apply_shifts(graph: LabelledGraph, shifts) -> LabelledGraph:
     """Apply a sequence of shifts (vertex, g) in one relabelling pass.
 
     Each shift is checked as a single shift would be: the orientation-free
-    model, g + g = 0 and a known vertex.  The model's group is abelian, so
+    model, g + g = 0 and a known vertex id of an exact type.  The model's group is abelian, so
     the shifts at a vertex can be summed first.
     """
     if graph.model != UNDIRECTED:
@@ -580,6 +591,7 @@ def apply_shifts(graph: LabelledGraph, shifts) -> LabelledGraph:
         g = group.element(g)
         if add(g.value, g.value) != zero:
             raise PreconditionFailed(f"shift value must satisfy g+g=0, got {g!r}")
+        vertex_key(v)
         if v not in graph:
             raise ValueError(f"unknown vertex {v!r}")
         total[v] = add(total.get(v, zero), g.value)
@@ -843,7 +855,8 @@ def nonzero_terminal_path_from_fans(
         raise PreconditionFailed("cycle meets the terminal set")
     seen_vertices: set = set()
     oriented = []
-    for fan in fans:
+    for idx, fan in enumerate(fans):
+        _check_input(graph, fan, f"fan {idx}", as_terminal_path=False)
         if fan.vertices[0] not in terminals:
             if fan.vertices[-1] in terminals:
                 fan = fan.reversed(graph)

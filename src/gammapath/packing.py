@@ -75,7 +75,7 @@ class PathFamilySpec:
                 enumerate_terminal_paths(g, keep=lambda path, edges, end, w: not len(edges) % 2, limits=limits)
             )
         through = self.through
-        members = [PathWitness((a,), (), g.group.zero(), trivial=True) for a in g._terminal_order if a in through]
+        members = [PathWitness((a,), (), g.group.zero()) for a in g._terminal_order if a in through]
         members += enumerate_terminal_paths(
             g, keep=lambda path, edges, end, w: end in through or not through.isdisjoint(path), limits=limits
         )

@@ -231,8 +231,14 @@ def test_chain_embedded_splices_a_path(tmp_path, capsys):
         ({"vertices": ["a", "m", "b"], "edges": [0, True]}, "bad chain JSON: edge ids must be ints or strings, got True"),
         ({"vertices": ["a", None], "edges": [0]}, "bad chain JSON: vertex ids must be ints or strings, got None"),
         ({"vertices": ["a", "m"], "edges": [[0]]}, "bad chain JSON: edge ids must be ints or strings, got [0]"),
+        # a "trivial" key is not read: the walk is its vertices and edges
+        ({"vertices": ["a", "m", "b"], "edges": [], "trivial": True}, "bad chain JSON: walk must alternate vertices and edges"),
+        ({"vertices": ["a"], "edges": [7, 8], "trivial": True}, "bad chain JSON: walk must alternate vertices and edges"),
     ],
-    ids=["core-without-vertices", "unknown-edge-id", "float-vertex-id", "bool-edge-id", "null-vertex-id", "list-edge-id"],
+    ids=[
+        "core-without-vertices", "unknown-edge-id", "float-vertex-id", "bool-edge-id", "null-vertex-id", "list-edge-id",
+        "trivial-core-of-three", "trivial-core-with-edges",
+    ],
 )
 def test_embedded_chain_json_errors_are_usage_errors(tmp_path, capsys, core, detail):
     g = LabelledGraph.build(Z(5), UNDIRECTED, [("a", "m", 1), ("m", "b", 0)], ["a", "b"])
@@ -248,14 +254,14 @@ def test_embedded_chain_json_errors_are_usage_errors(tmp_path, capsys, core, det
     [
         ({"vertices": ["a", "x", "a"], "edges": [0, 0]}, [], "chain core: witness revisits a vertex"),
         ({"vertices": ["x", "y", "b"], "edges": [1, 2]}, [], "chain core: witness endpoints are not terminals"),
-        ({"vertices": ["a", "x", "y"], "edges": [], "trivial": True}, [], "chain core: malformed trivial witness"),
+        ({"vertices": ["x"], "edges": [], "trivial": True}, [], "chain core: witness endpoints are not terminals"),
         (
             {"vertices": ["a", "x", "y", "b"], "edges": [0, 1, 2]},
             [{"vertices": ["x", "d", "e", "d", "y"], "edges": [3, 4, 4, 6]}],
             "chain detour 0: witness revisits a vertex",
         ),
     ],
-    ids=["core-revisits", "core-off-the-terminals", "trivial-core-of-three", "detour-revisits"],
+    ids=["core-revisits", "core-off-the-terminals", "trivial-core-off-the-terminals", "detour-revisits"],
 )
 def test_embedded_chain_witnesses_that_are_not_paths_are_rejected(tmp_path, capsys, core, detours, detail):
     # the core and its detours are input: a witness that fails its check is refused, not an internal error
@@ -266,6 +272,25 @@ def test_embedded_chain_witnesses_that_are_not_paths_are_rejected(tmp_path, caps
     code, payload, err = invoke(capsys, "chain", "--chain", str(path), "--target", "[0]")
     assert (code, payload) == (1, {"error": "rejected", "detail": detail})
     assert "Traceback" not in err
+
+
+def test_a_trivial_core_is_the_trivial_path(tmp_path, capsys):
+    # one vertex and no edges is the trivial path, with or without the "trivial" key
+    g = LabelledGraph.build(Z(5), UNDIRECTED, [("a", "x", 1), ("x", "b", 0)], ["a", "b"])
+
+    def chain(core, target):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({"graph": g.to_json(), "core": core, "detours": []}))
+        return invoke(capsys, "chain", "--chain", str(path), "--target", target)[:2]
+
+    trivial = {"vertices": ["a"], "edges": [], "weight": [0], "trivial": True}
+    for core in ({"vertices": ["a"], "edges": [], "trivial": True}, {"vertices": ["a"], "edges": []}):
+        assert chain(core, "[0]") == (0, {"verdict": "FOUND", "target": [0], "subset": [], "path": trivial})
+        assert chain(core, "[3]") == (1, {"verdict": "NONE", "reachable": [[0]]})
+    # off the terminals it is refused at a target it cannot reach too
+    assert chain({"vertices": ["x"], "edges": [], "trivial": True}, "[3]") == (
+        1, {"error": "rejected", "detail": "chain core: witness endpoints are not terminals"}
+    )
 
 
 def test_an_embedded_chain_reads_its_ids_by_exact_type(tmp_path, capsys):

@@ -152,6 +152,19 @@ def test_extraction_rejects_what_is_not_a_terminal_tree(call, edges, terminals, 
     assert str(raised.value) == detail
 
 
+def test_extraction_reads_ids_by_exact_type():
+    # a float or bool twin of an id hashes like it; read as the id, it came back in the witness
+    g = directed(Z(2), [(1, 0, 0, 1), (1, 2, 0, 1), (1, 3, 0, 1)], [0, 2, 3])
+    assert base_zero_path(g, {0, 1, 2}, 1).edge_ids == (0, 1)
+    for twin in (True, 1.0):
+        with pytest.raises(ValueError, match=f"^edge ids must be ints or strings, got {twin}$"):
+            base_zero_path(g, {0, twin, 2}, 1)
+        with pytest.raises(ValueError, match=f"^edge ids must be ints or strings, got {twin}$"):
+            extract_zero_paths(g, {0, twin, 2}, 1)
+        with pytest.raises(ValueError, match=f"^vertex ids must be ints or strings, got {twin}$"):
+            base_zero_path(g, {0, 1, 2}, twin)
+
+
 def test_extraction_from_no_edges_keeps_its_own_errors():
     g = directed(Z(2), _STAR, ["l1", "l2", "l3"])
     with pytest.raises(PreconditionFailed, match="^tree has 0 leaves; 3 required for 1 paths$"):

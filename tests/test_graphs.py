@@ -119,6 +119,23 @@ def test_walk_weight_undirected_sum_and_empty():
         walk_weight(g, ("a", "c"), (0,))  # edge 0 joins a,b
 
 
+@pytest.mark.parametrize(
+    "vertices, edge_ids, twin",
+    [((0, True, 2), (0, 1), "vertex ids must be ints or strings, got True"),
+     ((0, 1.0, 2), (0, 1), "vertex ids must be ints or strings, got 1.0"),
+     ((0, 1, 2), (0, True), "edge ids must be ints or strings, got True"),
+     ((0, 1, 2), (0.0, 1), "edge ids must be ints or strings, got 0.0")],
+    ids=["bool-vertex", "float-vertex", "bool-edge", "float-edge"],
+)
+def test_walk_weight_reads_ids_by_exact_type(vertices, edge_ids, twin):
+    # a float or bool twin of an id hashes like it: without the type check the walk would weigh
+    g = undirected(Z(3), [(0, 1, 1), (1, 2, 1)], [0, 2])
+    for build in (walk_weight, PathWitness.of):
+        with pytest.raises(ValueError) as info:
+            build(g, vertices, edge_ids)
+        assert str(info.value) == twin
+
+
 def test_walk_weight_nonabelian_order():
     from util import make_s3
 
@@ -254,6 +271,11 @@ def test_apply_shifts_checks_every_shift():
         apply_shifts(g, [("a", 2), ("b", 1)])
     with pytest.raises(ValueError, match="unknown vertex"):
         apply_shifts(g, [("a", 2), ("z", 2)])
+    # a float or bool twin of a vertex id is not the vertex
+    ints = undirected(z4, [(0, 1, 1), (1, 2, 3)], [0])
+    for twin in (True, 1.0):
+        with pytest.raises(ValueError, match=f"^vertex ids must be ints or strings, got {twin}$"):
+            apply_shifts(ints, [(twin, 2)])
     directed = LabelledGraph.build(z4, DIRECTED, [("a", "b", 1)], ())
     # the model is checked once, before the shifts: an empty sequence is refused too
     for shifts in ([("a", 2)], []):
@@ -903,6 +925,28 @@ def test_fan_extraction_weighs_the_cycle_on_its_vertices(cycle_edges, detail):
     assert str(info.value) == detail
 
 
+@pytest.mark.parametrize(
+    "fan, detail",
+    [((("a1", "p", "q", "p", "q", "c1"), (5, 6, 6, 6, 7)), "fan 0: witness revisits a vertex"),
+     ((("a1", "c1"), (4,)), "fan 0: edge 4 does not join 'a1' and 'c1'")],
+    ids=["fan-revisits", "edge-off-the-fan"],
+)
+def test_fans_are_checked_as_chain_parts_are(fan, detail):
+    # the first splice runs through fan 0; a fan that is not a path is bad input, not an internal error
+    z3 = Z(3)
+    g = undirected(
+        z3,
+        [("c1", "c2", 1), ("c2", "c3", 0), ("c3", "c1", 0), ("a2", "c2", 0), ("a3", "c3", 0),
+         ("a1", "p", 0), ("p", "q", 0), ("q", "c1", 0)],
+        ["a1", "a2", "a3"],
+    )
+    fans = [PathWitness(*fan, z3.zero())]
+    fans += [PathWitness((a, c), (e,), z3.zero()) for a, c, e in (("a2", "c2", 3), ("a3", "c3", 4))]
+    with pytest.raises(PreconditionFailed) as info:
+        nonzero_terminal_path_from_fans(g, ("c1", "c2", "c3", "c1"), (0, 1, 2), fans)
+    assert str(info.value) == detail
+
+
 def _random_fan_case(rng):
     """A cycle c0..c(m-1) with three fans from terminals t0, t1, t2, each foot on its own cycle
     vertex.  The cycle is handed over from a random start in a random direction, and the fans
@@ -959,6 +1003,23 @@ def test_witness_validation_catches_corruption():
     not_a_path = PathWitness(("a", "x"), (0,), z2.element(1))
     with pytest.raises(InternalInvariantError):
         not_a_path.validate(g)
+
+
+def test_a_witness_of_a_walk_weighs_it_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return walk_weight(*args)
+
+    monkeypatch.setattr(graphs, "walk_weight", counted)
+    g = undirected(Z(2), [("a", "x", 1), ("x", "b", 1)], ["a", "b"])
+    for vertices, edge_ids in ((("a", "x", "b"), (0, 1)), (("a",), ())):
+        calls.clear()
+        witness = PathWitness.of(g, vertices, edge_ids)
+        assert len(calls) == 1 and witness.trivial == (not edge_ids)
+        witness.validate(g)
+        assert len(calls) == 2
 
 
 from hypothesis import given, settings

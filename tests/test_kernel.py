@@ -440,7 +440,7 @@ def _oracle_members(spec, limits):
     paths = oracle_enumerate_terminal_paths(g, limits=limits)
     if spec.kind == ODD:
         return [p for p in paths if len(p.edge_ids) % 2]
-    trivial = [PathWitness((a,), (), g.group.zero(), trivial=True)
+    trivial = [PathWitness((a,), (), g.group.zero())
                for a in sorted(g.terminals & spec.through, key=vertex_key)]
     return trivial + [p for p in paths if not spec.through.isdisjoint(p.vertices)]
 
@@ -535,6 +535,27 @@ def test_walk_weight_folds_values_as_the_groupelem_oracle_does(group, model):
     assert min(seen[k] for k in ("weight", "unknown vertex", "unknown edge", "walk must")) > 0
     assert sum(seen[k] for k in seen if k.startswith("edge ")) > 0
     assert (seen["tail"] > 0) == (model == DIRECTED)
+
+
+@pytest.mark.parametrize("group,model", WALK_CASES, ids=lambda c: getattr(c, "name", c))
+def test_a_reversed_witness_weighs_its_reversed_walk(group, model):
+    # reversed takes the weight from the model, not from a second walk: the inverse in the
+    # oriented model, the same weight in the orientation-free one
+    rng = random.Random(f"reversed-{group.name}-{model}")
+    walks = 0
+    for _ in range(60):
+        g = _random_graph(rng, group, model)
+        for _ in range(10):
+            vertices, edge_ids = _random_walk(rng, g)
+            try:
+                witness = PathWitness(tuple(vertices), tuple(edge_ids), walk_weight(g, vertices, edge_ids))
+            except ValueError:
+                continue
+            back = witness.reversed(g)
+            assert back.vertices == witness.vertices[::-1] and back.edge_ids == witness.edge_ids[::-1]
+            assert back.weight == walk_weight(g, back.vertices, back.edge_ids)
+            walks += 1
+    assert walks >= 200
 
 
 def _potential_graph(rng, group):

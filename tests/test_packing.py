@@ -294,7 +294,7 @@ def test_solvers_search_deeper_than_the_python_stack():
     k = 300
     # consecutive members share a vertex: a path of 2k+1 conflicts, packing k+1
     chain = [PathWitness((f"x{i}", f"m{i}", f"x{i + 1}"), ("a", "b"), zero) for i in range(2 * k + 1)]
-    singles = [PathWitness((i,), (), zero, trivial=True) for i in range(k)]
+    singles = [PathWitness((i,), (), zero) for i in range(k)]
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 100)
     try:
