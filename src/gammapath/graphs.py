@@ -139,7 +139,10 @@ class LabelledGraph:
     # --- basic accessors -------------------------------------------------
 
     def edge(self, eid) -> Edge:
-        return self.edges[self._erank[eid]]
+        try:
+            return self.edges[self._erank[eid]]
+        except KeyError:
+            raise ValueError(f"unknown edge {eid!r}") from None
 
     def __contains__(self, v) -> bool:
         return v in self._rank

@@ -1,14 +1,18 @@
 """Batch verification harness: seeded random suites and machine-readable reports.
 
 Each check returns PASS, FAIL (with a replayable reproducer), or SKIPPED with
-a reason.  Checks are independent and run one after another in id order; the
-report is deterministic for a fixed seed and scale.
+a reason.  Checks are independent: each seeds its own generator.  They run in
+forked worker processes, one per usable CPU up to the number of checks, or
+in-process when that is one.  The report keeps id order whichever worker ran a
+check, and is deterministic for a fixed seed and scale.  A check is SKIPPED
+when it would start after the budget, whichever worker runs it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 import time
 from dataclasses import dataclass
@@ -406,27 +410,74 @@ def _fail(check_id: str, graph, extra: dict) -> dict:
     return {"id": check_id, "status": "FAIL", "reproducer": reproducer}
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask where the platform has one)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _fork_context():
+    """multiprocessing's fork context, or None where the platform cannot fork."""
+    # imported on first use: at the top it would add to every command's start-up
+    import multiprocessing
+
+    return multiprocessing.get_context("fork") if "fork" in multiprocessing.get_all_start_methods() else None
+
+
+def _pin_worker(cpus) -> None:
+    """Pin this worker to the next free CPU in the queue `cpus`.
+
+    Left to the scheduler, forked workers can share one CPU while another idles
+    for the whole run.
+    """
+    os.sched_setaffinity(0, {cpus.get()})
+
+
+def _run_check(check_id: str, config: RunConfig, started: float) -> dict:
+    """One check's report entry: SKIPPED once the budget since `started` is spent, and
+    FAIL with the seed in its reproducer when the check fails or raises a GammapathError."""
+    if time.monotonic() - started > config.limits.budget_s:
+        return {"id": check_id, "status": "SKIPPED", "detail": {"reason": "budget exhausted"}}
+    t0 = time.monotonic()
+    try:
+        out = ALL_CHECKS[check_id](config)
+    except GammapathError as exc:
+        out = {"id": check_id, "status": "FAIL", "reproducer": {"error": str(exc)}}
+    out["elapsed_s"] = round(time.monotonic() - t0, 3)
+    if out["status"] == "FAIL":
+        out.setdefault("reproducer", {})["seed"] = config.seed
+    return out
+
+
 def run_suite(config: RunConfig, only: list[str] | None = None) -> dict:
-    """Run the verification checks in id order and report them deterministically."""
+    """Run the verification checks and report them in id order, deterministically.
+
+    The checks run in forked worker processes, one per usable CPU up to the
+    number of checks and each pinned to a CPU of its own, or in-process when
+    that is one or the platform cannot fork.  Each worker reads the budget from
+    the same start time, so a check is SKIPPED when it would start after the
+    budget, whichever worker runs it.  No worker outlives the call.
+    """
     if only is not None and (not only or not set(only) <= ALL_CHECKS.keys()):
         raise UsageError(f"check ids must be some of {', '.join(sorted(ALL_CHECKS))}; got {only}")
     ids = sorted(ALL_CHECKS) if only is None else [i for i in sorted(ALL_CHECKS) if i in only]
     budget = config.limits.budget_s
     started = time.monotonic()
-    ordered = []
-    for check_id in ids:
-        if time.monotonic() - started > budget:
-            ordered.append({"id": check_id, "status": "SKIPPED", "detail": {"reason": "budget exhausted"}})
-            continue
-        t0 = time.monotonic()
-        try:
-            out = ALL_CHECKS[check_id](config)
-        except GammapathError as exc:
-            out = {"id": check_id, "status": "FAIL", "reproducer": {"error": str(exc)}}
-        out["elapsed_s"] = round(time.monotonic() - t0, 3)
-        if out["status"] == "FAIL":
-            out.setdefault("reproducer", {})["seed"] = config.seed
-        ordered.append(out)
+    workers = min(len(ids), _usable_cpus())
+    context = _fork_context() if workers > 1 else None
+    args = (ids, itertools.repeat(config), itertools.repeat(started))
+    if context is None:
+        ordered = list(map(_run_check, *args))
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        pinning = {}
+        if hasattr(os, "sched_setaffinity"):
+            cpus = context.SimpleQueue()
+            for cpu in sorted(os.sched_getaffinity(0)):
+                cpus.put(cpu)
+            pinning = {"initializer": _pin_worker, "initargs": (cpus,)}
+        with ProcessPoolExecutor(workers, mp_context=context, **pinning) as pool:
+            ordered = list(pool.map(_run_check, *args))
     summary = {
         "pass": sum(1 for r in ordered if r["status"] == "PASS"),
         "fail": sum(1 for r in ordered if r["status"] == "FAIL"),

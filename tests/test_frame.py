@@ -165,6 +165,16 @@ def test_extraction_reads_ids_by_exact_type():
             base_zero_path(g, {0, 1, 2}, twin)
 
 
+def test_extraction_names_an_edge_id_the_graph_lacks():
+    g = directed(Z(2), _STAR, ["l1", "l2", "l3"])
+    with pytest.raises(ValueError, match="^unknown edge 9$"):
+        base_zero_path(g, {0, 1, 9}, "v")
+    with pytest.raises(ValueError, match="^unknown edge 9$"):
+        extract_zero_paths(g, {0, 1, 9}, 1)
+    with pytest.raises(ValueError, match="^unknown edge 'x'$"):
+        g.edge("x")
+
+
 def test_extraction_from_no_edges_keeps_its_own_errors():
     g = directed(Z(2), _STAR, ["l1", "l2", "l3"])
     with pytest.raises(PreconditionFailed, match="^tree has 0 leaves; 3 required for 1 paths$"):

@@ -3,8 +3,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import multiprocessing
+import os
 import re
 import types
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -32,6 +35,75 @@ def test_failed_check_carries_reproducer_and_seed(monkeypatch):
     # the embedded instance replays: it parses back into the same graph
     instance = graph_from_json(check["reproducer"]["instance"])
     assert dumps(instance.to_json()) == dumps(check["reproducer"]["instance"])
+
+
+def _without_elapsed(node):
+    """The node with every `elapsed_s` taken out, at any depth (the gadgets check times its largest gadget)."""
+    if isinstance(node, dict):
+        return {k: _without_elapsed(v) for k, v in node.items() if k != "elapsed_s"}
+    return node
+
+
+def _entry(report: dict, check_id: str) -> dict:
+    return next(c for c in report["checks"] if c["id"] == check_id)
+
+
+# with one usable CPU (or no fork) every call runs in-process, and there is no worker to test
+needs_workers = pytest.mark.skipif(
+    harness._usable_cpus() < 2 or harness._fork_context() is None, reason="the checks run in-process here"
+)
+
+
+@needs_workers
+@pytest.mark.parametrize("seed", [7, 1013])
+def test_the_workers_report_what_each_check_reports_in_process(seed):
+    config = RunConfig(seed=seed)
+    report = run_suite(config)
+    assert multiprocessing.active_children() == []
+    # one check is one worker, so each of these runs in-process
+    alone = [run_suite(config, only=[check_id]) for check_id in sorted(harness.ALL_CHECKS)]
+    assert [_without_elapsed(c) for c in report["checks"]] == [_without_elapsed(r["checks"][0]) for r in alone]
+    assert all(r["config"] == report["config"] for r in alone)
+    assert report["summary"] == {"pass": 9, "fail": 0, "skipped": 0}
+
+
+@needs_workers
+def test_checks_run_in_workers_unless_one_cpu_is_usable(monkeypatch):
+    monkeypatch.setitem(harness.ALL_CHECKS, "gadgets", lambda config: harness._pass("gadgets", {"pid": os.getpid()}))
+    assert _entry(run_suite(RunConfig()), "gadgets")["detail"]["pid"] != os.getpid()
+    assert _entry(run_suite(RunConfig(), only=["gadgets", "reduction"]), "gadgets")["detail"]["pid"] != os.getpid()
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    assert _entry(run_suite(RunConfig()), "gadgets")["detail"]["pid"] == os.getpid()
+
+
+@needs_workers
+def test_a_check_error_is_the_same_fail_in_a_worker(monkeypatch):
+    def exploding(config):
+        raise LimitExceeded("test probe", 1)
+
+    # the workers are forked after the patch, so they run it too
+    monkeypatch.setitem(harness.ALL_CHECKS, "gadgets", exploding)
+    report = run_suite(RunConfig(seed=3))
+    alone = run_suite(RunConfig(seed=3), only=["gadgets"])
+    assert _without_elapsed(_entry(report, "gadgets")) == _without_elapsed(alone["checks"][0])
+    assert alone["checks"][0]["reproducer"]["seed"] == 3
+    assert report["summary"] == {"pass": 8, "fail": 1, "skipped": 0}
+
+
+def test_a_spent_budget_skips_every_check_whichever_worker_runs_it():
+    report = run_suite(RunConfig(seed=7, limits=Limits(budget_s=1e-9)))
+    assert [c["id"] for c in report["checks"]] == sorted(harness.ALL_CHECKS)
+    skipped = {"status": "SKIPPED", "detail": {"reason": "budget exhausted"}}
+    assert [c for c in report["checks"] if c != {"id": c["id"], **skipped}] == []
+    assert report["summary"] == {"pass": 0, "fail": 0, "skipped": 9}
+
+
+@needs_workers
+def test_a_worker_that_dies_ends_the_call_and_leaves_no_process(monkeypatch):
+    monkeypatch.setitem(harness.ALL_CHECKS, "gadgets", lambda config: os._exit(3))
+    with pytest.raises(BrokenProcessPool):
+        run_suite(RunConfig(seed=7))
+    assert multiprocessing.active_children() == []
 
 
 def test_budget_exhaustion_skips(monkeypatch):
