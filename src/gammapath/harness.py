@@ -423,13 +423,18 @@ def _fork_context():
     return multiprocessing.get_context("fork") if "fork" in multiprocessing.get_all_start_methods() else None
 
 
-def _pin_worker(cpus) -> None:
-    """Pin this worker to the next free CPU in the queue `cpus`.
+def _place_worker(cpus) -> None:
+    """Move this worker to the next CPU in the queue `cpus`, then give it back
+    every usable CPU.
 
-    Left to the scheduler, forked workers can share one CPU while another idles
-    for the whole run.
+    Where the cpuset turns load balancing off (`cpuset.sched_load_balance` 0),
+    the kernel never moves a running task, so the forked workers can all stay
+    on the CPU they were forked on while the others idle.  The full mask comes
+    back at once, so where the kernel does balance it is free to move them.
     """
+    usable = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {cpus.get()})
+    os.sched_setaffinity(0, usable)
 
 
 def _run_check(check_id: str, config: RunConfig, started: float) -> dict:
@@ -452,7 +457,7 @@ def run_suite(config: RunConfig, only: list[str] | None = None) -> dict:
     """Run the verification checks and report them in id order, deterministically.
 
     The checks run in forked worker processes, one per usable CPU up to the
-    number of checks and each pinned to a CPU of its own, or in-process when
+    number of checks and each started on a CPU of its own, or in-process when
     that is one or the platform cannot fork.  Each worker reads the budget from
     the same start time, so a check is SKIPPED when it would start after the
     budget, whichever worker runs it.  No worker outlives the call.
@@ -460,7 +465,6 @@ def run_suite(config: RunConfig, only: list[str] | None = None) -> dict:
     if only is not None and (not only or not set(only) <= ALL_CHECKS.keys()):
         raise UsageError(f"check ids must be some of {', '.join(sorted(ALL_CHECKS))}; got {only}")
     ids = sorted(ALL_CHECKS) if only is None else [i for i in sorted(ALL_CHECKS) if i in only]
-    budget = config.limits.budget_s
     started = time.monotonic()
     workers = min(len(ids), _usable_cpus())
     context = _fork_context() if workers > 1 else None
@@ -470,13 +474,13 @@ def run_suite(config: RunConfig, only: list[str] | None = None) -> dict:
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        pinning = {}
+        placing = {}
         if hasattr(os, "sched_setaffinity"):
             cpus = context.SimpleQueue()
             for cpu in sorted(os.sched_getaffinity(0)):
                 cpus.put(cpu)
-            pinning = {"initializer": _pin_worker, "initargs": (cpus,)}
-        with ProcessPoolExecutor(workers, mp_context=context, **pinning) as pool:
+            placing = {"initializer": _place_worker, "initargs": (cpus,)}
+        with ProcessPoolExecutor(workers, mp_context=context, **placing) as pool:
             ordered = list(pool.map(_run_check, *args))
     summary = {
         "pass": sum(1 for r in ordered if r["status"] == "PASS"),
@@ -487,7 +491,7 @@ def run_suite(config: RunConfig, only: list[str] | None = None) -> dict:
         "config": {
             "seed": config.seed,
             "scale": config.scale,
-            "budget_s": budget,
+            "budget_s": config.limits.budget_s,
             "limits": {
                 "max_len": config.limits.max_len,
                 "max_paths": config.limits.max_paths,

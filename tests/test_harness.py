@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import queue
 import re
 import types
 from concurrent.futures.process import BrokenProcessPool
@@ -74,6 +75,31 @@ def test_checks_run_in_workers_unless_one_cpu_is_usable(monkeypatch):
     assert _entry(run_suite(RunConfig(), only=["gadgets", "reduction"]), "gadgets")["detail"]["pid"] != os.getpid()
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
     assert _entry(run_suite(RunConfig()), "gadgets")["detail"]["pid"] == os.getpid()
+
+
+needs_affinity = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+
+
+@needs_affinity
+def test_a_worker_is_moved_to_its_cpu_and_given_back_every_usable_one(monkeypatch):
+    usable = os.sched_getaffinity(0)
+    calls = []
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: calls.append((pid, set(cpus))))
+    cpus = queue.SimpleQueue()
+    cpus.put(max(usable))
+    harness._place_worker(cpus)
+    assert calls == [(0, {max(usable)}), (0, usable)]
+    assert cpus.empty()
+
+
+@needs_workers
+@needs_affinity
+def test_the_workers_keep_every_usable_cpu(monkeypatch):
+    for check_id in harness.ALL_CHECKS:
+        where = lambda config, i=check_id: harness._pass(i, {"cpus": sorted(os.sched_getaffinity(0))})
+        monkeypatch.setitem(harness.ALL_CHECKS, check_id, where)
+    report = run_suite(RunConfig())
+    assert [c["detail"]["cpus"] for c in report["checks"]] == [sorted(os.sched_getaffinity(0))] * 9
 
 
 @needs_workers
@@ -219,6 +245,8 @@ def test_the_random_checks_make_their_groups_once(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(groups.FiniteGroup, "__init__", counting)
+    # in-process: a forked worker would count in its own copy of `made`
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
     counts = {}
     for scale in ("small", "full"):
         made.clear()
@@ -226,7 +254,7 @@ def test_the_random_checks_make_their_groups_once(monkeypatch):
         assert report["summary"]["pass"] == 2
         counts[scale] = len(made)
     # the group lists are built before the instance loops, so the count does not grow with them
-    assert counts["small"] == counts["full"]
+    assert counts["small"] == counts["full"] > 0
 
 
 def test_normalization_check_replays_the_shifts_it_was_given(monkeypatch):
