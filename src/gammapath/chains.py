@@ -41,8 +41,7 @@ class CycleChain:
 
     @property
     def is_nonzero(self) -> bool:
-        zero = self.group.zero()
-        return all(d != zero for d in self.deltas)
+        return all(self.deltas)
 
     @property
     def is_embedded(self) -> bool:
@@ -64,49 +63,37 @@ class CycleChain:
         pos = {v: i for i, v in enumerate(core.vertices)}
         terminals = graph.terminals
         used: set = set()
-        intervals = []
-        deltas = []
-        oriented = []
+        spans = []  # (i, j, detour oriented from core.vertices[i])
         for idx, q in enumerate(detours):
             if set(q.vertices) & terminals:
                 raise PreconditionFailed("detour touches the terminal set")
-            ends = [v for v in (q.vertices[0], q.vertices[-1])]
-            if not all(v in pos for v in ends):
+            if not all(v in pos for v in q.endpoints):
                 raise PreconditionFailed("detour endpoints must lie on the core")
             if any(v in pos for v in q.vertices[1:-1]):
                 raise PreconditionFailed("detour interior meets the core")
             if set(q.vertices) & used:
                 raise PreconditionFailed("detours are not pairwise disjoint")
             used |= set(q.vertices)
-            i, j = sorted((pos[ends[0]], pos[ends[1]]))
+            i, j = sorted(pos[v] for v in q.endpoints)
             if i == j:
                 raise PreconditionFailed("detour must span a nontrivial interval")
             if q.vertices[0] != core.vertices[i]:
                 q = q.reversed(graph)
             _check_input(graph, q, f"chain detour {idx}", as_terminal_path=False)
-            intervals.append((i, j))
-            oriented.append(q)
-        order = sorted(range(len(intervals)), key=lambda t: intervals[t])
-        intervals = [intervals[t] for t in order]
-        oriented = [oriented[t] for t in order]
-        last = -1
-        for i, j in intervals:
+            spans.append((i, j, q))
+        spans.sort(key=lambda span: span[:2])
+        for (_, last, _), (i, _, _) in zip(spans, spans[1:]):
             if i <= last:
                 raise PreconditionFailed("detour intervals overlap along the core")
-            last = j
-        for q, (i, j) in zip(oriented, intervals):
-            seg_v = core.vertices[i : j + 1]
-            seg_e = core.edge_ids[i:j]
-            seg_w = walk_weight(graph, seg_v, seg_e)
-            deltas.append(q.weight - seg_w)
+        deltas = tuple(q.weight - walk_weight(graph, core.vertices[i : j + 1], core.edge_ids[i:j]) for i, j, q in spans)
         return cls(
             graph.group,
             core.weight,
-            tuple(deltas),
+            deltas,
             graph,
             core,
-            tuple(oriented),
-            tuple(intervals),
+            tuple(q for _, _, q in spans),
+            tuple((i, j) for i, j, _ in spans),
         )
 
     def to_json(self) -> dict:

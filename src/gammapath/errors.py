@@ -63,9 +63,9 @@ class Limits:
     """Search budgets for the exhaustive oracles.
 
     max_len bounds path length in edges, max_paths the number of enumerated
-    paths, cycle_cap the number of enumerated simple cycles, budget_s wall
-    time for best-effort checks, max_family the family size the exact
-    packing/covering solvers accept.  The counts are ints, budget_s any real but
+    paths, cycle_cap the number of enumerated simple cycles, budget_s the
+    time after which verify-suite starts no further check, max_family the
+    family size the exact packing/covering solvers accept.  The counts are ints, budget_s any real but
     a bool; the command line reads its flag defaults from DEFAULT_LIMITS.
     """
 

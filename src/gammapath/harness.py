@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 
 from .chains import CycleChain, multiset_masks, reroute_to_weight, sharpness_witness
-from .errors import DEFAULT_LIMITS, Limits, GammapathError, UsageError
+from .errors import DEFAULT_LIMITS, GammapathError, InternalInvariantError, Limits, UsageError
 from .frame import frame_pack_or_cover
 from .gadgets import (
     build_integer_gadget,
@@ -163,11 +163,11 @@ def check_frame_random(config: RunConfig) -> dict:
             for p in result.outcome.paths:
                 p.validate(g)
                 if p.weight != group.zero() or used & set(p.vertices):
-                    return _fail("frame-random", g, {"k": k, "instance_index": i})
+                    return _fail(g, {"k": k, "instance_index": i})
                 used |= set(p.vertices)
         else:
             covers += 1  # checked by the frame, which raises if a check fails
-    return _pass("frame-random", {"instances": total, "packings": packings, "covers": covers})
+    return _pass({"instances": total, "packings": packings, "covers": covers})
 
 
 def check_duality_random(config: RunConfig) -> dict:
@@ -191,10 +191,10 @@ def check_duality_random(config: RunConfig) -> dict:
                 spec = PathFamilySpec(ABA, g, through=through)
         report = duality_report(spec, config.limits)
         if report["tau"] > 2 * report["nu"]:
-            return _fail("duality-random", g, {"kind": kind, "instance_index": i, "report": {
+            return _fail(g, {"kind": kind, "instance_index": i, "report": {
                 "nu": report["nu"], "tau": report["tau"]}})
         per_kind[kind] += 1
-    return _pass("duality-random", {"instances": total, **{f"kind_{k}": v for k, v in per_kind.items()}})
+    return _pass({"instances": total, **{f"kind_{k}": v for k, v in per_kind.items()}})
 
 
 def _arrangements(multiset: tuple[int, ...]) -> int:
@@ -211,7 +211,7 @@ def check_chain_exhaustive(config: RunConfig) -> dict:
         # over Z/p the value of k is k itself: each sorted nonzero delta multiset, for all its orders
         for deltas, mask in multiset_masks(group, range(1, p), p - 1):
             if mask != full:
-                return _fail("chain-exhaustive", None, {"p": p, "deltas": list(deltas), "reason": "missed weight"})
+                return _fail(None, {"p": p, "deltas": list(deltas), "reason": "missed weight"})
             vectors += _arrangements(deltas)
         detail[f"p{p}_vectors"] = vectors
         # witness-level spot checks along the diagonal of the vector space
@@ -223,17 +223,17 @@ def check_chain_exhaustive(config: RunConfig) -> dict:
             chain = CycleChain.abstract(group, core, deltas)
             out = reroute_to_weight(chain, group.element(target))
             if out is None:
-                return _fail("chain-exhaustive", None, {"p": p, "deltas": deltas, "core": core, "target": target})
+                return _fail(None, {"p": p, "deltas": deltas, "core": core, "target": target})
             total = group.element(core)
             for i in out.subset:
                 total = total + group.element(deltas[i])
             if total != group.element(target):
-                return _fail("chain-exhaustive", None, {"p": p, "deltas": deltas, "reason": "bad witness"})
+                return _fail(None, {"p": p, "deltas": deltas, "reason": "bad witness"})
         sharp = sharpness_witness(p)
         if reroute_to_weight(sharp, group.zero()) is not None:
-            return _fail("chain-exhaustive", None, {"p": p, "reason": "sharpness family reached zero"})
+            return _fail(None, {"p": p, "reason": "sharpness family reached zero"})
         detail[f"p{p}_sharp_unreachable"] = True
-    return _pass("chain-exhaustive", detail)
+    return _pass(detail)
 
 
 def check_cauchy_davenport(config: RunConfig) -> dict:
@@ -245,9 +245,9 @@ def check_cauchy_davenport(config: RunConfig) -> dict:
         for xs in subsets:
             for ys in subsets:
                 if group.sumset(xs, ys).bit_count() < min(xs.bit_count() + ys.bit_count() - 1, p):
-                    return _fail("cauchy-davenport", None, {"p": p})
+                    return _fail(None, {"p": p})
                 pairs += 1
-    return _pass("cauchy-davenport", {"pairs": pairs})
+    return _pass({"pairs": pairs})
 
 
 def _top_row_gadget_ok(checks: dict, n: int) -> bool:
@@ -255,41 +255,29 @@ def _top_row_gadget_ok(checks: dict, n: int) -> bool:
     return checks["nu"] == 1 and checks["tau"] == n // 2 and checks["uses_top_row"] and checks["endpoints_cross"]
 
 
+def _integer_gadget_ok(checks: dict, n: int) -> bool:
+    """The integer gadget's claims: every member pairs u_i with w_{n+1-i}, and tau = n."""
+    return checks["nu"] == 1 and checks["antidiagonal_pairing"] and checks["tau"] == n
+
+
 def check_gadgets(config: RunConfig) -> dict:
     z4 = CyclicProduct((4,))
     z8 = CyclicProduct((8,))
-    detail: dict = {}
-    top_row = (
-        ("gamma-double-prime", "subgroup_escape", lambda n: build_subgroup_escape_gadget(n, z4, 1, 2)),
-        ("gamma-prime", "quotient", lambda n: build_quotient_gadget(n, z8, 1, 4)),
+    # (variant, detail key, sizes, builder, the claims bound at each size)
+    cells = (
+        ("gamma-double-prime", "subgroup_escape", (2, 3, 4),
+         lambda n: build_subgroup_escape_gadget(n, z4, 1, 2), _top_row_gadget_ok),
+        ("gamma-prime", "quotient", (2, 3), lambda n: build_quotient_gadget(n, z8, 1, 4), _top_row_gadget_ok),
+        ("gamma", "integer", (2,), lambda n: build_integer_gadget(n, 0), _integer_gadget_ok),
     )
-    for variant, key, build in top_row:
-        for n in (2, 3):
+    detail: dict = {}
+    for variant, key, sizes, build, bound in cells:
+        for n in sizes:
             checks = verify_gadget(build(n), config.limits)
             detail[f"{key}_n{n}"] = {"nu": checks["nu"], "tau": checks["tau"]}
-            if not _top_row_gadget_ok(checks, n):
-                return _fail("gadgets", None, {"variant": variant, "n": n, "checks": checks})
-    checks = verify_gadget(build_integer_gadget(2, 0), config.limits)
-    detail["integer_n2"] = {"nu": checks["nu"], "tau": checks["tau"]}
-    if not (checks["nu"] == 1 and checks["antidiagonal_pairing"] and checks["tau"] == 2):
-        return _fail("gadgets", None, {"variant": "gamma", "n": 2, "checks": checks})
-    # best-effort larger instance within the time budget
-    start = time.monotonic()
-    if config.limits.budget_s > 60:
-        try:
-            checks = verify_gadget(build_subgroup_escape_gadget(4, z4, 1, 2), config.limits)
-            detail["subgroup_escape_n4"] = {
-                "nu": checks["nu"],
-                "tau": checks["tau"],
-                "elapsed_s": round(time.monotonic() - start, 2),
-            }
-            if not _top_row_gadget_ok(checks, 4):
-                return _fail("gadgets", None, {"variant": "gamma-double-prime", "n": 4, "checks": checks})
-        except GammapathError as exc:
-            detail["subgroup_escape_n4"] = f"SKIPPED ({exc})"
-    else:
-        detail["subgroup_escape_n4"] = "SKIPPED (budget)"
-    return _pass("gadgets", detail)
+            if not bound(checks, n):
+                return _fail(None, {"variant": variant, "n": n, "checks": checks})
+    return _pass(detail)
 
 
 def check_classification(config: RunConfig) -> dict:
@@ -304,12 +292,12 @@ def check_classification(config: RunConfig) -> dict:
             or (len(factors) == 1 and (factors[0] == 4 or _is_prime(factors[0])))
         )
         if bool(zero_ok) != bool(quoted):
-            return _fail("classification", None, {"group": group.to_json()})
+            return _fail(None, {"group": group.to_json()})
         for ell in group.elements():
             has_weight_ep(group, ell)  # raises on list/replay disagreement
             pairs += 1
         groups += 1
-    return _pass("classification", {"groups": groups, "pairs": pairs})
+    return _pass({"groups": groups, "pairs": pairs})
 
 
 def check_normalization(config: RunConfig) -> dict:
@@ -322,17 +310,17 @@ def check_normalization(config: RunConfig) -> dict:
         g, _ = random_three_connected(rng, group, rng.randint(4, 10))
         shifts, normalized = normalize_to_zero(g, config.limits)
         if any(e.label.value != zero for e in normalized.edges):
-            return _fail("normalization", g, {"instance_index": i})
+            return _fail(g, {"instance_index": i})
         summed: dict = {}  # the replay, per edge of g: label + the shifts at both ends = 0
         for v, s in shifts:
             summed[v] = add(summed.get(v, zero), s.value)
         replay = {add(add(x.value, summed.get(u, zero)), summed.get(v, zero)) for _, u, v, x, _ in g.edges}
         if replay - {zero}:
-            return _fail("normalization", g, {"instance_index": i, "reason": "replay"})
+            return _fail(g, {"instance_index": i, "reason": "replay"})
         back = apply_shifts(normalized, shifts)
         if [e.label for e in back.edges] != [e.label for e in g.edges]:
-            return _fail("normalization", g, {"instance_index": i, "reason": "round-trip"})
-    return _pass("normalization", {"instances": total})
+            return _fail(g, {"instance_index": i, "reason": "round-trip"})
+    return _pass({"instances": total})
 
 
 def check_reduction(config: RunConfig) -> dict:
@@ -355,8 +343,8 @@ def check_reduction(config: RunConfig) -> dict:
             for p in enumerate_terminal_paths(reduced, weight=group.zero(), limits=config.limits)
         }
         if before != after:
-            return _fail("reduction", g, {"instance_index": i, "ell": ell.to_json()})
-    return _pass("reduction", {"instances": total})
+            return _fail(g, {"instance_index": i, "ell": ell.to_json()})
+    return _pass({"instances": total})
 
 
 def check_oracle_soundness(config: RunConfig) -> dict:
@@ -380,10 +368,10 @@ def check_oracle_soundness(config: RunConfig) -> dict:
             continue
         corpus += 1
         if max_packing(members, config.limits)[0] != naive_max_packing(members):
-            return _fail("oracle-soundness", g, {"kind": kind, "side": "packing"})
+            return _fail(g, {"kind": kind, "side": "packing"})
         if min_cover(members, config.limits)[0] != naive_min_cover(members):
-            return _fail("oracle-soundness", g, {"kind": kind, "side": "cover"})
-    return _pass("oracle-soundness", {"corpus": corpus})
+            return _fail(g, {"kind": kind, "side": "cover"})
+    return _pass({"corpus": corpus})
 
 
 ALL_CHECKS = {
@@ -399,15 +387,15 @@ ALL_CHECKS = {
 }
 
 
-def _pass(check_id: str, detail: dict) -> dict:
-    return {"id": check_id, "status": "PASS", "detail": detail}
+def _pass(detail: dict) -> dict:
+    return {"status": "PASS", "detail": detail}
 
 
-def _fail(check_id: str, graph, extra: dict) -> dict:
+def _fail(graph, extra: dict) -> dict:
     reproducer = dict(extra)
     if graph is not None:
         reproducer["instance"] = graph.to_json()
-    return {"id": check_id, "status": "FAIL", "reproducer": reproducer}
+    return {"status": "FAIL", "reproducer": reproducer}
 
 
 def _usable_cpus() -> int:
@@ -438,19 +426,20 @@ def _place_worker(cpus) -> None:
 
 
 def _run_check(check_id: str, config: RunConfig, started: float) -> dict:
-    """One check's report entry: SKIPPED once the budget since `started` is spent, and
-    FAIL with the seed in its reproducer when the check fails or raises a GammapathError."""
+    """One check's report entry under its id: SKIPPED once the budget since `started` is
+    spent, and FAIL with the seed in its reproducer when the check fails or raises a
+    GammapathError.  The budget is read here only: it starts no check after it."""
     if time.monotonic() - started > config.limits.budget_s:
         return {"id": check_id, "status": "SKIPPED", "detail": {"reason": "budget exhausted"}}
     t0 = time.monotonic()
     try:
         out = ALL_CHECKS[check_id](config)
     except GammapathError as exc:
-        out = {"id": check_id, "status": "FAIL", "reproducer": {"error": str(exc)}}
+        out = {"status": "FAIL", "reproducer": {"error": str(exc)}}
     out["elapsed_s"] = round(time.monotonic() - t0, 3)
     if out["status"] == "FAIL":
         out.setdefault("reproducer", {})["seed"] = config.seed
-    return out
+    return {"id": check_id, **out}
 
 
 def run_suite(config: RunConfig, only: list[str] | None = None) -> dict:
@@ -473,6 +462,7 @@ def run_suite(config: RunConfig, only: list[str] | None = None) -> dict:
         ordered = list(map(_run_check, *args))
     else:
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         placing = {}
         if hasattr(os, "sched_setaffinity"):
@@ -480,8 +470,11 @@ def run_suite(config: RunConfig, only: list[str] | None = None) -> dict:
             for cpu in sorted(os.sched_getaffinity(0)):
                 cpus.put(cpu)
             placing = {"initializer": _place_worker, "initargs": (cpus,)}
-        with ProcessPoolExecutor(workers, mp_context=context, **placing) as pool:
-            ordered = list(pool.map(_run_check, *args))
+        try:
+            with ProcessPoolExecutor(workers, mp_context=context, **placing) as pool:
+                ordered = list(pool.map(_run_check, *args))
+        except BrokenProcessPool as exc:
+            raise InternalInvariantError(f"a verify-suite worker died: {exc}") from exc
     summary = {
         "pass": sum(1 for r in ordered if r["status"] == "PASS"),
         "fail": sum(1 for r in ordered if r["status"] == "FAIL"),

@@ -13,8 +13,8 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 import gammapath.harness as harness
-from gammapath import groups
-from gammapath.errors import Limits, LimitExceeded, UsageError
+from gammapath import cli, groups
+from gammapath.errors import InternalInvariantError, Limits, LimitExceeded, UsageError
 from gammapath.graphs import UNDIRECTED, LabelledGraph, three_blocks
 from gammapath.harness import RunConfig, run_suite
 from gammapath.jsonio import dumps, graph_from_json
@@ -25,13 +25,13 @@ from util import Z
 def test_failed_check_carries_reproducer_and_seed(monkeypatch):
     def broken(config):
         g = LabelledGraph.build(Z(2), UNDIRECTED, [("a", "b", 1)], ["a", "b"])
-        return harness._fail("oracle-soundness", g, {"kind": "weight"})
+        return harness._fail(g, {"kind": "weight"})
 
     monkeypatch.setitem(harness.ALL_CHECKS, "oracle-soundness", broken)
     report = run_suite(RunConfig(seed=42), only=["oracle-soundness"])
     assert report["summary"]["fail"] == 1
     check = report["checks"][0]
-    assert check["status"] == "FAIL"
+    assert (check["id"], check["status"]) == ("oracle-soundness", "FAIL")
     assert check["reproducer"]["seed"] == 42
     # the embedded instance replays: it parses back into the same graph
     instance = graph_from_json(check["reproducer"]["instance"])
@@ -39,7 +39,7 @@ def test_failed_check_carries_reproducer_and_seed(monkeypatch):
 
 
 def _without_elapsed(node):
-    """The node with every `elapsed_s` taken out, at any depth (the gadgets check times its largest gadget)."""
+    """The node with every `elapsed_s` taken out, at any depth."""
     if isinstance(node, dict):
         return {k: _without_elapsed(v) for k, v in node.items() if k != "elapsed_s"}
     return node
@@ -70,7 +70,7 @@ def test_the_workers_report_what_each_check_reports_in_process(seed):
 
 @needs_workers
 def test_checks_run_in_workers_unless_one_cpu_is_usable(monkeypatch):
-    monkeypatch.setitem(harness.ALL_CHECKS, "gadgets", lambda config: harness._pass("gadgets", {"pid": os.getpid()}))
+    monkeypatch.setitem(harness.ALL_CHECKS, "gadgets", lambda config: harness._pass({"pid": os.getpid()}))
     assert _entry(run_suite(RunConfig()), "gadgets")["detail"]["pid"] != os.getpid()
     assert _entry(run_suite(RunConfig(), only=["gadgets", "reduction"]), "gadgets")["detail"]["pid"] != os.getpid()
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
@@ -96,7 +96,7 @@ def test_a_worker_is_moved_to_its_cpu_and_given_back_every_usable_one(monkeypatc
 @needs_affinity
 def test_the_workers_keep_every_usable_cpu(monkeypatch):
     for check_id in harness.ALL_CHECKS:
-        where = lambda config, i=check_id: harness._pass(i, {"cpus": sorted(os.sched_getaffinity(0))})
+        where = lambda config: harness._pass({"cpus": sorted(os.sched_getaffinity(0))})
         monkeypatch.setitem(harness.ALL_CHECKS, check_id, where)
     report = run_suite(RunConfig())
     assert [c["detail"]["cpus"] for c in report["checks"]] == [sorted(os.sched_getaffinity(0))] * 9
@@ -127,8 +127,18 @@ def test_a_spent_budget_skips_every_check_whichever_worker_runs_it():
 @needs_workers
 def test_a_worker_that_dies_ends_the_call_and_leaves_no_process(monkeypatch):
     monkeypatch.setitem(harness.ALL_CHECKS, "gadgets", lambda config: os._exit(3))
-    with pytest.raises(BrokenProcessPool):
+    with pytest.raises(InternalInvariantError, match="^a verify-suite worker died: ") as raised:
         run_suite(RunConfig(seed=7))
+    assert isinstance(raised.value.__cause__, BrokenProcessPool)
+    assert multiprocessing.active_children() == []
+
+
+@needs_workers
+def test_a_worker_that_dies_is_one_json_error_from_the_cli(monkeypatch, capsys):
+    monkeypatch.setitem(harness.ALL_CHECKS, "gadgets", lambda config: os._exit(3))
+    assert cli.run(["verify-suite", "--seed", "7"]) == 1
+    payload = json.loads(capsys.readouterr().out)  # one JSON document, nothing after it
+    assert payload["error"] == "internal" and "a verify-suite worker died: " in payload["detail"]
     assert multiprocessing.active_children() == []
 
 
@@ -177,7 +187,7 @@ def test_internal_error_surfaces_as_fail(monkeypatch):
 
     monkeypatch.setitem(harness.ALL_CHECKS, "gadgets", exploding)
     report = run_suite(RunConfig(seed=0), only=["gadgets"])
-    assert report["checks"][0]["status"] == "FAIL"
+    assert (report["checks"][0]["id"], report["checks"][0]["status"]) == ("gadgets", "FAIL")
     assert "test probe" in report["checks"][0]["reproducer"]["error"]
 
 
@@ -199,20 +209,45 @@ def test_block_weight_enumeration_respects_limits():
         three_blocks(g, Limits(max_paths=2))
 
 
-@pytest.mark.parametrize("variant", ["gamma-prime", "gamma-double-prime"])
-def test_gadget_check_binds_the_proven_tau(monkeypatch, variant):
+# a wrong tau at every size of a variant, or at one cell only
+@pytest.mark.parametrize(
+    "variant, at_n",
+    [("gamma-prime", None), ("gamma-double-prime", None), ("gamma", None), ("gamma-double-prime", 4)],
+    ids=["gamma-prime", "gamma-double-prime", "gamma", "gamma-double-prime-n4"],
+)
+def test_gadget_check_binds_the_proven_tau(monkeypatch, variant, at_n):
     verify = harness.verify_gadget
 
     def wrong_tau(gadget, limits):
         checks = verify(gadget, limits)
-        if gadget.variant == variant:
+        if gadget.variant == variant and at_n in (None, gadget.n):
             checks["tau"] += 1
         return checks
 
     monkeypatch.setattr(harness, "verify_gadget", wrong_tau)
     report = harness.check_gadgets(RunConfig(limits=Limits(budget_s=1.0)))
     assert report["status"] == "FAIL"
-    assert report["reproducer"]["variant"] == variant
+    assert {k: report["reproducer"][k] for k in ("variant", "n")} == {"variant": variant, "n": at_n or 2}
+
+
+def test_gadget_check_binds_n4_at_any_budget():
+    report = harness.check_gadgets(RunConfig(limits=Limits(budget_s=1.0)))
+    assert report["status"] == "PASS"
+    assert report["detail"]["subgroup_escape_n4"] == {"nu": 1, "tau": 2}
+
+
+def test_a_self_check_error_in_a_gadget_cell_is_a_fail(monkeypatch):
+    verify = harness.verify_gadget
+
+    def fails_at_n4(gadget, limits):
+        if gadget.n == 4:
+            raise InternalInvariantError("test probe at n = 4")
+        return verify(gadget, limits)
+
+    monkeypatch.setattr(harness, "verify_gadget", fails_at_n4)
+    report = run_suite(RunConfig(seed=7), only=["gadgets"])
+    assert report["checks"][0]["status"] == "FAIL"
+    assert report["checks"][0]["reproducer"] == {"error": "test probe at n = 4", "seed": 7}
 
 
 def test_chain_check_fails_on_a_leaf_that_misses_a_weight(monkeypatch):
