@@ -45,7 +45,6 @@ from .graphs import (
     is_gamma_bipartite,
     normalize_to_zero,
     three_blocks,
-    vertex_key,
 )
 from .groups import _DECIMAL, IntegerGroup, group_from_json, has_weight_ep, has_zero_path_ep
 from .harness import RunConfig, run_suite
@@ -150,7 +149,7 @@ def _pack(spec, limits):
 
 def _cover(spec, limits):
     tau, cover = min_cover(spec, limits)
-    return {"tau": tau, "cover": sorted(cover, key=vertex_key), "optimal": True}
+    return {"tau": tau, "cover": sorted(cover, key=spec.graph._rank.__getitem__), "optimal": True}
 
 
 def _duality(spec, limits):

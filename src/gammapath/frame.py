@@ -25,11 +25,8 @@ from .graphs import (
     DIRECTED,
     LabelledGraph,
     PathWitness,
-    _eid_key,
-    _sorted_ids,
     search_paths,
     search_terminal_paths,
-    vertex_key,
     walk_weight,
 )
 from .packing import PackOrCover, _verify_packing
@@ -139,10 +136,11 @@ def _zero_path_from(graph: LabelledGraph, adj: dict, v) -> PathWitness:
     group = graph.group
     if not group.is_finite:
         raise PreconditionFailed("pigeonhole extraction needs a finite group")
-    if v not in adj or len(adj[v]) == 1:
+    # the graph reads the root's id, so a float or bool twin of a tree vertex is refused
+    if v not in graph or v not in adj or len(adj[v]) == 1:
         raise PreconditionFailed("root must be an internal tree vertex")
     order, parent = _rooted(adj, v)
-    leaves = sorted((x for x in order if len(adj[x]) == 1), key=vertex_key)
+    leaves = sorted((x for x in order if len(adj[x]) == 1), key=graph._rank.__getitem__)
     need = group.order + 1
     if len(leaves) < need:
         raise PreconditionFailed(f"need {need} leaf paths, found {len(leaves)}")
@@ -170,14 +168,13 @@ def _zero_path_from(graph: LabelledGraph, adj: dict, v) -> PathWitness:
 
 
 def _terminal_tree(graph: LabelledGraph, tree_edges: set) -> tuple[dict, list, dict]:
-    """The edges' adjacency map in edge order, their ids read by exact type, rooted at its smallest
+    """The edges' adjacency map in edge order, their ids read by the graph, rooted at its smallest
     leaf; PreconditionFailed unless the edges form one tree whose leaves are exactly its terminals."""
     adj: dict = {}
-    for eid in _sorted_ids(tree_edges, _eid_key):
-        e = graph.edge(eid)
-        _add_path(adj, (e.u, e.v), (eid,))
+    for e in graph.edges_of(tree_edges):
+        _add_path(adj, (e.u, e.v), (e.eid,))
     leaves = [v for v, nbrs in adj.items() if len(nbrs) == 1]
-    order, parent = _rooted(adj, min(leaves, key=vertex_key)) if leaves else ([], {})
+    order, parent = _rooted(adj, min(leaves, key=graph._rank.__getitem__)) if leaves else ([], {})
     if len(order) != len(adj) or len(adj) not in (0, len(tree_edges) + 1):
         raise PreconditionFailed("not a terminal tree: the edges do not form one tree")
     if graph.terminals.intersection(adj) != set(leaves):
@@ -194,7 +191,6 @@ def base_zero_path(graph: LabelledGraph, tree_edges: set, v) -> PathWitness:
     pigeonhole, and their symmetric difference is the witness (the common
     prefix cancels on the left even when the group is nonabelian).
     """
-    vertex_key(v)
     return _zero_path_from(graph, _terminal_tree(graph, tree_edges)[0], v)
 
 
@@ -221,12 +217,13 @@ def extract_zero_paths(graph: LabelledGraph, tree_edges: set, k: int) -> list[Pa
     size = graph.group.order
     if k <= 0:
         return []
+    rank = graph._rank.__getitem__
     adj, order, parent = _terminal_tree(graph, tree_edges)
     leaves = sum(len(nbrs) == 1 for nbrs in adj.values())
     depth = {}
     for v in order:
         depth[v] = depth[parent[v][1]] + 1 if parent[v] else 0
-    sweep = iter(sorted(order[1:], key=lambda v: (-depth[v], vertex_key(v))))
+    sweep = iter(sorted(order[1:], key=lambda v: (-depth[v], rank(v))))
     below: dict = {}  # leaves below each swept vertex
     far_paths: list[PathWitness] = []
     while True:
@@ -248,7 +245,7 @@ def extract_zero_paths(graph: LabelledGraph, tree_edges: set, k: int) -> list[Pa
             raise InternalInvariantError("no admissible split vertex; contradicts the leaf bound")
         _remove_edge(adj, split, eid, up)
         far = {v: adj.pop(v) for v in _rooted(adj, split)[0]}
-        far_paths.append(_zero_path_from(graph, far, min((v for v in far if len(far[v]) >= 2), key=vertex_key)))
+        far_paths.append(_zero_path_from(graph, far, min((v for v in far if len(far[v]) >= 2), key=rank)))
         # interior vertices are not terminals: drop each that the cut left a leaf
         while len(adj.get(up, ())) == 1:
             ((eid, y),) = adj[up]
@@ -265,7 +262,7 @@ def extract_zero_paths(graph: LabelledGraph, tree_edges: set, k: int) -> list[Pa
         if last.weight != graph.group.zero():
             raise InternalInvariantError("single-edge tree with nonzero weight")
     else:
-        last = _zero_path_from(graph, adj, min((v for v in adj if len(adj[v]) >= 2), key=vertex_key))
+        last = _zero_path_from(graph, adj, min((v for v in adj if len(adj[v]) >= 2), key=rank))
     paths = [last] + far_paths[::-1]
     _verify_packing(paths)
     return paths
@@ -338,7 +335,7 @@ def frame_pack_or_cover(
     if not checks["verified_empty"]:
         raise InternalInvariantError("zero path survives the cover; forest was not maximal")
     outcome = PackOrCover("cover", vertices=cover)
-    audit.append({"move": "cover", "vertices": sorted(cover, key=vertex_key)})
+    audit.append({"move": "cover", "vertices": sorted(cover, key=graph._rank.__getitem__)})
     return FrameResult(outcome, tuple(audit), checks)
 
 
@@ -354,7 +351,10 @@ def _validate_packing(graph: LabelledGraph, paths: list[PathWitness], k: int) ->
 
 
 def validate_frame_cover(graph: LabelledGraph, k: int, cover: frozenset, limits: Limits = DEFAULT_LIMITS) -> dict:
-    """Check both cover conclusions: the size bound, and no zero path left after deleting the cover."""
+    """Check both cover conclusions on a cover of the graph's vertices: the size bound, and no zero path left."""
+    # the graph reads every id, so a float or bool twin is refused even beside an unknown id
+    if not all([v in graph for v in cover]):
+        raise ValueError("cover must consist of vertices")
     bound = 6 * (k - 1) * graph.group.order
     leftover = _first_zero_path_disjoint_from(graph, cover, limits)
     return {

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DEFAULT_LIMITS, Limits, PreconditionFailed
-from .graphs import UNDIRECTED, LabelledGraph, vertex_key
+from .graphs import UNDIRECTED, LabelledGraph
 from .groups import GroupElem, GroupSpec, IntegerGroup, subgroup_contains
 from .packing import WEIGHT, PathFamilySpec, max_packing, min_cover
 
@@ -148,7 +148,7 @@ def verify_gadget(gadget: GridGadget, limits: Limits = DEFAULT_LIMITS) -> dict:
         "family_size": len(members),
         "nu": nu,
         "tau": tau,
-        "cover": sorted(cover, key=vertex_key),
+        "cover": sorted(cover, key=graph._rank.__getitem__),
         "no_two_disjoint": nu <= 1,
         "endpoints_cross": all({end[0] for end in m.endpoints} == {"u", "w"} for m in members),
         "cover_at_least_n": tau >= n,

@@ -9,6 +9,7 @@ abelian.  Graphs are immutable; mutating operations return new graphs.
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
@@ -30,11 +31,14 @@ UNDIRECTED = "undirected"
 _PLAIN_IDS = frozenset((int, str))
 
 
-def vertex_key(v):
-    """Total order over mixed int/str vertex ids."""
+def vertex_key(v, kind: str = "vertex"):
+    """Total order over mixed int/str ids, of vertices or of another kind."""
     if isinstance(v, bool) or not isinstance(v, (int, str)):
-        raise ValueError(f"vertex ids must be ints or strings, got {v!r}")
+        raise ValueError(f"{kind} ids must be ints or strings, got {v!r}")
     return (0, v, "") if isinstance(v, int) else (1, 0, v)
+
+
+_eid_key = functools.partial(vertex_key, kind="edge")
 
 
 class Edge(NamedTuple):
@@ -72,23 +76,18 @@ class LabelledGraph:
                 _eid_key(eid)
             if eid in by_id:
                 raise ValueError(f"duplicate edge id {eid!r}")
-            if u not in rank or v not in rank:
+            # read as any vertex id is: by exact type, then looked up
+            if u not in self or v not in self:
                 raise ValueError(f"edge {eid!r} has an endpoint outside the vertex set")
-            # a float or bool twin of a vertex id hashes like it, so its type is checked too
-            if type(u) not in _PLAIN_IDS:
-                vertex_key(u)
-            if type(v) not in _PLAIN_IDS:
-                vertex_key(v)
             if u == v:
                 raise ValueError(f"edge {eid!r} is a loop")
             # an element made on this very group (graph_from_json's) is valid already
             if not (isinstance(label, GroupElem) and label.group is group):
                 e = Edge(eid, u, v, group.element(label), tail)
             if model == DIRECTED:
-                if tail not in (u, v):
+                # `in self` only reads the tail's type here: a float or bool twin of an endpoint is refused
+                if tail not in (u, v) or tail not in self:
                     raise ValueError(f"edge {eid!r} needs an orientation in the directed model")
-                if type(tail) not in _PLAIN_IDS:
-                    vertex_key(tail)
             elif tail is not None:
                 raise ValueError(f"edge {eid!r} carries an orientation in the undirected model")
             by_id[eid] = e
@@ -136,15 +135,24 @@ class LabelledGraph:
             full.append(Edge(i, u, v, label, tail))
         return cls(group, model, vertices, full, terminals)
 
-    # --- basic accessors -------------------------------------------------
+    # --- basic accessors: an id is read by exact type, then looked up ----
 
     def edge(self, eid) -> Edge:
+        if type(eid) not in _PLAIN_IDS:
+            _eid_key(eid)
         try:
             return self.edges[self._erank[eid]]
         except KeyError:
             raise ValueError(f"unknown edge {eid!r}") from None
 
+    def edges_of(self, eids) -> list[Edge]:
+        """The edges of a collection of ids in edge order, read in key order, so that the id an
+        error names does not depend on the collection's own order."""
+        return [self.edge(eid) for eid in _sorted_ids(eids, _eid_key)]
+
     def __contains__(self, v) -> bool:
+        if type(v) not in _PLAIN_IDS:
+            vertex_key(v)
         return v in self._rank
 
     # --- derived graphs ---------------------------------------------------
@@ -211,13 +219,6 @@ def _sorted_ids(ids, key) -> list:
     ids = list(ids)
     kinds = set(map(type, ids))
     return sorted(ids) if len(kinds) == 1 and kinds <= _PLAIN_IDS else sorted(ids, key=key)
-
-
-def _eid_key(eid):
-    """Total order over mixed int/str edge ids."""
-    if isinstance(eid, bool) or not isinstance(eid, (int, str)):
-        raise ValueError(f"edge ids must be ints or strings, got {eid!r}")
-    return (0, eid, "") if isinstance(eid, int) else (1, 0, eid)
 
 
 @dataclass(frozen=True)
@@ -288,33 +289,26 @@ def _check_input(graph: LabelledGraph, witness: PathWitness, what: str, as_termi
 def walk_weight(graph: LabelledGraph, vertices, edge_ids) -> GroupElem:
     """Weight of a walk given as alternating vertex and edge-id sequences.
 
-    Ids are read by exact type, as the graph's are, before any lookup.  Label
-    values are summed left to right with `group._add` (meaningful for
-    nonabelian groups); a label is negated when the walk enters the edge's
-    tail, which only directed edges have, as in the graph's step table.
+    The graph reads the ids.  Errors come in this order: alternation, then
+    vertices (an unknown one past the first fails its edge's join), then edges
+    in walk order.  Label values are summed left to right with `group._add`
+    (meaningful for nonabelian groups); a label is negated when the walk enters
+    the edge's tail, which only directed edges have, as in the step table.
     """
     vertices = tuple(vertices)
     edge_ids = tuple(edge_ids)
-    for ids, key in ((vertices, vertex_key), (edge_ids, _eid_key)):
-        for x in ids:
-            if type(x) not in _PLAIN_IDS:
-                key(x)
     if len(vertices) != len(edge_ids) + 1 or not vertices:
         raise ValueError("walk must alternate vertices and edges")
+    if not [v in graph for v in vertices][0]:
+        raise ValueError(f"unknown vertex {vertices[0]!r}")
     group = graph.group
-    add, neg, edges, erank = group._add, group._neg, graph.edges, graph._erank
+    add, neg = group._add, group._neg
     acc = group._zero
-    at = vertices[0]
-    if at not in graph:
-        raise ValueError(f"unknown vertex {at!r}")
-    for eid, nxt in zip(edge_ids, vertices[1:]):
-        if eid not in erank:
-            raise ValueError(f"unknown edge {eid!r}")
-        _, u, v, label, tail = edges[erank[eid]]
+    for at, eid, nxt in zip(vertices, edge_ids, vertices[1:]):
+        _, u, v, label, tail = graph.edge(eid)
         if {at, nxt} != {u, v}:
             raise ValueError(f"edge {eid!r} does not join {at!r} and {nxt!r}")
         acc = add(acc, neg(label.value) if nxt == tail else label.value)
-        at = nxt
     return GroupElem(group, acc)
 
 
@@ -582,7 +576,7 @@ def apply_shifts(graph: LabelledGraph, shifts) -> LabelledGraph:
     """Apply a sequence of shifts (vertex, g) in one relabelling pass.
 
     Each shift is checked as a single shift would be: the orientation-free
-    model, g + g = 0 and a known vertex id of an exact type.  The model's group is abelian, so
+    model, g + g = 0 and a vertex the graph knows.  The model's group is abelian, so
     the shifts at a vertex can be summed first.
     """
     if graph.model != UNDIRECTED:
@@ -594,7 +588,6 @@ def apply_shifts(graph: LabelledGraph, shifts) -> LabelledGraph:
         g = group.element(g)
         if add(g.value, g.value) != zero:
             raise PreconditionFailed(f"shift value must satisfy g+g=0, got {g!r}")
-        vertex_key(v)
         if v not in graph:
             raise ValueError(f"unknown vertex {v!r}")
         total[v] = add(total.get(v, zero), g.value)
@@ -737,7 +730,7 @@ def three_blocks(graph: LabelledGraph, limits: Limits = DEFAULT_LIMITS) -> list[
         for c in _maximal_cliques(_inseparable_masks(graph))
         if c.bit_count() >= 3
     ]
-    blocks.sort(key=lambda b: tuple(map(vertex_key, b)))
+    blocks.sort(key=lambda b: tuple(map(graph._rank.__getitem__, b)))
     out = []
     for bverts in blocks:
         bset = set(bverts)
@@ -769,8 +762,8 @@ def _block_path_weights(graph, bridges, limits) -> list[tuple]:
     found = 0
     out = []
     for (a, b), allowed in confine.items():
-        # the chords as the search would yield them; one is cut only below max_len 1
-        if len(allowed) == 2 and limits.max_len >= 1:
+        # the chords as the search would yield them
+        if len(allowed) == 2:
             paths = (((a, b), (eid,), step) for eid, y, step in graph._steps[a] if y == b)
         else:
             paths = search_paths(

@@ -65,6 +65,15 @@ class RunConfig:
     limits: Limits = DEFAULT_LIMITS
     scale: str = "full"  # "small" trims the randomized suite sizes
 
+    def __post_init__(self):
+        # checked as Limits checks its fields: the suite would run on any other value and echo it
+        if type(self.seed) is not int:
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
+        if self.scale not in ("small", "full"):
+            raise ValueError(f"scale must be 'small' or 'full', got {self.scale!r}")
+        if not isinstance(self.limits, Limits):
+            raise ValueError(f"limits must be a Limits, got {self.limits!r}")
+
     def counts(self, full: int) -> int:
         return max(10, full // 10) if self.scale == "small" else full
 

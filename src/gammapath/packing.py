@@ -53,10 +53,8 @@ class PathFamilySpec:
             object.__setattr__(self, "weight", self.graph.group.element(self.weight))
         if self.kind == ABA and not self.through:
             raise ValueError("through-set family needs a vertex set")
-        # a float or bool twin of a vertex id hashes like it, so its type is checked too
-        for v in self.through:
-            vertex_key(v)
-        if not set(self.through) <= set(self.graph.vertices):
+        # the graph reads every id, so a float or bool twin is refused even beside an unknown id
+        if not all([v in self.graph for v in self.through]):
             raise ValueError("through-set must consist of vertices")
         # kept as the graph keeps its terminals: hashable, and with the set methods the search uses
         object.__setattr__(self, "through", frozenset(self.through))
@@ -86,7 +84,7 @@ class PathFamilySpec:
         if self.kind == WEIGHT:
             out["weight"] = self.weight.to_json()
         if self.kind == ABA:
-            out["through"] = sorted(self.through, key=vertex_key)
+            out["through"] = sorted(self.through, key=self.graph._rank.__getitem__)
         return out
 
 

@@ -673,6 +673,9 @@ def test_the_written_label_forms_still_read_as_before(tmp_path, capsys, group, l
     [
         (_one_edge(_Z4, [1], v=1.0), "bad graph JSON: vertex ids must be ints or strings, got 1.0"),
         (_one_edge(_Z4, [1], v=True), "bad graph JSON: vertex ids must be ints or strings, got True"),
+        # an endpoint is read by type before it is looked up, so an unhashable or missing one is named too
+        (_one_edge(_Z4, [1], u=[0]), "bad graph JSON: vertex ids must be ints or strings, got [0]"),
+        (_one_edge(_Z4, [1], v=5.0), "bad graph JSON: vertex ids must be ints or strings, got 5.0"),
         (_one_edge(_Z4, [1], DIRECTED, tail=1.0), "bad graph JSON: vertex ids must be ints or strings, got 1.0"),
         ({**_one_edge(_Z4, [1]), "A": [0, 1.0]}, "bad graph JSON: vertex ids must be ints or strings, got 1.0"),
         ({**_one_edge(_Z4, [1]), "A": [0, True]}, "bad graph JSON: vertex ids must be ints or strings, got True"),
@@ -680,8 +683,8 @@ def test_the_written_label_forms_still_read_as_before(tmp_path, capsys, group, l
         ({**_one_edge(_Z4, [1]), "edges": {}}, "graph JSON key 'edges' must be a list"),
         ({**_one_edge(_Z4, [1]), "A": "01"}, "graph JSON key 'A' must be a list"),
     ],
-    ids=["float-endpoint", "bool-endpoint", "float-tail", "float-terminal", "bool-terminal", "string-vertices",
-         "object-edges", "string-terminals"],
+    ids=["float-endpoint", "bool-endpoint", "list-endpoint", "float-endpoint-off-the-vertices", "float-tail",
+         "float-terminal", "bool-terminal", "string-vertices", "object-edges", "string-terminals"],
 )
 def test_an_id_that_is_not_an_int_or_a_string_is_a_usage_error(tmp_path, capsys, data, detail):
     code, payload, err = _pack(tmp_path, capsys, data)

@@ -5,8 +5,10 @@ over Z/2, Z/3, Z/4 and Z/2 x Z/2, S3 in the directed model, about a third
 with mixed int and str vertex and edge ids, plus 3-connected zero-cycle
 graphs for `normalize`.  Every call must print exactly one JSON object and
 never let an exception escape; a failure must be a usage, rejected or
-limit-exceeded error, never an internal one.  Truncated graph files must be
-usage errors (exit 2) and `--max-paths 1` must exhaust some search (exit 3).
+limit-exceeded error, never an internal one.  Every vertex list a successful
+call prints must be in `vertex_key` order, the graph's own.  Truncated graph
+files must be usage errors (exit 2) and `--max-paths 1` must exhaust some
+search (exit 3).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import random
 from collections import Counter
 
 from gammapath.cli import run
-from gammapath.graphs import DIRECTED, UNDIRECTED
+from gammapath.graphs import DIRECTED, UNDIRECTED, vertex_key
 from gammapath.harness import make_s3, random_labelled_graph, random_three_connected
 
 from util import Z
@@ -71,6 +73,24 @@ def _call(argv: list[str]) -> tuple[int, dict]:
     return code, payload
 
 
+def _assert_key_order(command: str, payload: dict) -> None:
+    """Each vertex list of an exit-0 payload, and the blocks, come in vertex_key order."""
+    lists = [payload["family"]["through"]] if "through" in payload.get("family", {}) else []
+    if command == "cover":
+        lists.append(payload["cover"])
+    elif command == "duality":
+        lists.append(payload["cover"]["vertices"])  # its packing prints paths, in walk order
+    elif command == "frame":
+        lists += [payload["outcome"]["vertices"]] if payload["outcome"]["kind"] == "cover" else []
+        lists += [move["vertices"] for move in payload["audit"] if move["move"] == "cover"]
+    elif command == "blocks":
+        lists += [block["vertices"] for block in payload["blocks"]]
+        keys = [[vertex_key(v) for v in block["vertices"]] for block in payload["blocks"]]
+        assert keys == sorted(keys), payload
+    for vertices in lists:
+        assert vertices == sorted(vertices, key=vertex_key), (command, payload)
+
+
 def _cases(rng: random.Random):
     """(graph JSON, group, commands): random graphs for every command, 3-connected ones for normalize."""
     for _ in range(90):
@@ -94,8 +114,10 @@ def test_seeded_graph_commands_keep_the_error_contract(tmp_path):
         text = json.dumps(data)
         path.write_text(text)
         for command in commands:
-            code, _ = _call([command, "--graph", str(path), *_options(rng, command, group, data)])
+            code, payload = _call([command, "--graph", str(path), *_options(rng, command, group, data)])
             exits[command, code] += 1
+            if code == 0:
+                _assert_key_order(command, payload)
         path.write_text(text[: rng.randrange(len(text))])
         command = rng.choice(commands)
         assert _call([command, "--graph", str(path), *_options(rng, command, group, data)])[0] == 2

@@ -38,6 +38,25 @@ def test_failed_check_carries_reproducer_and_seed(monkeypatch):
     assert dumps(instance.to_json()) == dumps(check["reproducer"]["instance"])
 
 
+@pytest.mark.parametrize(
+    "fields, detail",
+    [
+        ({"seed": True}, "seed must be an int, got True"),
+        ({"seed": 1.0}, "seed must be an int, got 1.0"),
+        ({"seed": "7"}, "seed must be an int, got '7'"),
+        ({"scale": "smal"}, "scale must be 'small' or 'full', got 'smal'"),
+        ({"limits": {"max_len": 3}}, "limits must be a Limits, got {'max_len': 3}"),
+    ],
+    ids=["bool-seed", "float-seed", "str-seed", "unknown-scale", "dict-limits"],
+)
+def test_run_config_checks_its_fields(fields, detail):
+    # the suite would run on each of these and echo it in the report's config
+    with pytest.raises(ValueError) as raised:
+        RunConfig(**fields)
+    assert str(raised.value) == detail
+    assert RunConfig(seed=-3, scale="small", limits=Limits(max_len=3)).counts(100) == 10
+
+
 def _without_elapsed(node):
     """The node with every `elapsed_s` taken out, at any depth."""
     if isinstance(node, dict):
