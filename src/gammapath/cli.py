@@ -4,9 +4,10 @@ Each subcommand's handler maps its parsed args to (payload, verdict), and `run`
 prints the payload as the one JSON document on stdout: exit 0 for a positive
 verdict, 1 for a negative one or a failed check.  Any failure after argument
 parsing prints {"error": kind, "detail": message} instead, plus one stderr
-line: usage, exit 2 (malformed input, a missing gadget flag, an unreadable
-input or unwritable --out file); limit-exceeded, exit 3; rejected, exit 1 (a
-failed precondition); internal, exit 1 (a failed self-check).  A bad command
+line: usage, exit 2 (malformed input, a missing gadget flag, a gadget limit
+flag without --verify, an unreadable input or unwritable --out file);
+limit-exceeded, exit 3; rejected, exit 1 (a failed precondition); internal,
+exit 1 (a failed self-check).  A bad command
 line exits 2 with argparse's message on stderr only.  Gadget variants: gamma
 takes --ell (an element of the integers, read as every element token is;
 default 0) and --model; gamma-prime needs --group, --g1 and --g2;
@@ -110,7 +111,7 @@ def _graph(args):
 
 def _limits(args) -> Limits:
     """Limits from the limit flags the command accepts, checked by Limits; the rest are the defaults."""
-    return Limits(**{k: v for k, v in vars(args).items() if k in _LIMIT_FLAGS})
+    return Limits(**{k: v for k, v in vars(args).items() if k in _LIMIT_FLAGS and v is not None})
 
 
 def _family_spec(graph, text: str) -> PathFamilySpec:
@@ -198,6 +199,10 @@ def _gadget(args):
     missing = [f"--{name}" for name in needed if name not in given]
     if missing:
         raise UsageError(f"{args.variant} needs {', '.join(missing)}")
+    # the limit flags default to None here, so that one given without --verify is seen
+    limits = [_LIMIT_FLAGS[name] for name in _PATH_LIMITS if getattr(args, name) is not None]
+    if limits and not args.verify:
+        raise UsageError(f"gadget reads {', '.join(limits)} only with --verify")
     if needed:
         group = group_from_json(_parse_json(args.group, "--group"))
         gadget = build(args.n, group, *(parse_element(group, getattr(args, name)) for name in needed[1:]))
@@ -295,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=[DIRECTED, UNDIRECTED], help="gamma only; undirected by default")
     p.add_argument("--verify", action="store_true")
     _add_common(p, graph=False)
-    p.set_defaults(handler=_gadget)
+    p.set_defaults(handler=_gadget, max_len=None, max_paths=None)
 
     for name, help_text, handler, limits in (
         ("bipartite", "is every cycle weight zero?", _bipartite, ("cycle_cap",)),

@@ -325,7 +325,7 @@ def frame_pack_or_cover(
                 if take > 0:
                     paths.extend(extract_zero_paths(graph, {eid for v in tree for eid, _ in forest[v]}, take))
     if len(paths) == k:
-        _validate_packing(graph, paths, k)
+        _validate_packing(graph, paths)
         return FrameResult(PackOrCover("packing", paths=tuple(paths)), tuple(audit))
 
     cover = frozenset(v for v, nbrs in forest.items() if len(nbrs) in (1, 3))
@@ -339,9 +339,7 @@ def frame_pack_or_cover(
     return FrameResult(outcome, tuple(audit), checks)
 
 
-def _validate_packing(graph: LabelledGraph, paths: list[PathWitness], k: int) -> None:
-    if len(paths) != k:
-        raise InternalInvariantError("packing has the wrong size")
+def _validate_packing(graph: LabelledGraph, paths: list[PathWitness]) -> None:
     zero = graph.group.zero()
     for p in paths:
         p.validate(graph)

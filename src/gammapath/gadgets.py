@@ -103,7 +103,7 @@ def build_quotient_gadget(n: int, group: GroupSpec, g1, g2) -> GridGadget:
     if g1 == zero or g2 == zero:
         raise PreconditionFailed("both labels must be nonzero")
     if not group.is_finite:
-        raise ValueError(f"{group.name} is infinite and has no dense index form")
+        raise ValueError(f"{group.name} is infinite; the coset-order test needs a finite group")
     if not group.coset_order_above_two(g1.value, group.cyclic(g2.value)):
         raise PreconditionFailed("coset order condition fails; not a counterexample pair")
     graph = _grid(n, group, UNDIRECTED, [g1] * n, [g2 - g1] * n, g2)

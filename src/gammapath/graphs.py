@@ -347,7 +347,10 @@ def search_paths(
     longer than max_len edges are cut, and a search that runs to its end
     after cutting one raises LimitExceeded(cut, max_len), since its results
     may be incomplete; a caller that stops at its first hit never reaches
-    that end.
+    that end.  max_len must be at least 1, as `Limits` keeps it: a source
+    then starts with budget max_len, and a vertex is pushed only while one
+    more edge still fits after it, so every path has budget at least 1 left
+    for its stop edge and only interior extensions are cut.
     """
     add = graph.group._add
     steps = graph._steps
@@ -379,9 +382,7 @@ def search_paths(
                         break
                     if not mark:
                         continue
-                    if budget < 1:
-                        truncated = True
-                    elif accept(path, edges, nxt, eid):
+                    if accept(path, edges, nxt, eid):
                         found += 1
                         if found > max_count:
                             raise LimitExceeded("enumerated paths", max_count)
@@ -779,11 +780,7 @@ def _block_path_weights(graph, bridges, limits) -> list[tuple]:
             weights.add(w)
             if len(weights) == group.order:
                 break
-        # a finite group numbers its values in element order; the integers do not
-        elems = [GroupElem(group, w) for w in sorted(weights)]
-        if not group.is_finite:
-            elems.sort(key=group.elem_sort_key)
-        out += ((a, b, g) for g in elems)
+        out += ((a, b, g) for g in sorted((GroupElem(group, w) for w in weights), key=group.elem_sort_key))
     return out
 
 

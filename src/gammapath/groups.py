@@ -493,8 +493,8 @@ class IntegerGroup(GroupSpec):
         return {"type": "integers"}
 
 
-# group_from_json's groups by their canonical JSON, emptied when full; callers racing on one
-# key at worst build an equal group twice
+# group_from_json's groups by their canonical JSON, emptied when full; each process keeps its
+# own, so a forked verify-suite worker fills a copy
 _GROUP_MEMO_SIZE = 32
 _groups_by_json: dict[str, GroupSpec] = {}
 

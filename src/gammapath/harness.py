@@ -51,7 +51,6 @@ from .packing import (
     ODD,
     WEIGHT,
     PathFamilySpec,
-    TerminalEdgeWarning,
     duality_report,
     max_packing,
     min_cover,
@@ -160,23 +159,16 @@ def check_frame_random(config: RunConfig) -> dict:
     rng = random.Random(config.seed * 1009 + 1)
     groups = [CyclicProduct((2,)), CyclicProduct((3,)), CyclicProduct((5,)), make_s3()]
     total = config.counts(500)
-    packings = covers = 0
+    packings = 0
     for i in range(total):
-        group = groups[i % len(groups)]
-        g = random_labelled_graph(rng, group, DIRECTED, n_max=14)
+        g = random_labelled_graph(rng, groups[i % len(groups)], DIRECTED, n_max=14)
         k = rng.randint(1, 3)
-        result = frame_pack_or_cover(g, k, config.limits)
-        if result.outcome.kind == "packing":
-            packings += 1
-            used: set = set()
-            for p in result.outcome.paths:
-                p.validate(g)
-                if p.weight != group.zero() or used & set(p.vertices):
-                    return _fail(g, {"k": k, "instance_index": i})
-                used |= set(p.vertices)
-        else:
-            covers += 1  # checked by the frame, which raises if a check fails
-    return _pass({"instances": total, "packings": packings, "covers": covers})
+        try:
+            # the frame checks its packing or cover before it returns one, and raises if a check fails
+            packings += frame_pack_or_cover(g, k, config.limits).outcome.kind == "packing"
+        except GammapathError as exc:
+            return _fail(g, {"k": k, "instance_index": i, "error": str(exc)})
+    return _pass({"instances": total, "packings": packings, "covers": total - packings})
 
 
 def check_duality_random(config: RunConfig) -> dict:
@@ -198,10 +190,11 @@ def check_duality_random(config: RunConfig) -> dict:
             else:
                 through = frozenset(rng.sample(list(g.vertices), rng.randint(1, 3)))
                 spec = PathFamilySpec(ABA, g, through=through)
-        report = duality_report(spec, config.limits)
-        if report["tau"] > 2 * report["nu"]:
-            return _fail(g, {"kind": kind, "instance_index": i, "report": {
-                "nu": report["nu"], "tau": report["tau"]}})
+        try:
+            # every family drawn here is theorem-backed, so the report raises if tau > 2 nu
+            duality_report(spec, config.limits)
+        except GammapathError as exc:
+            return _fail(g, {"kind": kind, "instance_index": i, "error": str(exc)})
         per_kind[kind] += 1
     return _pass({"instances": total, **{f"kind_{k}": v for k, v in per_kind.items()}})
 
@@ -317,7 +310,10 @@ def check_normalization(config: RunConfig) -> dict:
         group = groups[i % len(groups)]
         add, zero = group._add, group._zero
         g, _ = random_three_connected(rng, group, rng.randint(4, 10))
-        shifts, normalized = normalize_to_zero(g, config.limits)
+        try:
+            shifts, normalized = normalize_to_zero(g, config.limits)
+        except GammapathError as exc:
+            return _fail(g, {"instance_index": i, "error": str(exc)})
         if any(e.label.value != zero for e in normalized.edges):
             return _fail(g, {"instance_index": i})
         summed: dict = {}  # the replay, per edge of g: label + the shifts at both ends = 0
@@ -333,8 +329,6 @@ def check_normalization(config: RunConfig) -> dict:
 
 
 def check_reduction(config: RunConfig) -> dict:
-    import warnings
-
     rng = random.Random(config.seed * 1009 + 8)
     total = config.counts(200)
     cases = [(CyclicProduct((9,)), list(range(9))), (CyclicProduct((4,)), [0, 2])]
@@ -342,15 +336,15 @@ def check_reduction(config: RunConfig) -> dict:
         group, targets = cases[i % 2]
         g = random_labelled_graph(rng, group, UNDIRECTED, n_max=10)
         ell = group.element(rng.choice(targets))
-        half = find_halving(group, ell)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TerminalEdgeWarning)
-            reduced = reduce_weight_to_zero(g, ell, half)
-        before = {p.vertices for p in enumerate_terminal_paths(g, weight=ell, limits=config.limits)}
-        after = {
-            p.vertices
-            for p in enumerate_terminal_paths(reduced, weight=group.zero(), limits=config.limits)
-        }
+        try:
+            reduced = reduce_weight_to_zero(g, ell, find_halving(group, ell))
+            before = {p.vertices for p in enumerate_terminal_paths(g, weight=ell, limits=config.limits)}
+            after = {
+                p.vertices
+                for p in enumerate_terminal_paths(reduced, weight=group.zero(), limits=config.limits)
+            }
+        except GammapathError as exc:
+            return _fail(g, {"instance_index": i, "ell": ell.to_json(), "error": str(exc)})
         if before != after:
             return _fail(g, {"instance_index": i, "ell": ell.to_json()})
     return _pass({"instances": total})
@@ -372,14 +366,18 @@ def check_oracle_soundness(config: RunConfig) -> dict:
             if kind == WEIGHT
             else PathFamilySpec(kind, g)
         )
-        members = spec.members(config.limits)
-        if not 0 < len(members) <= 12:
-            continue
-        corpus += 1
-        if max_packing(members, config.limits)[0] != naive_max_packing(members):
-            return _fail(g, {"kind": kind, "side": "packing"})
-        if min_cover(members, config.limits)[0] != naive_min_cover(members):
-            return _fail(g, {"kind": kind, "side": "cover"})
+        named = {"kind": kind, "instance_index": attempts - 1}
+        try:
+            members = spec.members(config.limits)
+            if not 0 < len(members) <= 12:
+                continue
+            corpus += 1
+            if max_packing(members, config.limits)[0] != naive_max_packing(members):
+                return _fail(g, {**named, "side": "packing"})
+            if min_cover(members, config.limits)[0] != naive_min_cover(members):
+                return _fail(g, {**named, "side": "cover"})
+        except GammapathError as exc:
+            return _fail(g, {**named, "error": str(exc)})
     return _pass({"corpus": corpus})
 
 
@@ -437,7 +435,8 @@ def _place_worker(cpus) -> None:
 def _run_check(check_id: str, config: RunConfig, started: float) -> dict:
     """One check's report entry under its id: SKIPPED once the budget since `started` is
     spent, and FAIL with the seed in its reproducer when the check fails or raises a
-    GammapathError.  The budget is read here only: it starts no check after it."""
+    GammapathError outside the instance loops, which name their own failing instance.
+    The budget is read here only: it starts no check after it."""
     if time.monotonic() - started > config.limits.budget_s:
         return {"id": check_id, "status": "SKIPPED", "detail": {"reason": "budget exhausted"}}
     t0 = time.monotonic()

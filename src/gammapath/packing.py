@@ -8,7 +8,6 @@ certificates are reproducible.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -30,10 +29,6 @@ ODD = "odd"
 ABA = "aba"
 
 
-class TerminalEdgeWarning(UserWarning):
-    """An edge joins two terminals; its label is shifted at both ends."""
-
-
 @dataclass(frozen=True)
 class PathFamilySpec:
     """A family of terminal-linking paths inside one labelled graph."""
@@ -51,13 +46,16 @@ class PathFamilySpec:
                 raise ValueError("weight family needs a target element")
             # read as the graph reads its labels: an element of its group or a literal of one
             object.__setattr__(self, "weight", self.graph.group.element(self.weight))
-        if self.kind == ABA and not self.through:
+        # read once, so a one-shot iterator is checked whole; a tuple, so a twin beside its id
+        # (1 and 1.0) reaches the graph's check before a set merges them
+        through = tuple(self.through)
+        if self.kind == ABA and not through:
             raise ValueError("through-set family needs a vertex set")
         # the graph reads every id, so a float or bool twin is refused even beside an unknown id
-        if not all([v in self.graph for v in self.through]):
+        if not all([v in self.graph for v in through]):
             raise ValueError("through-set must consist of vertices")
         # kept as the graph keeps its terminals: hashable, and with the set methods the search uses
-        object.__setattr__(self, "through", frozenset(self.through))
+        object.__setattr__(self, "through", frozenset(through))
 
     def members(self, limits: Limits = DEFAULT_LIMITS) -> list[PathWitness]:
         """Exhaustively enumerate the family, in deterministic order."""
@@ -319,13 +317,6 @@ def reduce_weight_to_zero(
     if g + g != ell:
         raise PreconditionFailed(f"need g+g = target, got {g!r}")
     terminals = graph.terminals
-    if any(e.u in terminals and e.v in terminals for e in graph.edges):
-        warnings.warn(
-            "an edge joins two terminals; its label is shifted at both ends",
-            TerminalEdgeWarning,
-            stacklevel=2,
-        )
-
     add, minus_g = group._add, group._neg(g.value)
     values = []
     for _, u, v, label, _ in graph.edges:

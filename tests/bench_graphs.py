@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import functools
 import random
-import warnings
 
 from gammapath.graphs import UNDIRECTED, LabelledGraph, apply_shifts, normalize_to_zero
 from gammapath.groups import find_halving
 from gammapath.harness import random_labelled_graph, random_three_connected
-from gammapath.packing import TerminalEdgeWarning, reduce_weight_to_zero
+from gammapath.packing import reduce_weight_to_zero
 
 from util import Z
 
@@ -90,9 +89,7 @@ def test_reduce_weight_to_zero(benchmark):
     cases = _reduction()
 
     def run():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TerminalEdgeWarning)
-            return [reduce_weight_to_zero(graph, ell, g) for graph, ell, g in cases]
+        return [reduce_weight_to_zero(graph, ell, g) for graph, ell, g in cases]
 
     out = benchmark.pedantic(run, **ROUNDS)
     assert [len(g.edges) for g in out] == [len(graph.edges) for graph, _, _ in cases]

@@ -393,6 +393,21 @@ def test_gadget_rejects_the_flags_its_variant_does_not_read(capsys, variant, par
 
 
 @pytest.mark.parametrize(
+    "limits, flags",
+    [(["--max-len", "1"], "--max-len"), (["--max-paths", "1"], "--max-paths"),
+     (["--max-paths", "1", "--max-len", "20"], "--max-len, --max-paths")],
+    ids=["max-len", "max-paths", "both"],
+)
+def test_a_gadget_limit_flag_without_verify_is_a_usage_error(capsys, limits, flags):
+    code, payload, err = invoke(capsys, "gadget", "--variant", "gamma", "--n", "2", *limits)
+    detail = f"gadget reads {flags} only with --verify"
+    assert (code, payload, err) == (2, {"error": "usage", "detail": detail}, f"usage error: {detail}\n")
+    # with --verify the same flags bound the search, which they cut
+    code, payload, _ = invoke(capsys, "gadget", "--variant", "gamma", "--n", "2", *limits, "--verify")
+    assert (code, payload["error"]) == (3, "limit-exceeded")
+
+
+@pytest.mark.parametrize(
     "params, detail",
     [
         (["--variant", "gamma-prime"], "gamma-prime needs --group, --g1, --g2"),

@@ -5,7 +5,6 @@ import inspect
 import itertools
 import random
 import sys
-import warnings
 
 import networkx as nx
 import pytest
@@ -35,7 +34,7 @@ from gammapath.graphs import (
     walk_weight,
 )
 from gammapath.groups import elements_of_order_at_most_2
-from gammapath.packing import TerminalEdgeWarning, reduce_weight_to_zero
+from gammapath.packing import reduce_weight_to_zero
 
 from util import (
     INTS,
@@ -418,9 +417,7 @@ def test_reduce_weight_to_zero_sets_the_tables_of_a_fresh_construction(group):
                 if end in graph.terminals:
                     label = label - g
             labels.append(label)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TerminalEdgeWarning)
-            reduced = reduce_weight_to_zero(graph, g + g, g)
+        reduced = reduce_weight_to_zero(graph, g + g, g)
         assert graph_tables(reduced) == graph_tables(_fresh(graph, labels))
         assert graph_tables(graph) == before
 

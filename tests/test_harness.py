@@ -12,10 +12,13 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+import gammapath.frame as frame
 import gammapath.harness as harness
+import gammapath.packing as packing
 from gammapath import cli, groups
 from gammapath.errors import InternalInvariantError, Limits, LimitExceeded, UsageError
-from gammapath.graphs import UNDIRECTED, LabelledGraph, three_blocks
+from gammapath.graphs import UNDIRECTED, LabelledGraph, PathWitness, search_terminal_paths, three_blocks
+from gammapath.groups import GroupElem
 from gammapath.harness import RunConfig, run_suite
 from gammapath.jsonio import dumps, graph_from_json
 
@@ -208,6 +211,44 @@ def test_internal_error_surfaces_as_fail(monkeypatch):
     report = run_suite(RunConfig(seed=0), only=["gadgets"])
     assert (report["checks"][0]["id"], report["checks"][0]["status"]) == ("gadgets", "FAIL")
     assert "test probe" in report["checks"][0]["reproducer"]["error"]
+
+
+def _instance_fail(check_id: str) -> dict:
+    """The reproducer of check_id's FAIL at seed 7, which names the failing instance."""
+    check = run_suite(RunConfig(seed=7), only=[check_id])["checks"][0]
+    assert (check["id"], check["status"]) == (check_id, "FAIL")
+    reproducer = check["reproducer"]
+    assert reproducer["seed"] == 7 and isinstance(reproducer["instance_index"], int)
+    graph_from_json(reproducer["instance"])  # the instance replays
+    return reproducer
+
+
+def test_a_frame_packing_with_a_nonzero_path_fails_naming_the_instance(monkeypatch):
+    # a zero search that returns a nonzero path: the frame's own packing check must catch it
+    def first_nonzero_path(graph, blocked, limits):
+        zero = graph.group._zero
+        for vertices, edge_ids, w in search_terminal_paths(
+            graph, blocked=blocked, member=lambda path, edges, end, w: w != zero, limits=limits, cut="path length"
+        ):
+            return PathWitness(vertices, edge_ids, GroupElem(graph.group, w))
+        return None
+
+    monkeypatch.setattr(frame, "_first_zero_path_disjoint_from", first_nonzero_path)
+    reproducer = _instance_fail("frame-random")
+    assert reproducer["error"] == "packing contains a nonzero path"
+    assert reproducer["k"] >= 1
+
+
+def test_a_cover_above_twice_the_packing_fails_naming_the_instance(monkeypatch):
+    min_cover = packing.min_cover
+
+    def loose_cover(members, limits):
+        return 2 * packing.max_packing(members, limits)[0] + 1, min_cover(members, limits)[1]
+
+    monkeypatch.setattr(packing, "min_cover", loose_cover)
+    reproducer = _instance_fail("duality-random")
+    assert re.fullmatch(r"cover (\d+) exceeds twice the packing (\d+) for a guaranteed family", reproducer["error"])
+    assert reproducer["kind"] in ("nonzero", "odd", "aba")
 
 
 def test_report_is_json_serializable():

@@ -15,7 +15,6 @@ from gammapath.packing import (
     ODD,
     WEIGHT,
     PathFamilySpec,
-    TerminalEdgeWarning,
     _verify_packing,
     duality_report,
     max_packing,
@@ -133,6 +132,9 @@ def test_through_set_rejects_a_twin_of_a_vertex_id(twin):
     assert PathFamilySpec(ABA, g, through=frozenset({1})).to_json()["through"] == [1]
     with pytest.raises(ValueError, match="vertex ids must be ints or strings"):
         PathFamilySpec(ABA, g, through=frozenset({twin}))
+    # beside its id, which a set would merge it into
+    with pytest.raises(ValueError, match="vertex ids must be ints or strings"):
+        PathFamilySpec(ABA, g, through=[1, twin])
 
 
 @pytest.mark.parametrize("through", [[1], {1}])
@@ -141,6 +143,19 @@ def test_through_set_is_kept_as_a_frozenset(through):
     spec = PathFamilySpec(ABA, g, through=through)
     assert spec.through == frozenset({1}) and hash(spec) == hash(PathFamilySpec(ABA, g, through=frozenset({1})))
     assert max_packing(spec)[0] == 1
+
+
+def test_through_set_is_read_once():
+    # a one-shot iterator is checked and kept whole, not used up by the check
+    g = undirected(Z(3), [(0, 1, 1), (1, 2, 2)], [0, 2])
+    spec = PathFamilySpec(ABA, g, through=(v for v in [1]))
+    kept = PathFamilySpec(ABA, g, through=frozenset({1}))
+    assert spec == kept and spec.to_json() == {"kind": ABA, "through": [1]}
+    assert spec.members() == kept.members() and len(kept.members()) == 1
+    report = duality_report(spec)
+    assert (report["nu"], report["tau"]) == (1, 1)
+    with pytest.raises(ValueError, match="through-set family needs a vertex set"):
+        PathFamilySpec(ABA, g, through=(v for v in []))
 
 
 def test_aba_disjoint_pairs():
@@ -339,12 +354,11 @@ def test_reduce_weight_rejects_bad_halving():
         reduce_weight_to_zero(g, z4.element(1), z4.element(1))
 
 
-def test_reduce_weight_warns_on_terminal_edge():
+def test_reduce_weight_is_exact_on_a_terminal_edge():
     z9 = Z(9)
     g = undirected(z9, [("a", "b", 3)], ["a", "b"])
-    with pytest.warns(TerminalEdgeWarning):
-        out = reduce_weight_to_zero(g, z9.element(3), z9.element(6))
-    # the single-edge path had weight 3 = target; it must now have weight 0
+    out = reduce_weight_to_zero(g, z9.element(3), z9.element(6))
+    # the single-edge path had weight 3 = target; g = 6 comes off at both ends, so it has weight 0
     assert out.edges[0].label == z9.element(3 - 12)
 
 
@@ -358,11 +372,7 @@ def test_reduce_weight_bijection_random():
 
             half = find_halving(group, ell)
             assert half is not None
-            import warnings as _w
-
-            with _w.catch_warnings():
-                _w.simplefilter("ignore", TerminalEdgeWarning)
-                out = reduce_weight_to_zero(g, ell, half)
+            out = reduce_weight_to_zero(g, ell, half)
             before = {p.vertices for p in enumerate_terminal_paths(g, weight=ell)}
             after = {p.vertices for p in enumerate_terminal_paths(out, weight=group.zero())}
             assert before == after
