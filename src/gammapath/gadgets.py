@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import DEFAULT_LIMITS, Limits, PreconditionFailed
 from .graphs import UNDIRECTED, LabelledGraph
 from .groups import GroupElem, GroupSpec, IntegerGroup, subgroup_contains
-from .packing import WEIGHT, PathFamilySpec, max_packing, min_cover
+from .packing import WEIGHT, MemberTable, PathFamilySpec, max_packing, min_cover
 
 
 @dataclass(frozen=True)
@@ -140,23 +140,23 @@ def verify_gadget(gadget: GridGadget, limits: Limits = DEFAULT_LIMITS) -> dict:
     """
     graph = gadget.graph
     n = gadget.n
-    spec = PathFamilySpec(WEIGHT, graph, weight=gadget.target)
-    members = spec.members(limits)
-    nu, _ = max_packing(members, limits)
-    tau, cover = min_cover(members, limits)
+    table = MemberTable(PathFamilySpec(WEIGHT, graph, weight=gadget.target), limits)
+    nu, _ = max_packing(table, limits)
+    tau, cover = min_cover(table, limits)
+    rows = table.rows  # (vertices, edge ids, weight value), no witnesses
     checks = {
-        "family_size": len(members),
+        "family_size": len(rows),
         "nu": nu,
         "tau": tau,
         "cover": sorted(cover, key=graph._rank.__getitem__),
         "no_two_disjoint": nu <= 1,
-        "endpoints_cross": all({end[0] for end in m.endpoints} == {"u", "w"} for m in members),
+        "endpoints_cross": all({vs[0][0], vs[-1][0]} == {"u", "w"} for vs, _, _ in rows),
         "cover_at_least_n": tau >= n,
     }
     if gadget.variant in ("gamma-prime", "gamma-double-prime"):
         top_row = {e.eid for e in graph.edges if e.u.startswith("v1_") and e.v.startswith("v1_")}
-        checks["uses_top_row"] = all(not top_row.isdisjoint(m.edge_ids) for m in members)
+        checks["uses_top_row"] = all(not top_row.isdisjoint(edge_ids) for _, edge_ids, _ in rows)
     if gadget.variant == "gamma":
         pairs = {frozenset((f"u{i}", f"w{n + 1 - i}")) for i in range(1, n + 1)}
-        checks["antidiagonal_pairing"] = all(frozenset(m.endpoints) in pairs for m in members)
+        checks["antidiagonal_pairing"] = all(frozenset((vs[0], vs[-1])) in pairs for vs, _, _ in rows)
     return checks

@@ -419,55 +419,53 @@ def search_terminal_paths(graph: LabelledGraph, *, blocked=frozenset(), member=N
     )
 
 
-def enumerate_terminal_paths(
-    graph: LabelledGraph,
-    *,
-    weight: GroupElem | None = None,
-    keep: Callable[[list, list, object, int], bool] | None = None,
+def terminal_path_tuples(
+    graph: LabelledGraph, *, weight=None, keep: Callable[[list, list, object, int], bool] | None = None,
     limits: Limits = DEFAULT_LIMITS,
-) -> tuple[PathWitness, ...]:
-    """Exhaustively enumerate terminal-linking paths, optionally filtered.
+) -> list[tuple[tuple, tuple, object]]:
+    """Terminal-linking paths as the kernel's (vertices, edge ids, weight value) tuples, in key order.
 
-    One filter at most: weight selects paths of one weight (in the directed
-    model a path matches when either traversal direction attains it, which
-    only the enumeration can apply); keep(prefix vertices, prefix edge ids,
-    end, weight value) selects the paths it holds for.  The filter is the
-    kernel's member test, so a path it drops never leaves the kernel, though
-    it still counts toward max_paths.  Members of one weight share one
-    element.  Results come in key order (vertex ranks, then edge ranks), the
-    order the kernel meets them in: sources and neighbours run by rank, and
-    two paths of a simple graph differ in their vertices.  Only parallel
-    edges and a weight member kept reversed make a sort necessary.
+    One filter at most, applied in the kernel as its member test (a path it
+    drops still counts toward max_paths): keep(prefix vertices, prefix edge
+    ids, end, weight value), or weight, one path weight.  In the directed model
+    a path matches weight when either traversal attains it, and one that
+    attains it only from its larger end is kept reversed, from that end.  Key
+    order (vertex ranks, then edge ranks) is the kernel's order on a simple
+    graph; parallel edges and reversed members need a sort.  No witness is built.
     """
     if weight is not None and keep is not None:
         raise ValueError("choose at most one filter")
-    group = graph.group
     member = keep
     if weight is not None:
-        weight = group.element(weight)
-        target = weight.value
+        target = graph.group.element(weight).value
         # the value a member kept reversed has as met
-        back = group._neg(target) if graph.model == DIRECTED else target
+        back = graph.group._neg(target) if graph.model == DIRECTED else target
         member = lambda path, edges, end, w: w == target or w == back
-    elems: dict = {}
     unordered = graph._parallel
     out = []
-    for vertices, edge_ids, w in search_terminal_paths(
+    for row in search_terminal_paths(
         graph, member=member, limits=limits, cut="path length during exhaustive enumeration"
     ):
-        if weight is None:
-            if w not in elems:
-                elems[w] = GroupElem(group, w)
-            out.append(PathWitness(vertices, edge_ids, elems[w]))
-        elif w == target:
-            out.append(PathWitness(vertices, edge_ids, weight))
+        if weight is None or row[2] == target:
+            out.append(row)
         else:
-            out.append(PathWitness(tuple(reversed(vertices)), tuple(reversed(edge_ids)), weight))
+            out.append((row[0][::-1], row[1][::-1], target))
             unordered = True
     if unordered:
         rank, erank = graph._rank, graph._erank
-        out.sort(key=lambda p: ([rank[v] for v in p.vertices], [erank[e] for e in p.edge_ids]))
-    return tuple(out)
+        out.sort(key=lambda row: ([rank[v] for v in row[0]], [erank[e] for e in row[1]]))
+    return out
+
+
+def _witnesses(group: GroupSpec, rows) -> list[PathWitness]:
+    """The witness of each (vertices, edge ids, weight value) tuple, in order; one element per weight."""
+    elems = {w: GroupElem(group, w) for w in {row[2] for row in rows}}
+    return [PathWitness(vs, es, elems[w]) for vs, es, w in rows]
+
+
+def enumerate_terminal_paths(graph: LabelledGraph, *, weight=None, keep=None, limits: Limits = DEFAULT_LIMITS):
+    """The witnesses of `terminal_path_tuples` with the same filter, in its (key) order, as a tuple."""
+    return tuple(_witnesses(graph.group, terminal_path_tuples(graph, weight=weight, keep=keep, limits=limits)))
 
 
 def iter_simple_cycles(

@@ -31,8 +31,8 @@ from .graphs import (
     UNDIRECTED,
     LabelledGraph,
     apply_shifts,
-    enumerate_terminal_paths,
     normalize_to_zero,
+    terminal_path_tuples,
 )
 from .groups import (
     CayleyGroup,
@@ -50,6 +50,7 @@ from .packing import (
     NONZERO,
     ODD,
     WEIGHT,
+    MemberTable,
     PathFamilySpec,
     duality_report,
     max_packing,
@@ -338,11 +339,8 @@ def check_reduction(config: RunConfig) -> dict:
         ell = group.element(rng.choice(targets))
         try:
             reduced = reduce_weight_to_zero(g, ell, find_halving(group, ell))
-            before = {p.vertices for p in enumerate_terminal_paths(g, weight=ell, limits=config.limits)}
-            after = {
-                p.vertices
-                for p in enumerate_terminal_paths(reduced, weight=group.zero(), limits=config.limits)
-            }
+            before = {row[0] for row in terminal_path_tuples(g, weight=ell, limits=config.limits)}
+            after = {row[0] for row in terminal_path_tuples(reduced, weight=group.zero(), limits=config.limits)}
         except GammapathError as exc:
             return _fail(g, {"instance_index": i, "ell": ell.to_json(), "error": str(exc)})
         if before != after:
@@ -372,9 +370,11 @@ def check_oracle_soundness(config: RunConfig) -> dict:
             if not 0 < len(members) <= 12:
                 continue
             corpus += 1
-            if max_packing(members, config.limits)[0] != naive_max_packing(members):
+            # the solvers read the kernel's tuples, as the CLI's do; the naive ones read the witnesses
+            table = MemberTable(spec, config.limits)
+            if max_packing(table, config.limits)[0] != naive_max_packing(members):
                 return _fail(g, {**named, "side": "packing"})
-            if min_cover(members, config.limits)[0] != naive_min_cover(members):
+            if min_cover(table, config.limits)[0] != naive_min_cover(members):
                 return _fail(g, {**named, "side": "cover"})
         except GammapathError as exc:
             return _fail(g, {**named, "error": str(exc)})

@@ -17,7 +17,8 @@ from .graphs import (
     UNDIRECTED,
     LabelledGraph,
     PathWitness,
-    enumerate_terminal_paths,
+    _witnesses,
+    terminal_path_tuples,
     vertex_key,
 )
 from .groups import GroupElem, _bits, elements_of_order_at_most_2
@@ -57,25 +58,29 @@ class PathFamilySpec:
         # kept as the graph keeps its terminals: hashable, and with the set methods the search uses
         object.__setattr__(self, "through", frozenset(through))
 
-    def members(self, limits: Limits = DEFAULT_LIMITS) -> list[PathWitness]:
-        """Exhaustively enumerate the family, in deterministic order."""
+    def member_tuples(self, limits: Limits = DEFAULT_LIMITS) -> list[tuple[tuple, tuple, object]]:
+        """The members as the kernel's (vertices, edge ids, weight value) tuples; no witness is built.
+
+        An aba family's trivial members (its terminals, in vertex order) come
+        first; the paths follow in key order, as `terminal_path_tuples` gives them.
+        """
         g = self.graph
         if self.kind == WEIGHT:
-            return list(enumerate_terminal_paths(g, weight=self.weight, limits=limits))
+            return terminal_path_tuples(g, weight=self.weight, limits=limits)
         # a member test reads the kernel's prefix (the path without its end and last edge) and the value
         if self.kind == NONZERO:
             zero = g.group._zero
-            return list(enumerate_terminal_paths(g, keep=lambda path, edges, end, w: w != zero, limits=limits))
+            return terminal_path_tuples(g, keep=lambda path, edges, end, w: w != zero, limits=limits)
         if self.kind == ODD:
-            return list(
-                enumerate_terminal_paths(g, keep=lambda path, edges, end, w: not len(edges) % 2, limits=limits)
-            )
-        through = self.through
-        members = [PathWitness((a,), (), g.group.zero()) for a in g._terminal_order if a in through]
-        members += enumerate_terminal_paths(
+            return terminal_path_tuples(g, keep=lambda path, edges, end, w: not len(edges) % 2, limits=limits)
+        through, zero = self.through, g.group._zero
+        return [((a,), (), zero) for a in g._terminal_order if a in through] + terminal_path_tuples(
             g, keep=lambda path, edges, end, w: end in through or not through.isdisjoint(path), limits=limits
         )
-        return members
+
+    def members(self, limits: Limits = DEFAULT_LIMITS) -> list[PathWitness]:
+        """A witness for every member, in the order of `member_tuples`: aba trivial members first, then key order."""
+        return _witnesses(self.graph.group, self.member_tuples(limits))
 
     def to_json(self) -> dict:
         out: dict = {"kind": self.kind}
@@ -111,23 +116,31 @@ class PackOrCover:
         return out
 
 
-def _family(members_or_spec, limits: Limits) -> list[PathWitness]:
-    if isinstance(members_or_spec, PathFamilySpec):
-        members = members_or_spec.members(limits)
-    else:
-        members = list(members_or_spec)
-    if len(members) > limits.max_family:
-        raise LimitExceeded("family size for the exact solvers", limits.max_family)
-    return members
+class MemberTable:
+    """One family as both exact solvers read it, built once: rows, vertex sets and member masks.
 
+    Rows are a spec's `member_tuples` (a packing builds witnesses for its own
+    members only) or the witnesses given.  through[v] masks the members through
+    v; meets[i], the members sharing a vertex with i, i included, is 0 until read.
+    """
 
-def _through(vertex_sets) -> dict:
-    """Member masks by vertex: bit i of through[v] is set when member i passes through v."""
-    through: dict = {}
-    for i, vs in enumerate(vertex_sets):
-        for v in vs:
-            through[v] = through.get(v, 0) | 1 << i
-    return through
+    def __init__(self, family: PathFamilySpec | Iterable[PathWitness], limits: Limits = DEFAULT_LIMITS):
+        spec = isinstance(family, PathFamilySpec)
+        self.rows = family.member_tuples(limits) if spec else list(family)
+        if len(self.rows) > limits.max_family:
+            raise LimitExceeded("family size for the exact solvers", limits.max_family)
+        self.group = family.graph.group if spec else None
+        self.vsets = [row[0] for row in self.rows] if spec else [m.vertices for m in self.rows]
+        through = self.through = {}
+        for i, vs in enumerate(self.vsets):
+            for v in vs:
+                through[v] = through.get(v, 0) | 1 << i
+        self.meets = [0] * len(self.rows)
+
+    def witness(self, i: int) -> PathWitness:
+        """Member i's witness: built from its tuple, or the witness the table was given."""
+        row = self.rows[i]
+        return row if self.group is None else PathWitness(row[0], row[1], GroupElem(self.group, row[2]))
 
 
 def _meets(vs, through: dict) -> int:
@@ -139,23 +152,27 @@ def _meets(vs, through: dict) -> int:
 
 
 def max_packing(
-    spec: PathFamilySpec | Iterable[PathWitness], limits: Limits = DEFAULT_LIMITS
+    spec: PathFamilySpec | MemberTable | Iterable[PathWitness], limits: Limits = DEFAULT_LIMITS
 ) -> tuple[int, tuple[PathWitness, ...]]:
     """Exact maximum number of pairwise vertex-disjoint members, with a witness.
 
     Branch and bound over the conflict structure: greedy start, a greedy
     clique-cover bound (bitset colouring), branching on the member that
-    conflicts with the most others (smallest index on ties).
+    conflicts with the most others (smallest index on ties).  Members are
+    numbered in the family's order (aba trivial members first, then key
+    order), and a witness is built only for each packed member.
     """
-    members = _family(spec, limits)
-    n = len(members)
-    through = _through([m.vertices for m in members])
-    conflict = [_meets(m.vertices, through) & ~(1 << i) for i, m in enumerate(members)]
+    table = spec if isinstance(spec, MemberTable) else MemberTable(spec, limits)
+    vsets, through, meets = table.vsets, table.through, table.meets
+    n = len(vsets)
+    for i, vs in enumerate(vsets):
+        if not meets[i]:
+            meets[i] = _meets(vs, through)
 
     # greedy seed: scan members by increasing conflict count, smallest index first
     taken = 0
-    for i in sorted(range(n), key=lambda i: conflict[i].bit_count()):
-        if not conflict[i] & taken:
+    for i in sorted(range(n), key=lambda i: meets[i].bit_count()):
+        if not meets[i] & taken:
             taken |= 1 << i
     best_choice = tuple(_bits(taken))
     best = len(best_choice)
@@ -170,7 +187,7 @@ def max_packing(
             while cand:
                 low = cand & -cand
                 free ^= low
-                cand &= conflict[low.bit_length() - 1]
+                cand = cand & meets[low.bit_length() - 1] ^ low  # meets holds low itself
         return count
 
     # depth-first on an explicit stack, include-branch first; a state is
@@ -181,36 +198,39 @@ def max_packing(
         if len(chosen) + bound(free) <= best:
             continue
         # branch on the free member with most free conflicts, smallest index first
-        pick = max(_bits(free), key=lambda i: (conflict[i] & free).bit_count(), default=None)
-        if pick is None or not conflict[pick] & free:
+        pick = max(_bits(free), key=lambda i: (meets[i] & free).bit_count(), default=None)
+        if pick is None or meets[pick] & free == 1 << pick:
             # the free members are pairwise disjoint, so the bound is their
             # number and taking them all beats the best
             best_choice = tuple(sorted(chosen + list(_bits(free))))
             best = len(best_choice)
             continue
         stack.append((free & ~(1 << pick), chosen))
-        stack.append((free & ~(1 << pick) & ~conflict[pick], chosen + [pick]))
+        stack.append((free & ~meets[pick], chosen + [pick]))
 
-    chosen_paths = tuple(members[i] for i in best_choice)
+    chosen_paths = tuple(table.witness(i) for i in best_choice)
     _verify_packing(chosen_paths)
     return best, chosen_paths
 
 
 def min_cover(
-    spec: PathFamilySpec | Iterable[PathWitness], limits: Limits = DEFAULT_LIMITS
+    spec: PathFamilySpec | MemberTable | Iterable[PathWitness], limits: Limits = DEFAULT_LIMITS
 ) -> tuple[int, frozenset]:
-    """Exact minimum vertex set meeting every member, with a witness.
+    """Exact minimum vertex set meeting every member, with a witness; it builds no path witness.
 
-    Branches on a shortest uncovered member (one of its vertices must be
-    chosen); a greedy disjoint-members bound prunes.
+    Branches on a shortest uncovered member, the lowest among those in the
+    family's order (aba trivial members first, then key order): one of its
+    vertices must be chosen.  A greedy disjoint-members bound prunes.
     """
-    members = _family(spec, limits)
-    # each vertex's sort key, computed once; members renumbered shortest first,
-    # so the lowest uncovered bit is a shortest uncovered member
-    keys = {v: vertex_key(v) for v in set().union(*(m.vertices for m in members))}
-    vsets = sorted((m.vertices for m in members), key=len)
-    through = _through(vsets)
-    meets = [0] * len(vsets)  # _meets of member i, made when the bound first reads it
+    table = spec if isinstance(spec, MemberTable) else MemberTable(spec, limits)
+    vsets, through, meets = table.vsets, table.through, table.meets
+    keys = {v: vertex_key(v) for v in through}  # each vertex's sort key, computed once
+    # one mask of members per path length, shortest first: walking them visits
+    # members shortest first, lowest index first within a length
+    by_len: dict = {}
+    for i, vs in enumerate(vsets):
+        by_len[len(vs)] = by_len.get(len(vs), 0) | 1 << i
+    lengths = [by_len[k] for k in sorted(by_len)]
     everyone = (1 << len(vsets)) - 1
 
     # greedy upper bound: repeatedly take the vertex hitting most uncovered members
@@ -232,28 +252,32 @@ def min_cover(
         # greedy set of pairwise disjoint uncovered members, shortest first
         disjoint = 0
         rest = uncovered
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            if not meets[i]:
-                meets[i] = _meets(vsets[i], through)
-            rest &= ~meets[i]
-            disjoint += 1
+        for length in lengths:
+            cand = rest & length
+            while cand:
+                i = (cand & -cand).bit_length() - 1
+                if not meets[i]:
+                    meets[i] = _meets(vsets[i], through)
+                rest &= ~meets[i]
+                cand &= rest
+                disjoint += 1
         if len(chosen) + disjoint >= best:
             continue
         if not uncovered:
             best = len(chosen)
             best_cover = frozenset(chosen)
             continue
-        first = sorted(vsets[(uncovered & -uncovered).bit_length() - 1], key=keys.__getitem__, reverse=True)
+        shortest = next(uncovered & length for length in lengths if uncovered & length)
+        first = sorted(vsets[(shortest & -shortest).bit_length() - 1], key=keys.__getitem__, reverse=True)
         stack.extend((uncovered & ~through[v], chosen + (v,)) for v in first)
 
-    _verify_cover(members, best_cover)
+    _verify_cover(vsets, best_cover)
     return best, best_cover
 
 
-def _verify_cover(members, cover: frozenset) -> None:
-    for m in members:
-        if cover.isdisjoint(m.vertices):
+def _verify_cover(vertex_sets, cover: frozenset) -> None:
+    for vs in vertex_sets:
+        if cover.isdisjoint(vs):
             raise InternalInvariantError("claimed cover misses a family member")
 
 
@@ -268,17 +292,19 @@ def _verify_packing(paths) -> None:
 def duality_report(
     spec: PathFamilySpec, limits: Limits = DEFAULT_LIMITS
 ) -> dict:
-    """Run both oracles and check the two-per-packed-path cover bound.
+    """Run both oracles on one member table and check the two-per-packed-path cover bound.
 
-    The bound tau <= 2*nu is a theorem for the odd and through-set families
-    and for nonzero weights in the directed model (or when every label has
-    order at most two, where the two models coincide); violating it there is
-    an implementation bug.  For other families the comparison is reported
-    but carries no guarantee.
+    The family is enumerated once, in its order (aba trivial members first,
+    then key order), and its `MemberTable` shared; witnesses are built only
+    for the packing.  The bound tau <= 2*nu is a theorem for
+    the odd and through-set families and for nonzero weights in the directed
+    model (or when every label has order at most two, where the two models
+    coincide); violating it there is an implementation bug.  For other
+    families the comparison is reported but carries no guarantee.
     """
-    members = spec.members(limits)
-    nu, packing = max_packing(members, limits)
-    tau, cover = min_cover(members, limits)
+    table = MemberTable(spec, limits)
+    nu, packing = max_packing(table, limits)
+    tau, cover = min_cover(table, limits)
     if nu > tau:
         raise InternalInvariantError("packing larger than cover")
     backed = spec.kind in (ODD, ABA)

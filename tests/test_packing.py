@@ -14,6 +14,8 @@ from gammapath.packing import (
     NONZERO,
     ODD,
     WEIGHT,
+    MemberTable,
+    PackOrCover,
     PathFamilySpec,
     _verify_packing,
     duality_report,
@@ -22,7 +24,16 @@ from gammapath.packing import (
     reduce_weight_to_zero,
 )
 
-from util import Z, naive_max_packing, naive_min_cover, oracle_max_packing, oracle_min_cover
+from util import (
+    Z,
+    gallai_nu,
+    naive_max_packing,
+    naive_min_cover,
+    oracle_enumerate_terminal_paths,
+    oracle_max_packing,
+    oracle_min_cover,
+    plain_a_path_graph,
+)
 
 
 def undirected(group, edges, terminals, extra=()):
@@ -172,7 +183,7 @@ def test_aba_disjoint_pairs():
     assert report["theorem_backed"] and report["bound_ok"]
 
 
-def _random_instance(rng, group, model, n_max=9, mixed=False):
+def _random_instance(rng, group, model, n_max=9, mixed=False, parallel=0):
     n = rng.randint(4, n_max)
     vertices = list(range(n))
     # mixed: odd vertices get string ids, which vertex_key orders after the ints
@@ -189,6 +200,9 @@ def _random_instance(rng, group, model, n_max=9, mixed=False):
         else:
             edges.append((name[u], name[v], rng.choice(elems)))
     terminals = [name[v] for v in rng.sample(vertices, rng.randint(2, 4))]
+    # drawn last, so the graphs drawn without parallel edges stay as they were
+    for u, v, *_ in rng.sample(edges, min(parallel, len(edges))):
+        edges.append((u, v, rng.choice(elems), *([u if rng.random() < 0.5 else v] if model == DIRECTED else [])))
     return LabelledGraph.build(group, model, edges, terminals, extra_vertices=name.values())
 
 
@@ -248,6 +262,98 @@ def test_bitmask_solvers_match_the_pre_change_solvers():
                 members = PathFamilySpec(kind, gadget.graph).members()
                 assert max_packing(members) == oracle_max_packing(members)
                 assert min_cover(members) == oracle_min_cover(members)
+
+
+def _members_in_key_order(spec):
+    """The family's witnesses as the enumeration before the tuple pipeline listed them."""
+    g, limits = spec.graph, Limits()
+    if spec.kind == WEIGHT:
+        return list(oracle_enumerate_terminal_paths(g, weight=spec.weight, limits=limits))
+    if spec.kind == NONZERO:
+        return list(oracle_enumerate_terminal_paths(g, nonzero=True, limits=limits))
+    paths = oracle_enumerate_terminal_paths(g, limits=limits)
+    if spec.kind == ODD:
+        return [p for p in paths if len(p.edge_ids) % 2]
+    trivial = [PathWitness((a,), (), g.group.zero()) for a in sorted(g.terminals & spec.through, key=vertex_key)]
+    return trivial + [p for p in paths if not spec.through.isdisjoint(p.vertices)]
+
+
+def test_the_tuple_pipeline_gives_the_witness_pipelines_certificates():
+    # the solvers read a spec's kernel tuples; given its witnesses, or as the oracles, they must print the same
+    rng = random.Random(41)
+    seen = dict.fromkeys(["parallel", "reversed", "trivial", "empty"], 0)
+    for trial in range(240):
+        group = rng.choice([Z(2), Z(3), Z(4)])
+        model = (DIRECTED, UNDIRECTED)[trial % 2]
+        g = _random_instance(rng, group, model, n_max=10, mixed=trial % 3 == 0, parallel=trial % 4)
+        kind = (WEIGHT, NONZERO, ODD, ABA)[trial // 2 % 4]
+        if kind == WEIGHT:
+            spec = PathFamilySpec(WEIGHT, g, weight=rng.choice(group.elements()))
+        elif kind == ABA:
+            through = rng.sample(sorted(g.terminals, key=vertex_key), rng.randint(0, 2)) + rng.sample(g.vertices, 1)
+            spec = PathFamilySpec(ABA, g, through=frozenset(through))
+        else:
+            spec = PathFamilySpec(kind, g)
+        members = spec.members()
+        assert members == _members_in_key_order(spec)
+        assert [(m.vertices, m.edge_ids, m.weight.value) for m in members] == spec.member_tuples()
+        seen["parallel"] += g._parallel and bool(members)
+        seen["reversed"] += any(vertex_key(m.vertices[0]) > vertex_key(m.vertices[-1]) for m in members)
+        seen["trivial"] += any(m.trivial for m in members)
+        seen["empty"] += not members
+
+        (nu, packing), (tau, cover) = max_packing(spec), min_cover(spec)
+        assert (nu, packing) == max_packing(members) == oracle_max_packing(members)
+        assert (tau, cover) == min_cover(members) == oracle_min_cover(members)
+        report = duality_report(spec)
+        assert (report["nu"], report["tau"]) == (nu, tau)
+        assert report["packing"].to_json() == PackOrCover("packing", paths=packing, nu=nu, tau=tau).to_json()
+        assert report["cover"].to_json() == PackOrCover("cover", vertices=cover, nu=nu, tau=tau).to_json()
+        # each printed witness is a terminal path of the graph with the weight it states
+        for p in packing:
+            p.validate(g)
+    assert min(seen.values()) >= 5, seen
+
+
+def test_min_cover_branches_on_a_shortest_uncovered_member():
+    # paths of mixed lengths in K12, many with several optimal covers: the certificate is the first optimum in
+    # branch order, where the lowest uncovered member of the shortest length is branched on, as before
+    rng = random.Random(57)
+    g = undirected(Z(2), [(u, v, 0) for u, v in itertools.combinations(range(12), 2)], [])
+    eid = {frozenset((e.u, e.v)): e.eid for e in g.edges}
+    zero = Z(2).zero()
+    for _ in range(1000):
+        members = []
+        for _ in range(rng.randint(4, 30)):
+            vs = rng.sample(range(rng.randint(6, 12)), rng.randint(2, 6))
+            members.append(PathWitness(tuple(vs), tuple(eid[frozenset(uv)] for uv in zip(vs, vs[1:])), zero))
+        assert min_cover(members) == oracle_min_cover(members)
+
+
+def test_gallai_formula_matches_the_brute_force_packings():
+    # the oracle's own check: seeded small all-zero graphs, against the pre-change solver and subset enumeration
+    rng = random.Random(73)
+    for _ in range(300):
+        n = rng.randint(3, 11)
+        g = plain_a_path_graph(rng, n, rng.randint(n - 1, min(2 * n, n * (n - 1) // 2)), rng.randint(2, min(n, 5)))
+        members = PathFamilySpec(WEIGHT, g, weight=0).members()
+        assert gallai_nu(g) == oracle_max_packing(members)[0] == max_packing(members)[0]
+        if len(members) <= 12:
+            assert gallai_nu(g) == naive_max_packing(members)
+
+
+@pytest.mark.parametrize("seed, terminals", [(21, 4), (22, 4), (23, 4), (24, 4), (31, 6), (32, 6)])
+def test_max_packing_matches_gallai_past_brute_force(seed, terminals):
+    # plain A-path families of 1,000 and more members, far past the brute-force oracles;
+    # tests/bench_gallai.py has the rows that take seconds
+    rng = random.Random(seed)
+    while True:
+        n = rng.randint(14, 20)
+        g = plain_a_path_graph(rng, n, rng.randint(8 * n // 5, 2 * n), terminals)
+        table = MemberTable(PathFamilySpec(WEIGHT, g, weight=0))
+        if len(table.rows) >= 1000:
+            break
+    assert max_packing(table)[0] == gallai_nu(g)
 
 
 def test_packing_certificate_check_rejects_overlapping_members():

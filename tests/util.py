@@ -492,6 +492,41 @@ def oracle_min_cover(members) -> tuple[int, frozenset]:
     return best, best_cover
 
 
+# --- Gallai's matching formula: an oracle for nu of plain A-paths past brute force ----
+
+
+def gallai_nu(graph) -> int:
+    """The most vertex-disjoint terminal paths (plain A-paths, any labels), by Gallai's formula.
+
+    nu = mu(G~) - |V - A|, where mu is the matching number and G~ keeps each
+    terminal once, gives each other vertex two adjacent copies, and joins every
+    copy of a vertex to every copy of each of its neighbours (Schrijver,
+    *Combinatorial Optimization*, 2003, Thm. 73.1).  A packing of k paths with
+    m interior vertices in all becomes a matching of the unused copy pairs and
+    a zig-zag along each path: |V - A| - m + (m + k) edges.
+    """
+    import networkx as nx
+
+    terminals = graph.terminals
+    copies = {v: [(v, 0)] if v in terminals else [(v, 0), (v, 1)] for v in graph.vertices}
+    tilde = nx.Graph()
+    tilde.add_nodes_from(c for cs in copies.values() for c in cs)
+    tilde.add_edges_from(cs for cs in copies.values() if len(cs) == 2)
+    for e in graph.edges:
+        tilde.add_edges_from(itertools.product(copies[e.u], copies[e.v]))
+    return len(nx.max_weight_matching(tilde, maxcardinality=True)) - (len(graph.vertices) - len(terminals))
+
+
+def plain_a_path_graph(rng: random.Random, n: int, m: int, terminals: int) -> LabelledGraph:
+    """An all-zero graph on 0..n-1: a spanning path plus m - n + 1 random chords, and random terminals.
+
+    Its weight-0 family is every terminal path, the plain A-paths of `gallai_nu`.
+    """
+    chords = [(u, v) for u, v in itertools.combinations(range(n), 2) if v != u + 1]
+    edges = [(v, v + 1, 0) for v in range(n - 1)] + [(u, v, 0) for u, v in rng.sample(chords, m - n + 1)]
+    return LabelledGraph.build(CyclicProduct((2,)), UNDIRECTED, edges, rng.sample(range(n), terminals), range(n))
+
+
 # --- block weights by enumerating every path: the oracle for three_blocks ----
 
 
